@@ -1,12 +1,5 @@
 GO ?= go
 
-# bench knobs: override to regenerate a different PR's trajectory, e.g.
-#   make bench BENCH_PATTERN='BenchmarkOptimize' BENCH_OUT=/tmp/b.json
-BENCH_PATTERN ?= BenchmarkOptimize|BenchmarkEvaluate|BenchmarkEngineReuse|BenchmarkAnalyticalLayer|BenchmarkNetworkFused
-BENCH_BEFORE ?= benchdata/pr9_before.txt
-BENCH_AFTER ?= benchdata/pr9_after.txt
-BENCH_OUT ?= BENCH_PR9.json
-
 .PHONY: check vet fmt-check guard build test race fuzz fuzz-smoke bench bench-smoke trace-smoke chaos-smoke server-smoke crash-smoke parallel-smoke seed-smoke fuse-smoke
 
 # check is the full pre-commit gate: static analysis, formatting, the
@@ -46,9 +39,11 @@ test:
 # registry, the soak corpus, Timeloop's search threads, network scheduling
 # (including the chaos guarantee in short mode), and the shared-Engine
 # concurrency test in the root package — under the race detector. Scoped to
-# the packages that spawn goroutines so the instrumented run stays fast.
+# the packages that spawn goroutines so the instrumented run stays fast, plus
+# the tile and unroll enumerators, which pool workers call on shared compiled
+# dimension lists and must therefore never write to their inputs.
 race:
-	$(GO) test -race ./internal/core/ ./internal/cost/ ./internal/faults/ ./internal/server/ ./internal/journal/ ./internal/baselines/timeloop/ ./internal/baselines/innermost/
+	$(GO) test -race ./internal/core/ ./internal/cost/ ./internal/faults/ ./internal/server/ ./internal/journal/ ./internal/tile/ ./internal/unroll/ ./internal/baselines/timeloop/ ./internal/baselines/innermost/
 	$(GO) test -race -short .
 
 # parallel-smoke pins the determinism contract of intra-search parallelism
@@ -75,14 +70,11 @@ fuse-smoke:
 	$(GO) test -run 'TestFuseSmoke' -count 1 .
 	$(GO) test -run 'TestFusedBeatsUnfused|TestFusedMaxGroupOneIsUnfused' -count 1 ./internal/core/
 
-# bench reruns the search/evaluation/Engine-reuse benchmarks and refreshes
-# $(BENCH_OUT), the machine-readable before/after trajectory: the committed
-# $(BENCH_BEFORE) baseline stays fixed, the after side is regenerated on the
-# current tree. Benchmarks absent from the before file (e.g. the Engine-reuse
-# pair, new in this PR) still appear in the after column.
+# bench is a first look at the repository's benchmark (bench/, declared in
+# BENCHMARK.json): every workload at 1/10 scale, two runs each. A measurement
+# is the full pass and a comparison of two of them — see bench/README.md.
 bench:
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -count 3 . | tee $(BENCH_AFTER)
-	$(GO) run ./cmd/benchjson -before $(BENCH_BEFORE) -after $(BENCH_AFTER) -out $(BENCH_OUT)
+	$(GO) run ./bench -quick
 
 # bench-smoke compiles and runs every benchmark for a single iteration — a
 # fast regression guard that the harness itself still works.

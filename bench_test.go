@@ -18,6 +18,10 @@ import (
 
 	"sunstone"
 	"sunstone/internal/experiments"
+	"sunstone/internal/factor"
+	"sunstone/internal/tensor"
+	"sunstone/internal/tile"
+	"sunstone/internal/unroll"
 )
 
 func quickCfg() experiments.Config { return experiments.Config{Quick: true, Seed: 1} }
@@ -221,8 +225,7 @@ func BenchmarkAnalyticalLayer(b *testing.B) {
 // BenchmarkNetworkFused schedules the transformer GEMM chain whole-network
 // in both modes — per-layer (max group 1) and fusion-aware — and reports
 // the network EDP each lands on: the fused/unfused gap is the PR 9
-// acceptance bar (fused strictly lower on this preset), committed in
-// BENCH_PR9.json.
+// acceptance bar (fused strictly lower on this preset).
 func BenchmarkNetworkFused(b *testing.B) {
 	net := sunstone.TransformerChain(64, 64, 256)
 	a := sunstone.Conventional()
@@ -329,8 +332,8 @@ func BenchmarkEvaluateEDPUncached(b *testing.B) {
 // case pays the full per-problem compilation (ordering trie, ladder tables,
 // fit skeleton, cost-session tables) and searches with an empty evaluation
 // memo on every iteration; the warm case reuses one Engine's compiled
-// artifacts and warmed memo across iterations. The warm/cold ns/op ratio in
-// BENCH_PR4.json is the Engine-reuse speedup.
+// artifacts and warmed memo across iterations. The warm/cold ns/op ratio is
+// the Engine-reuse speedup.
 func BenchmarkEngineReuse(b *testing.B) {
 	w := sunstone.ResNet18Layers[1].Inference(16)
 	a := sunstone.Conventional()
@@ -353,6 +356,65 @@ func BenchmarkEngineReuse(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTileEnumerate walks the tiling tree the way the search does — one
+// reused tile.Walker, factor-vector probes, memoized ladders — over a small
+// and a large fitting region. allocs/op must not depend on nodes/op: the walk
+// allocates nothing per visited node (and nothing at all once the walker's
+// buffers have grown).
+func BenchmarkTileEnumerate(b *testing.B) {
+	ladder := factor.Ladder(720, tile.DefaultMinLadderDivisors)
+	for _, capacity := range []int{64, 1 << 16} {
+		v := tile.Vec{
+			Dims:          []tensor.Dim{"C", "K", "P", "Q"},
+			Quota:         []int{720, 720, 720, 720},
+			Fits:          func(fs []int) bool { return fs[0]*fs[1]+fs[1]*fs[2]*fs[3]+fs[0]*fs[2]*fs[3] <= capacity },
+			Ladder:        func(int, int) []int { return ladder },
+			MaxCandidates: 8,
+		}
+		var wk tile.Walker
+		_, stats := wk.Walk(v)
+		b.Run(fmt.Sprintf("nodes=%d", stats.NodesVisited), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				wk.Walk(v)
+			}
+			b.ReportMetric(float64(stats.NodesVisited), "nodes/op")
+		})
+	}
+}
+
+// BenchmarkUnrollEnumerate is the same for the unrolling enumeration: a
+// 16-wide and a 1024-wide fanout over four dimensions.
+func BenchmarkUnrollEnumerate(b *testing.B) {
+	ladders := map[int][]int{}
+	for _, fanout := range []int{16, 1024} {
+		v := unroll.Vec{
+			Dims:      []tensor.Dim{"C", "K", "P", "Q"},
+			Quota:     []int{720, 720, 720, 720},
+			Reduction: []bool{true, false, false, false},
+			Ladder: func(n, minDivisors int) []int {
+				if ladders[n] == nil {
+					ladders[n] = factor.Ladder(n, minDivisors)
+				}
+				return ladders[n]
+			},
+			Fanout:                fanout,
+			MinUtilization:        0.5,
+			AllowSpatialReduction: true,
+			MaxCandidates:         6,
+		}
+		var wk unroll.Walker
+		_, stats := wk.Walk(v)
+		b.Run(fmt.Sprintf("nodes=%d", stats.NodesVisited), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				wk.Walk(v)
+			}
+			b.ReportMetric(float64(stats.NodesVisited), "nodes/op")
+		})
+	}
 }
 
 // BenchmarkDianNaoCompileSimulate measures the Section V-D pipeline on one

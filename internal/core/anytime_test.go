@@ -105,10 +105,11 @@ func TestOptimizeContextPreCanceled(t *testing.T) {
 }
 
 func TestOptimizeTimeoutDeadline(t *testing.T) {
-	// Big enough that the full search takes well over the timeout.
-	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
+	// Big enough that the full search takes well over the timeout (about
+	// 40 ms on a 2.6 GHz core since the dense expansion rewrite).
+	w := conv2D(t, 32, 512, 384, 112, 112, 5, 5)
 	start := time.Now()
-	res, err := Optimize(w, arch.Simba(), Options{Timeout: 10 * time.Millisecond})
+	res, err := Optimize(w, arch.Simba(), Options{Timeout: 5 * time.Millisecond})
 	elapsed := time.Since(start)
 	if elapsed > 500*time.Millisecond {
 		t.Errorf("deadline-stopped search took %v, want well under 500ms", elapsed)

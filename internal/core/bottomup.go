@@ -11,15 +11,13 @@ import (
 
 	"sunstone/internal/anytime"
 	"sunstone/internal/mapping"
-	"sunstone/internal/order"
-	"sunstone/internal/tensor"
 	"sunstone/internal/tile"
 	"sunstone/internal/unroll"
 )
 
 // expandBottomUnit is the sequencer's per-(state, ordering) expansion unit
 // for the bottom-up direction: it extends partial mapping base at step l
-// under one ordering — loop ordering for level l+1, tiling of level l,
+// under ordering oi — loop ordering for level l+1, tiling of level l,
 // spatial unrolling at level 0 (step 0 only) and at level l+1. Every
 // produced candidate is charged as generated, and the visit count handed to
 // the (unbounded) step budget includes both the enumeration effort and the
@@ -29,57 +27,68 @@ import (
 // replayExpansion) so the hot enumeration loops never touch an atomic and a
 // memoized replay charges identical deltas.
 //
-// The unit runs on a pool worker: it must not touch anything mutable that is
-// shared with sibling units. It reads base (never written after creation),
-// clones before every extension, and goes through the compiled problem's
-// internally-synchronized ladder cache; the fit checker is per-call scratch.
-// Cancellation is checked on entry and polled inside the tiling walk, so a
-// stop truncates the candidate set rather than discarding it (the driver
-// then skips memoization).
-func (sc *search) expandBottomUnit(ctx context.Context, base *mapping.Mapping, l int, o *order.Ordering, budget int) unitOut {
+// The unit runs on a pool worker, on that worker's workspace: base is loaded
+// into the factor matrix once, every stage below mutates rows of it in place
+// and restores them, and a mapping.Mapping is built only for each candidate
+// that comes out the far end. The unit must not touch anything mutable that
+// is shared with sibling units: it reads base (never written after creation)
+// and goes through the compiled problem's read-only tables and
+// internally-synchronized ladder cache. Cancellation is checked on entry and
+// polled inside the tiling walk, so a stop truncates the candidate set rather
+// than discarding it (the driver then skips memoization).
+func (sc *search) expandBottomUnit(ctx context.Context, ws *workspace, base *mapping.Mapping, l, oi, budget int) unitOut {
 	var out unitOut
 	if anytime.FromContext(ctx) != StopComplete {
 		return out
 	}
-	w := base.Workload
-	a := base.Arch
+	dt := &sc.comp.dims
+	plan := &dt.orderings[oi]
+	walk := plan.walk(dt)
+	a := sc.comp.a
+	p := &ws.p
+	nd := p.nd
 	effort := 0
 
-	m1 := base.Clone()
-	m1.Levels[l+1].Order = o.Complete(w)
-	grow := growDimsFor(w, o)
+	ws.load(base)
+	p.order[l+1] = plan.complete
 
 	// Step 0 also assigns the unrolling below the first memory level
 	// (e.g. the DianNao NFU between the on-chip buffers and the MACs).
-	bases := []*mapping.Mapping{m1}
+	ws.low = append(ws.low[:0], p.srow(0)...)
 	if l == 0 && a.Levels[0].Fanout > 1 {
-		bases = sc.unrollAt(m1, 0, nil, &out.prunedUnrolling)
-		effort += len(bases)
+		ws.low = sc.unrollAt(ws, 0, &dt.all, ws.low[:0], &out.prunedUnrolling)
+		effort += len(ws.low) / nd
 	}
 
 	// Unrolling is settled before tiling (the paper's default
 	// intra-level order, Table VI row 1): the spatial fanout must claim
 	// its share of the factor budget before the maximal-tile search
 	// consumes it, or the PE array is left underutilized.
-	for _, m2 := range bases {
-		withSpatial := []*mapping.Mapping{m2}
+	ws.unrolled = append(ws.unrolled[:0], p.srow(l+1)...)
+	for lo := 0; lo < len(ws.low); lo += nd {
+		copy(p.srow(0), ws.low[lo:lo+nd])
+		copy(p.srow(l+1), ws.unrolled) // the previous iteration left its last unrolling here
+		ws.high = append(ws.high[:0], ws.unrolled...)
 		if a.Levels[l+1].Fanout > 1 {
-			withSpatial = sc.unrollAt(m2, l+1, grow, &out.prunedUnrolling)
-			effort += len(withSpatial)
+			ws.high = sc.unrollAt(ws, l+1, walk, ws.high[:0], &out.prunedUnrolling)
+			effort += len(ws.high) / nd
 		}
-		for _, m3 := range withSpatial {
-			tiles, tstats := sc.enumerateTiles(ctx, m3, l, grow)
+		for hi := 0; hi < len(ws.high); hi += nd {
+			copy(p.srow(l+1), ws.high[hi:hi+nd])
+			tiles, tstats := sc.enumerateTiles(ctx, ws, l, walk)
 			effort += tstats.NodesVisited
 			out.prunedTiling += tstats.NodesVisited - tstats.Survivors
-			for _, tc := range tiles {
-				m4 := m3.Clone()
-				for d, f := range tc {
-					if f > 1 {
-						m4.Levels[l].Temporal[d] = f
+			trow := p.trow(l)
+			copy(ws.saved, trow)
+			for ti := 0; ti < tstats.Survivors; ti++ {
+				for k, i := range walk.idx {
+					if f := tiles[ti*len(walk.idx)+k]; f > 1 {
+						trow[i] = f
 					}
 				}
-				sc.residualFill(m4, l, grow)
-				out.cands = append(out.cands, m4)
+				sc.residualFill(ws, l, plan.inGrow)
+				out.cands = append(out.cands, ws.materialize())
+				copy(trow, ws.saved)
 			}
 		}
 	}
@@ -92,12 +101,12 @@ func (sc *search) expandBottomUnit(ctx context.Context, base *mapping.Mapping, l
 // ordering's principle guidance and filter later, so they visit extra nodes
 // for the same final set. The cost is independent of any single ordering, so
 // the driver charges it once per state (folded into the state's first unit).
-func (sc *search) strategyEffort(ctx context.Context, base *mapping.Mapping, l int) int {
+func (sc *search) strategyEffort(ctx context.Context, ws *workspace, base *mapping.Mapping, l int) int {
 	switch sc.opt.Strategy {
 	case TileUnrollOrder:
-		return sc.unguidedTileEffort(ctx, base, l)
+		return sc.unguidedTileEffort(ctx, ws, base, l)
 	case UnrollTileOrder:
-		return sc.unguidedUnrollEffort(base, l) + sc.unguidedTileEffort(ctx, base, l)
+		return sc.unguidedUnrollEffort(ws, base, l) + sc.unguidedTileEffort(ctx, ws, base, l)
 	}
 	return 0
 }
@@ -128,29 +137,36 @@ func (sc *search) expandKey(lvl, budget int, base *mapping.Mapping) string {
 		o.Direction, o.Strategy, lvl, budget, o.TilesPerStep, o.UnrollsPerStep, o.MinUtilization, base.String())
 }
 
-// enumerateTiles runs the tiling tree for level l of partial mapping m with
-// the given grow dimensions, checking capacity feasibility from level l up.
-// Capacity probes go through a fitChecker instantiated from the compiled
-// skeleton — precomputed integer tables that answer exactly what writing the
-// factors into the mapping and calling feasible would, without per-probe
-// maps or allocation. A canceled context makes the predicate reject
-// everything, which collapses the remaining tree growth within a few dozen
-// probes.
-func (sc *search) enumerateTiles(ctx context.Context, m *mapping.Mapping, l int, grow []tensor.Dim) ([]tile.Candidate, tile.Stats) {
-	fc := sc.newFitChecker(m, l)
-	poll := &anytime.Poller{Ctx: ctx, Every: 64}
-	return tile.Enumerate(tile.Space{
-		GrowDims: grow,
-		Quota:    remainingQuota(m),
-		FitsVec: func(ds []tensor.Dim, fs []int) bool {
-			if poll.Stop() != StopComplete {
-				return false
-			}
-			return fc.fits(ds, fs)
-		},
-		Ladder:        sc.comp.ladders.ladder,
+// enumerateTiles runs the tiling tree for level l of the workspace's partial
+// mapping over the given dimensions, checking capacity feasibility from level
+// l up, and returns the surviving factor vectors (tile.Walker.Walk's rows,
+// valid until the workspace's next walk). Level l's temporal row is probed in
+// place and restored. It leaves the workspace's fitChecker reset for level
+// l's temporal row — what residualFill on the same state needs. A canceled
+// context makes the predicate reject everything, which collapses the
+// remaining tree growth within a few dozen probes.
+func (sc *search) enumerateTiles(ctx context.Context, ws *workspace, l int, walk *dimList) ([]int, tile.Stats) {
+	dt, p := &sc.comp.dims, &ws.p
+	ws.fc.reset(p, l, false)
+	// The factor budget not yet assigned anywhere in the mapping: lower
+	// tiles, this level's spatial factors, and — because unrolling precedes
+	// tiling — the next level's spatial factors all count against it.
+	for k, i := range walk.idx {
+		ws.quota[k] = ceilDiv(dt.bound[i], p.extent(i, 0, p.nl))
+	}
+	trow := p.trow(l)
+	copy(ws.saved, trow)
+	ws.poll = anytime.Poller{Ctx: ctx, Every: 64}
+	ws.tileLevel, ws.tileDims = l, walk.idx
+	rows, stats := ws.tw.Walk(tile.Vec{
+		Dims:          walk.names,
+		Quota:         ws.quota[:len(walk.idx)],
+		Fits:          ws.tileFits,
+		Ladder:        ws.ladder,
 		MaxCandidates: sc.opt.TilesPerStep,
 	})
+	copy(trow, ws.saved)
+	return rows, stats
 }
 
 // residualFill deterministically grows the non-grow dimensions of the tile
@@ -160,132 +176,121 @@ func (sc *search) enumerateTiles(ctx context.Context, m *mapping.Mapping, l int,
 // loops into the tile and can only add intra-tile reuse, so it is a pure
 // completion (no branching, not counted as search-space growth). Reduction
 // dimensions fill first — keeping partial sums resident longest — then the
-// rest in canonical order.
-func (sc *search) residualFill(m *mapping.Mapping, l int, grow []tensor.Dim) {
-	growSet := map[tensor.Dim]bool{}
-	for _, d := range grow {
-		growSet[d] = true
-	}
-	var fillDims []tensor.Dim
-	for _, d := range m.Workload.ReductionDims() {
-		if !growSet[d] {
-			fillDims = append(fillDims, d)
+// rest in canonical order. inGrow marks the dimensions to leave alone (nil =
+// none). The workspace's fitChecker must be reset for level l's temporal row.
+func (sc *search) residualFill(ws *workspace, l int, inGrow []bool) {
+	dt, p := &sc.comp.dims, &ws.p
+	trow := p.trow(l)
+	for _, i := range dt.fill {
+		if inGrow != nil && inGrow[i] {
+			continue
 		}
-	}
-	for _, d := range m.Workload.Order {
-		if !growSet[d] && !isReduction(m, d) {
-			fillDims = append(fillDims, d)
-		}
-	}
-	quota := remainingQuota(m)
-	for _, d := range fillDims {
-		ladder := sc.comp.ladders.ladder(quota[d], 4)
-		for i := len(ladder) - 1; i >= 0; i-- {
-			f := ladder[i]
-			if f <= m.Levels[l].T(d) {
+		ladder := ws.ladder(ceilDiv(dt.bound[i], p.extent(i, 0, p.nl)), tile.DefaultMinLadderDivisors)
+		for k := len(ladder) - 1; k >= 0; k-- {
+			f := ladder[k]
+			if f <= trow[i] {
 				break
 			}
-			old := m.Levels[l].T(d)
-			m.Levels[l].Temporal[d] = f
-			if feasible(m, l) {
+			old := trow[i]
+			trow[i] = f
+			if ws.fc.fits(trow) {
 				break
 			}
-			if old > 1 {
-				m.Levels[l].Temporal[d] = old
-			} else {
-				delete(m.Levels[l].Temporal, d)
-			}
+			trow[i] = old
 		}
 	}
 }
 
-func isReduction(m *mapping.Mapping, d tensor.Dim) bool {
-	for _, rd := range m.Workload.ReductionDims() {
-		if rd == d {
-			return true
-		}
-	}
-	return false
-}
-
-// unrollAt returns m extended with each candidate spatial unrolling at level
-// lvl (allowed dims nil = no principle restriction), keeping only
-// capacity-feasible extensions. Enumeration-tree rejects and
+// unrollAt appends to dst the level-lvl spatial row of each candidate
+// unrolling of the workspace's partial mapping over the allowed dimensions,
+// keeping only capacity-feasible extensions. Enumeration-tree rejects and
 // capacity-infeasible unrollings are added to *pruned.
-func (sc *search) unrollAt(m *mapping.Mapping, lvl int, allowed []tensor.Dim, pruned *int) []*mapping.Mapping {
-	a := m.Arch
-	cands, ustats := unroll.Enumerate(unroll.Space{
-		Allowed:               allowed,
-		ReductionDims:         m.Workload.ReductionDims(),
-		Quota:                 quotas(m, lvl),
-		Fanout:                a.Levels[lvl].Fanout,
-		MinUtilization:        sc.opt.MinUtilization,
-		AllowSpatialReduction: a.Levels[lvl].AllowSpatialReduction,
-		MaxCandidates:         sc.opt.UnrollsPerStep,
-		Ladder:                sc.comp.ladders.ladder,
-	})
+func (sc *search) unrollAt(ws *workspace, lvl int, allowed *dimList, dst []int, pruned *int) []int {
+	dt, p := &sc.comp.dims, &ws.p
+	// The factor budget above level lvl-1, given the extents fixed below.
+	for k, i := range allowed.idx {
+		ws.quota[k] = ceilDiv(dt.bound[i], p.extent(i, 0, lvl))
+	}
+	return sc.unrollRows(ws, lvl, allowed, sc.opt.UnrollsPerStep, true, dst, pruned)
+}
+
+// unrollRows runs the unrolling enumeration at level lvl over dims (quotas in
+// ws.quota) and appends to dst, per candidate, the level's spatial row with
+// the candidate written in. With checkFit, candidates whose extension
+// overflows a buffer at levels [lvl, top) are dropped and counted in *pruned
+// along with the enumeration-tree rejects. When nothing is kept the current
+// row is: the empty unrolling is always feasible if the partial mapping was.
+// The partial mapping is left as it was.
+func (sc *search) unrollRows(ws *workspace, lvl int, dims *dimList, maxCandidates int, checkFit bool, dst []int, pruned *int) []int {
+	p := &ws.p
+	rows, ustats := ws.uw.Walk(sc.unrollVec(ws, lvl, dims, maxCandidates))
 	*pruned += ustats.NodesVisited - ustats.Survivors
-	var out []*mapping.Mapping
-	for _, u := range cands {
-		mu := m.Clone()
-		for d, f := range u {
-			if f > 1 {
-				mu.Levels[lvl].Spatial[d] = f
+	if checkFit {
+		ws.fc.reset(p, lvl, true)
+	}
+	srow := p.srow(lvl)
+	copy(ws.saved, srow)
+	for r := 0; r < ustats.Survivors; r++ {
+		for k, i := range dims.idx {
+			if f := rows[r*len(dims.idx)+k]; f > 1 {
+				srow[i] = f
 			}
 		}
-		if feasible(mu, lvl) {
-			out = append(out, mu)
+		if !checkFit || ws.fc.fits(srow) {
+			dst = append(dst, srow...)
 		} else {
 			*pruned++
 		}
+		copy(srow, ws.saved)
 	}
-	if len(out) == 0 {
-		// The empty unrolling is always feasible if m was.
-		out = append(out, m.Clone())
+	if len(dst) == 0 {
+		dst = append(dst, srow...)
 	}
-	return out
+	return dst
 }
 
-// remainingQuota is the per-dimension factor budget not yet assigned
-// anywhere in the mapping (lower tiles, this level's spatial factors, and —
-// because unrolling precedes tiling — the next level's spatial factors all
-// count against it).
-func remainingQuota(m *mapping.Mapping) map[tensor.Dim]int {
-	q := make(map[tensor.Dim]int, len(m.Workload.Dims))
-	for d, bound := range m.Workload.Dims {
-		q[d] = ceilDiv(bound, m.Coverage(d))
+// unrollVec is the unrolling enumeration at level lvl over the given
+// dimensions, with the per-dimension quotas already in ws.quota.
+func (sc *search) unrollVec(ws *workspace, lvl int, dims *dimList, maxCandidates int) unroll.Vec {
+	al := &sc.comp.a.Levels[lvl]
+	return unroll.Vec{
+		Dims:                  dims.names,
+		Quota:                 ws.quota[:len(dims.idx)],
+		Reduction:             dims.reduction,
+		Ladder:                ws.ladder,
+		Fanout:                al.Fanout,
+		MinUtilization:        sc.opt.MinUtilization,
+		AllowSpatialReduction: al.AllowSpatialReduction,
+		MaxCandidates:         maxCandidates,
 	}
-	return q
 }
 
 // unguidedTileEffort counts the tiling-tree nodes an ordering-last strategy
 // visits: the tree grown along every dimension, no Tiling Principle filter.
-func (sc *search) unguidedTileEffort(ctx context.Context, m *mapping.Mapping, l int) int {
-	_, stats := sc.enumerateTiles(ctx, m, l, nil)
+func (sc *search) unguidedTileEffort(ctx context.Context, ws *workspace, base *mapping.Mapping, l int) int {
+	ws.load(base)
+	_, stats := sc.enumerateTiles(ctx, ws, l, &sc.comp.dims.all)
 	return stats.NodesVisited
 }
 
 // unguidedUnrollEffort counts the unrolling candidates an ordering-last
 // strategy enumerates at this step's spatial levels without the Unrolling
 // Principle filter.
-func (sc *search) unguidedUnrollEffort(m *mapping.Mapping, l int) int {
-	a := m.Arch
+func (sc *search) unguidedUnrollEffort(ws *workspace, base *mapping.Mapping, l int) int {
+	dt := &sc.comp.dims
+	ws.load(base)
 	n := 0
 	for _, lvl := range []int{0, l + 1} {
 		if lvl == 0 && l != 0 {
 			continue
 		}
-		if a.Levels[lvl].Fanout <= 1 {
+		if sc.comp.a.Levels[lvl].Fanout <= 1 {
 			continue
 		}
-		_, stats := unroll.Enumerate(unroll.Space{
-			ReductionDims:         m.Workload.ReductionDims(),
-			Quota:                 quotas(m, lvl),
-			Fanout:                a.Levels[lvl].Fanout,
-			MinUtilization:        sc.opt.MinUtilization,
-			AllowSpatialReduction: a.Levels[lvl].AllowSpatialReduction,
-			Ladder:                sc.comp.ladders.ladder,
-		})
+		for k, i := range dt.all.idx {
+			ws.quota[k] = ceilDiv(dt.bound[i], ws.p.extent(i, 0, lvl))
+		}
+		_, stats := ws.uw.Walk(sc.unrollVec(ws, lvl, &dt.all, 0))
 		n += stats.NodesVisited
 	}
 	return n

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"sunstone/internal/arch"
@@ -14,13 +16,15 @@ import (
 
 // Compiled is the per-(workload, arch, model) artifact bundle: everything a
 // search needs that depends only on the problem, not on the run. Building it
-// costs one ordering-trie enumeration, one cost-session plan, the fit-check
-// capacity skeleton, and an empty factor-ladder memo — work that today's
+// costs one ordering-trie enumeration, one cost-session plan, the dimension
+// table and fit-check capacity skeleton the dense expansion runs on, and an
+// empty factor-ladder memo — work that today's
 // serving-shaped callers (network scheduling, figure sweeps, -compare) would
 // otherwise repeat on every Optimize call for the same problem.
 //
 // A Compiled is immutable after Compile returns and safe for any number of
-// concurrent searches: the ordering set and fit skeleton are read-only, and
+// concurrent searches: the ordering set, dimension table and fit skeleton are
+// read-only, and
 // the cost session and ladder cache guard their memo tables internally. The
 // session's evaluation memo is search-wide on a per-call compile and
 // engine-wide when the Compiled comes from an Engine — warm calls start with
@@ -33,6 +37,7 @@ type Compiled struct {
 	sess       *cost.Session    // fast-path plan tables + shared eval memo
 	orderings  []order.Ordering // pruned ordering-trie survivors
 	ostats     order.Stats      // trie effort, replayed into each run's counters
+	dims       dimTable         // integer view of the workload's dimensions and orderings
 	fit        fitSkeleton      // static structure of the capacity tables
 	ladders    ladderCache      // memoized factor ladders (tile/unroll/fill)
 	expansions expandCache      // memoized level expansions (warm-search replay)
@@ -59,7 +64,8 @@ func Compile(w *tensor.Workload, a *arch.Arch, model cost.Model) (*Compiled, err
 	c := &Compiled{w: w, a: a, model: model}
 	c.orderings, c.ostats = order.Enumerate(w)
 	c.sess = model.NewSession(w, a)
-	c.fit = buildFitSkeleton(w, a)
+	c.dims = buildDimTable(w, c.orderings)
+	c.fit = buildFitSkeleton(w, a, &c.dims)
 	c.ladders.m = make(map[ladderKey][]int)
 	c.expansions.m = make(map[string]*expandEntry)
 	return c, nil
@@ -74,6 +80,106 @@ func (c *Compiled) Arch() *arch.Arch { return c.a }
 // Session returns the compiled fast-path cost session. The session is
 // goroutine-safe; callers needing scratch space take their own Evaluator.
 func (c *Compiled) Session() *cost.Session { return c.sess }
+
+// dimTable is the integer view of a workload the dense expansion runs on:
+// dimension i is w.Order[i] everywhere below — in the per-worker factor
+// matrices, the capacity tables and the lists here — so an expansion or a
+// completion never looks a dimension up by name.
+type dimTable struct {
+	names     []tensor.Dim       // w.Order
+	index     map[tensor.Dim]int // position in names; for building the compiled tables only
+	bound     []int              // problem bound per dimension
+	reduction []bool             // dimension indexes no output tensor
+	// fill is the order the residual fill visits dimensions in: reduction
+	// dimensions first (sorted by name), then the rest in canonical order.
+	fill []int
+	// all lists every dimension sorted by name: what an enumeration walks
+	// when no ordering guidance restricts it.
+	all dimList
+	// orderings is index-aligned with Compiled.orderings.
+	orderings []orderingPlan
+}
+
+// dimList is a name-sorted list of dimensions in the three parallel forms the
+// enumerations consume.
+type dimList struct {
+	idx       []int        // indices into dimTable.names
+	names     []tensor.Dim // the same dimensions by name
+	reduction []bool       // dimTable.reduction gathered over idx
+}
+
+// orderingPlan is what an expansion unit needs of one candidate ordering.
+type orderingPlan struct {
+	// complete is the ordering extended to every dimension (Ordering.Complete):
+	// the loop order written into the unit's candidates.
+	complete []tensor.Dim
+	// grow lists the indexing dimensions of the tensors the ordering fully
+	// reuses — the OP of the Tiling and Unrolling Principles. Empty when the
+	// ordering reuses nothing: no guidance, every dimension allowed.
+	grow   dimList
+	inGrow []bool // membership in grow, per dimension
+}
+
+// walk is the dimension list the ordering's tiling tree and unrolling
+// enumerate over: its grow dimensions, or every dimension without guidance.
+func (op *orderingPlan) walk(dt *dimTable) *dimList {
+	if len(op.grow.idx) == 0 {
+		return &dt.all
+	}
+	return &op.grow
+}
+
+func buildDimTable(w *tensor.Workload, orderings []order.Ordering) dimTable {
+	index := make(map[tensor.Dim]int, len(w.Order))
+	dt := dimTable{names: w.Order, index: index, bound: make([]int, len(w.Order)), reduction: make([]bool, len(w.Order))}
+	for i, d := range w.Order {
+		index[d] = i
+		dt.bound[i] = w.Dims[d]
+	}
+	for _, d := range w.ReductionDims() {
+		dt.reduction[index[d]] = true
+		dt.fill = append(dt.fill, index[d])
+	}
+	for i := range w.Order {
+		if !dt.reduction[i] {
+			dt.fill = append(dt.fill, i)
+		}
+	}
+	list := func(member []bool) dimList {
+		var l dimList
+		for i, in := range member {
+			if in {
+				l.idx = append(l.idx, i)
+			}
+		}
+		slices.SortFunc(l.idx, func(a, b int) int { return cmp.Compare(w.Order[a], w.Order[b]) })
+		for _, i := range l.idx {
+			l.names = append(l.names, w.Order[i])
+			l.reduction = append(l.reduction, dt.reduction[i])
+		}
+		return l
+	}
+	every := make([]bool, len(w.Order))
+	for i := range every {
+		every[i] = true
+	}
+	dt.all = list(every)
+	dt.orderings = make([]orderingPlan, len(orderings))
+	for oi := range orderings {
+		o := &orderings[oi]
+		op := orderingPlan{complete: o.Complete(w), inGrow: make([]bool, len(w.Order))}
+		for _, name := range o.FullyReused {
+			if t := w.Tensor(name); t != nil {
+				for _, d := range t.IndexingDims() {
+					op.inGrow[index[d]] = true
+				}
+			}
+		}
+		op.grow = list(op.inGrow)
+		dt.orderings[oi] = op
+	}
+	return dt
+}
 
 // ladderKey identifies one memoized factor ladder: the tiling tree pads
 // sparse dimensions (minDivisors 4 by default), spatial unrolling does not

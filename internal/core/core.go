@@ -38,7 +38,6 @@ import (
 	"sunstone/internal/cost"
 	"sunstone/internal/mapping"
 	"sunstone/internal/obs"
-	"sunstone/internal/order"
 	"sunstone/internal/serde"
 	"sunstone/internal/tensor"
 )
@@ -494,8 +493,9 @@ func optimizeCompiled(ctx context.Context, comp *Compiled, opt Options) (Result,
 }
 
 // search is the per-run evaluation context over a compiled problem: one
-// scratch evaluator per worker thread — so the steady-state scoring path
-// allocates nothing and never contends on scratch space — and the run's
+// scratch evaluator and one expansion workspace per worker thread — so the
+// steady-state enumeration, completion and scoring paths never contend on
+// scratch space — and the run's
 // telemetry: a counter registry (candidate flow plus per-run memo-cache
 // attribution) and the progress emitter. The compiled artifacts (cost
 // session, orderings, fit skeleton, ladder memo) may be shared with other
@@ -505,6 +505,7 @@ type search struct {
 	comp *Compiled
 	sess *cost.Session
 	evs  []*cost.Evaluator
+	ws   []*workspace // dense expansion/completion scratch, one per worker like evs
 	reg  *obs.Registry
 	ctr  *obs.SearchCounters
 	prog *progressEmitter
@@ -518,6 +519,7 @@ type search struct {
 func newSearch(comp *Compiled, opt Options) *search {
 	sc := &search{opt: opt, comp: comp, sess: comp.sess, best: newBestScore()}
 	sc.evs = make([]*cost.Evaluator, opt.Threads)
+	sc.ws = make([]*workspace, opt.Threads)
 	// Cache hits/misses are charged to per-run counters (as well as the
 	// session's lifetime tally) so Result.Stats partitions per call even
 	// when an Engine shares one session across many searches.
@@ -525,6 +527,7 @@ func newSearch(comp *Compiled, opt Options) *search {
 	for i := range sc.evs {
 		sc.evs[i] = sc.sess.NewEvaluator()
 		sc.evs[i].CountCacheInto(hits, misses)
+		sc.ws[i] = newWorkspace(comp)
 	}
 	sc.reg = obs.NewRegistry()
 	sc.ctr = obs.NewSearchCounters(sc.reg)
@@ -549,7 +552,8 @@ type state struct {
 
 // tieKey renders (and memoizes) the deterministic tie-break key. Rendering
 // is deferred to the sort so the evaluation fan-out never pays for the
-// string; only score ties — rare — force it.
+// string and only states in a score tie render one. Ties are not rare on
+// warm serving traffic, though: sortStates is 6 % of service-mix CPU.
 func (s *state) tieKey() string {
 	if s.key == "" {
 		s.key = s.m.String()
@@ -557,97 +561,31 @@ func (s *state) tieKey() string {
 	return s.key
 }
 
-// completeFn turns a partial mapping into its evaluable completion; each
-// direction supplies its own (see sequencer). It must be safe to call from
-// the evaluation fan-out's worker goroutines.
-type completeFn func(*mapping.Mapping) *mapping.Mapping
+// completeFn turns a partial mapping into its evaluable completion, working
+// in the calling worker's workspace; each direction supplies its own (see
+// sequencer). It runs on the evaluation fan-out's worker goroutines.
+type completeFn func(ws *workspace, m *mapping.Mapping) *mapping.Mapping
 
-// completeUp clones m into a full (evaluable) mapping the bottom-up way:
+// completeUp builds m's full (evaluable) completion the bottom-up way:
 // every intermediate level is greedily filled with whatever remaining
 // factors fit its buffers (a stand-in for the optimization the upper steps
 // will perform — this is what makes the bottom-up completed-cost estimates
 // tight), and the final remainder lands at the unbounded top level.
-func (sc *search) completeUp(m *mapping.Mapping) *mapping.Mapping {
-	c := m.Clone()
-	top := len(c.Levels) - 1
+func (sc *search) completeUp(ws *workspace, m *mapping.Mapping) *mapping.Mapping {
+	dt, p := &sc.comp.dims, &ws.p
+	ws.load(m)
+	top := p.nl - 1
 	for l := 1; l < top; l++ {
-		sc.residualFill(c, l, nil)
+		ws.fc.reset(p, l, false)
+		sc.residualFill(ws, l, nil)
 	}
-	for d, bound := range c.Workload.Dims {
-		below := c.Extent(d, top-1)
-		need := ceilDiv(bound, below)
-		if t := c.Levels[top].T(d); t < need {
-			c.Levels[top].Temporal[d] = need
+	trow := p.trow(top)
+	for i, bound := range dt.bound {
+		if need := ceilDiv(bound, p.extent(i, 0, top)); trow[i] < need {
+			trow[i] = need
 		}
 	}
-	return c
-}
-
-// growDimsFor returns the union of indexing dimensions of the tensors fully
-// reused by ordering o (the OP of the Tiling/Unrolling Principles); nil when
-// the ordering reuses nothing (no guidance — all dims allowed).
-func growDimsFor(w *tensor.Workload, o *order.Ordering) []tensor.Dim {
-	if len(o.FullyReused) == 0 {
-		return nil
-	}
-	set := map[tensor.Dim]bool{}
-	for _, name := range o.FullyReused {
-		t := w.Tensor(name)
-		if t == nil {
-			continue
-		}
-		for _, d := range t.IndexingDims() {
-			set[d] = true
-		}
-	}
-	var out []tensor.Dim
-	for _, d := range w.Order {
-		if set[d] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// quotas returns the per-dimension remaining factor budget above level
-// lvl-1 (i.e. for loops at levels >= lvl), given the extents already fixed.
-func quotas(m *mapping.Mapping, lvl int) map[tensor.Dim]int {
-	q := make(map[tensor.Dim]int, len(m.Workload.Dims))
-	for d, bound := range m.Workload.Dims {
-		below := 1
-		if lvl > 0 {
-			below = m.Extent(d, lvl-1)
-		}
-		q[d] = ceilDiv(bound, below)
-	}
-	return q
-}
-
-// feasible reports whether the partial mapping's current extents still fit
-// every bounded buffer at levels [from, top). Because extents only grow as
-// upper levels are assigned, a violation here can never be repaired.
-func feasible(m *mapping.Mapping, from int) bool {
-	top := len(m.Levels) - 1
-	for l := from; l < top; l++ {
-		ext := m.Extents(l)
-		al := &m.Arch.Levels[l]
-		for bi := range al.Buffers {
-			buf := &al.Buffers[bi]
-			if buf.Bytes == 0 {
-				continue
-			}
-			var usedBits int64
-			for _, t := range m.Workload.Tensors {
-				if buf.Holds(t.Name) {
-					usedBits += int64(t.Footprint(ext)) * int64(m.Arch.Bits(t.Name))
-				}
-			}
-			if usedBits > buf.Bytes*8 {
-				return false
-			}
-		}
-	}
-	return true
+	return ws.materialize()
 }
 
 // evalAll scores the completed forms of the given mappings in parallel and
@@ -657,7 +595,7 @@ func feasible(m *mapping.Mapping, from int) bool {
 // intra-search pool (runParallel): a fixed set of workers — one preallocated
 // scratch Evaluator each, indexed by worker id — pulls indices off an atomic
 // counter, so the fan-out allocates nothing per candidate beyond the
-// completion clone. Each valid score is published to the search's shared
+// completion's Mapping. Each valid score is published to the search's shared
 // atomic incumbent as it lands, so the alpha-beta bound consumed at the next
 // step barrier is the tightest available. Once ctx is done the remaining
 // unevaluated mappings are skipped — they surface as +Inf states the
@@ -668,7 +606,7 @@ func (sc *search) evalAll(ctx context.Context, ms []*mapping.Mapping, cf complet
 	var mu sync.Mutex
 	var panics []error
 	runParallel(len(sc.evs), len(ms), func(wk, i int) {
-		sc.evalOne(ctx, sc.evs[wk], ms, states, i, cf, &mu, &panics)
+		sc.evalOne(ctx, wk, ms, states, i, cf, &mu, &panics)
 	})
 	sortStates(states)
 	return states, panics
@@ -676,7 +614,7 @@ func (sc *search) evalAll(ctx context.Context, ms []*mapping.Mapping, cf complet
 
 // evalOne scores ms[i] into states[i], containing a cost-model panic to
 // this one candidate (the worker loop survives and keeps draining).
-func (sc *search) evalOne(ctx context.Context, ev *cost.Evaluator, ms []*mapping.Mapping, states []state, i int, cf completeFn, mu *sync.Mutex, panics *[]error) {
+func (sc *search) evalOne(ctx context.Context, wk int, ms []*mapping.Mapping, states []state, i int, cf completeFn, mu *sync.Mutex, panics *[]error) {
 	defer func() {
 		if e := anytime.PanicErrorFrom(recover(), "evaluate candidate mapping", func() string { return reproMapping(ms[i]) }); e != nil {
 			states[i] = state{m: ms[i], score: math.Inf(1)}
@@ -695,8 +633,8 @@ func (sc *search) evalOne(ctx context.Context, ev *cost.Evaluator, ms []*mapping
 	// Counted before the attempt so a poisoned candidate still counts as
 	// evaluated (its fate is "attempted", not "skipped").
 	sc.ctr.Evaluated.Inc()
-	c := cf(ms[i])
-	edp, energyPJ, cycles, valid := ev.EvaluateEDP(c)
+	c := cf(sc.ws[wk], ms[i])
+	edp, energyPJ, cycles, valid := sc.evs[wk].EvaluateEDP(c)
 	states[i] = state{
 		m:         ms[i],
 		completed: c,

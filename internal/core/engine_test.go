@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"sunstone/internal/arch"
@@ -10,9 +11,9 @@ import (
 
 // countingProbe marks a model uncacheable (any non-nil Probe does) while
 // counting evaluations so the test can confirm it really ran.
-type countingProbe struct{ n int }
+type countingProbe struct{ n atomic.Int64 }
 
-func (p *countingProbe) BeforeEvaluate(m *mapping.Mapping) { p.n++ }
+func (p *countingProbe) BeforeEvaluate(m *mapping.Mapping) { p.n.Add(1) }
 
 // TestEngineCompileOnce is the compile/execute split's core contract: two
 // Optimize calls for the same problem compile it once, and the warm call's
@@ -135,7 +136,7 @@ func TestEngineProbeBypassesCache(t *testing.T) {
 	if s.Hits != 0 || s.Entries != 0 {
 		t.Errorf("probe model must not touch the cache: hits %d, entries %d", s.Hits, s.Entries)
 	}
-	if probe.n == 0 {
+	if probe.n.Load() == 0 {
 		t.Error("probe never fired")
 	}
 }

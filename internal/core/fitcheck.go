@@ -2,15 +2,14 @@ package core
 
 import (
 	"sunstone/internal/arch"
-	"sunstone/internal/mapping"
 	"sunstone/internal/tensor"
 )
 
 // fitSkeleton is the static half of the capacity tables: per checked level,
 // which bounded buffers exist, which tensors each holds, and each tensor's
-// axis structure (stride and dimension per term). All of it depends only on
-// (workload, arch), so Compile builds it once; per-enumeration work is then
-// reduced to filling in the dynamic base extents of the mapping at hand.
+// axis structure (stride and dimension index per term). All of it depends
+// only on (workload, arch), so Compile builds it once; a capacity question is
+// then a vector of per-dimension tile extents run through levelFits.
 type fitSkeleton struct {
 	lvls []fitSkelLevel // one per level 0..top-1
 }
@@ -26,18 +25,18 @@ type fitSkelBuffer struct {
 
 type fitSkelTensor struct {
 	bits  int64
-	axes  [][]fitSkelTerm
-	terms int // total term count, so instantiation can size exactly
+	terms []fitSkelTerm // every axis's terms, axis after axis
 }
 
 type fitSkelTerm struct {
-	stride int
-	d      tensor.Dim
+	stride  int
+	dim     int  // index into dimTable.names
+	axisEnd bool // last term of its axis
 }
 
 // buildFitSkeleton flattens the bounded-buffer capacity constraints of every
 // non-top level.
-func buildFitSkeleton(w *tensor.Workload, a *arch.Arch) fitSkeleton {
+func buildFitSkeleton(w *tensor.Workload, a *arch.Arch, dt *dimTable) fitSkeleton {
 	var sk fitSkeleton
 	top := len(a.Levels) - 1
 	for L := 0; L < top; L++ {
@@ -55,12 +54,9 @@ func buildFitSkeleton(w *tensor.Workload, a *arch.Arch) fitSkeleton {
 				}
 				ft := fitSkelTensor{bits: int64(a.Bits(t.Name))}
 				for _, ax := range t.Axes {
-					var terms []fitSkelTerm
-					for _, term := range ax {
-						terms = append(terms, fitSkelTerm{stride: term.Stride, d: term.D})
-						ft.terms++
+					for k, term := range ax {
+						ft.terms = append(ft.terms, fitSkelTerm{stride: term.Stride, dim: dt.index[term.D], axisEnd: k == len(ax)-1})
 					}
-					ft.axes = append(ft.axes, terms)
 				}
 				fb.tens = append(fb.tens, ft)
 			}
@@ -71,146 +67,100 @@ func buildFitSkeleton(w *tensor.Workload, a *arch.Arch) fitSkeleton {
 	return sk
 }
 
-// fitChecker answers the tiling tree's capacity probes — "does a tile with
-// these level-l temporal factors still fit every bounded buffer at levels
-// [l, top)?" — without touching the mapping. The static constraint structure
-// comes precompiled from the problem's fitSkeleton; on the first probe the
-// checker folds in the dynamic part (the extent contribution of every factor
-// already fixed in the mapping, except level l's temporal which the probe
-// supplies), flattened into integer tables indexed by probe position. Each
-// probe is then pure integer arithmetic: no maps, no allocation. The answers
-// are identical to writing the factors into the mapping and calling feasible.
-type fitChecker struct {
-	m    *mapping.Mapping
-	l    int
-	skel *fitSkeleton
-	init bool       // tables built (lazily, on the first probe)
-	lvls []fitLevel // one per checked level l..top-1
-}
-
-type fitLevel struct {
-	bufs []fitBuffer
-}
-
-type fitBuffer struct {
-	capBits int64
-	tens    []fitTensor
-}
-
-type fitTensor struct {
-	bits int64
-	axes []fitAxis
-}
-
-// fitAxis is one tensor axis: extent = 1 + Σ stride·(base·f − 1), where f is
-// the probe factor for the term's dimension (1 when the dimension is not a
-// grow dimension).
-type fitAxis struct {
-	terms []fitTerm
-}
-
-type fitTerm struct {
-	stride int
-	base   int // extent of everything fixed: Π T·S over levels ≤ L, minus level l's T
-	probe  int // index into the probe factor vector, or -1
-}
-
-func (sc *search) newFitChecker(m *mapping.Mapping, l int) *fitChecker {
-	return &fitChecker{m: m, l: l, skel: &sc.comp.fit}
-}
-
-// build instantiates the skeleton for probes over the grow dimensions ds.
-// ds is stable for the whole enumeration, so this runs once.
-func (fc *fitChecker) build(ds []tensor.Dim) {
-	fc.init = true
-	m, w := fc.m, fc.m.Workload
-	probeOf := func(d tensor.Dim) int {
-		for i, gd := range ds {
-			if gd == d {
-				return i
-			}
-		}
-		return -1
-	}
-	// base extent per dimension, accumulated level by level
-	base := make(map[tensor.Dim]int, len(w.Dims))
-	for _, d := range w.Order {
-		base[d] = 1
-	}
-	top := len(m.Levels) - 1
-	for L := 0; L < top; L++ {
-		lm := &m.Levels[L]
-		for _, d := range w.Order {
-			f := lm.S(d)
-			if L != fc.l {
-				f *= lm.T(d)
-			}
-			base[d] *= f
-		}
-		if L < fc.l {
-			continue
-		}
-		sl := &fc.skel.lvls[L]
-		fl := fitLevel{bufs: make([]fitBuffer, 0, len(sl.bufs))}
-		for bi := range sl.bufs {
-			sb := &sl.bufs[bi]
-			fb := fitBuffer{capBits: sb.capBits, tens: make([]fitTensor, 0, len(sb.tens))}
-			for ti := range sb.tens {
-				st := &sb.tens[ti]
-				ft := fitTensor{bits: st.bits, axes: make([]fitAxis, 0, len(st.axes))}
-				terms := make([]fitTerm, 0, st.terms)
-				for _, ax := range st.axes {
-					lo := len(terms)
-					for _, term := range ax {
-						terms = append(terms, fitTerm{
-							stride: term.stride,
-							base:   base[term.d],
-							probe:  probeOf(term.d),
-						})
-					}
-					ft.axes = append(ft.axes, fitAxis{terms: terms[lo:]})
+// levelFits reports whether tiles with per-dimension extents ext fit every
+// bounded buffer of level L: per buffer, the footprints of the tensors it
+// holds (Π over axes of 1 + Σ stride·(extent − 1)), in bits, against its
+// capacity. This is the search's one capacity rule; every probe shape below
+// reduces to it.
+func (sk *fitSkeleton) levelFits(L int, ext []int) bool {
+	fl := &sk.lvls[L]
+	for bi := range fl.bufs {
+		fb := &fl.bufs[bi]
+		var usedBits int64
+		for ti := range fb.tens {
+			ft := &fb.tens[ti]
+			fp, e := 1, 1
+			for _, term := range ft.terms {
+				n := ext[term.dim]
+				if n <= 0 {
+					n = 1
 				}
-				fb.tens = append(fb.tens, ft)
-			}
-			fl.bufs = append(fl.bufs, fb)
-		}
-		fc.lvls = append(fc.lvls, fl)
-	}
-}
-
-// fits is the FitsVec predicate: fs holds the probe's temporal factors,
-// parallel to the ds slice passed to build.
-func (fc *fitChecker) fits(ds []tensor.Dim, fs []int) bool {
-	if !fc.init {
-		fc.build(ds)
-	}
-	for li := range fc.lvls {
-		fl := &fc.lvls[li]
-		for bi := range fl.bufs {
-			fb := &fl.bufs[bi]
-			var usedBits int64
-			for ti := range fb.tens {
-				ft := &fb.tens[ti]
-				fp := 1
-				for ai := range ft.axes {
-					e := 1
-					for _, term := range ft.axes[ai].terms {
-						n := term.base
-						if term.probe >= 0 {
-							n *= fs[term.probe]
-						}
-						if n <= 0 {
-							n = 1
-						}
-						e += term.stride * (n - 1)
-					}
+				e += term.stride * (n - 1)
+				if term.axisEnd {
 					fp *= e
+					e = 1
 				}
-				usedBits += int64(fp) * ft.bits
 			}
-			if usedBits > fb.capBits {
-				return false
+			usedBits += int64(fp) * ft.bits
+		}
+		if usedBits > fb.capBits {
+			return false
+		}
+	}
+	return true
+}
+
+// fitChecker is the search's capacity oracle over a partial mapping in
+// integer form. Every enumeration stage varies one row of the factor matrix —
+// the tiling tree and the residual fill level l's temporal factors, the
+// unrolling post-filter level l's spatial factors — while everything else
+// stays fixed, so reset folds the fixed part into per-level base extents once
+// and each probe is then a multiply per dimension and level plus levelFits:
+// no maps, no allocation. The answer is exactly what writing the row into a
+// mapping.Mapping and summing map-derived footprints gives (the test-side
+// feasible; see TestFitCheckerMatchesFeasible). Top-down's remainder probes
+// have their extents already and call levelFits directly.
+type fitChecker struct {
+	skel *fitSkeleton
+	nd   int
+	from int   // first checked level; the checked levels are [from, top)
+	base []int // [(L-from)*nd + i]: extent of dimension i at level L without the probed row
+	ext  []int // probe scratch
+}
+
+// reset prepares probes of p that vary level lvl's spatial (or temporal) row
+// and check levels [lvl, top).
+func (fc *fitChecker) reset(p *partial, lvl int, spatial bool) {
+	nd, top := p.nd, p.nl-1
+	fc.nd, fc.from = nd, lvl
+	fc.base = fc.base[:0]
+	if cap(fc.ext) < nd {
+		fc.ext = make([]int, nd)
+	}
+	acc := fc.ext[:nd] // running extent per dimension; free until the first probe
+	for i := range acc {
+		acc[i] = 1
+	}
+	for L := 0; L < top; L++ {
+		t, s := p.trow(L), p.srow(L)
+		for i := range acc {
+			switch {
+			case L != lvl:
+				acc[i] *= t[i] * s[i]
+			case spatial:
+				acc[i] *= t[i]
+			default:
+				acc[i] *= s[i]
 			}
+		}
+		if L >= lvl {
+			fc.base = append(fc.base, acc...)
+		}
+	}
+}
+
+// fits reports whether the partial mapping of the last reset, with row as the
+// probed row, fits every bounded buffer at the checked levels.
+func (fc *fitChecker) fits(row []int) bool {
+	nd := fc.nd
+	for k := 0; k*nd < len(fc.base); k++ {
+		base := fc.base[k*nd : (k+1)*nd]
+		ext := fc.ext[:nd]
+		for i, f := range row {
+			ext[i] = base[i] * f
+		}
+		if !fc.skel.levelFits(fc.from+k, ext) {
+			return false
 		}
 	}
 	return true

@@ -53,7 +53,7 @@ func polish(ctx context.Context, sc *search, best *mapping.Mapping, bestScore, b
 		// mid-batch) evaluated — the same flow accounting as the serial
 		// climb, charged per batch.
 		sc.ctr.Generated.Add(uint64(len(moves)))
-		scored, panics := sc.evalAll(ctx, moves, func(m *mapping.Mapping) *mapping.Mapping { return m })
+		scored, panics := sc.evalAll(ctx, moves, func(_ *workspace, m *mapping.Mapping) *mapping.Mapping { return m })
 		evals += len(moves)
 		for _, e := range panics {
 			errs = append(errs, e)

@@ -46,15 +46,16 @@ type sequencer struct {
 	// stateEffort charges per-state enumeration overhead not tied to any
 	// single ordering — the non-default strategies' unguided first stages.
 	// Nil when the direction has none.
-	stateEffort func(ctx context.Context, base *mapping.Mapping, lvl int) int
+	stateEffort func(ctx context.Context, ws *workspace, base *mapping.Mapping, lvl int) int
 	// expandUnit generates the candidate extensions of one (state, ordering)
-	// work unit at a level, under the unit's pre-partitioned visit budget.
+	// work unit at a level — ordering oi of the compiled set — under the
+	// unit's pre-partitioned visit budget, in the calling worker's workspace.
 	// Unit functions must be pure with respect to the search: they may only
 	// read shared state (the base mapping, the compiled artifacts — whose
 	// caches are internally synchronized) and accumulate their reject
 	// tallies locally in the returned unitOut; the driver flushes them once
 	// per state, so the hot enumeration loops never touch an atomic.
-	expandUnit func(ctx context.Context, base *mapping.Mapping, lvl int, o *order.Ordering, budget int) unitOut
+	expandUnit func(ctx context.Context, ws *workspace, base *mapping.Mapping, lvl, oi, budget int) unitOut
 	// completeAt returns the completion used to score level lvl's partial
 	// candidates (bottom-up: greedy fill upward; top-down: remaining extents
 	// into the level below).
@@ -150,7 +151,7 @@ func (inc *incumbent) finish(sc *search, res Result, reason StopReason) (Result,
 // seedIncumbent scores the trivial completion (everything at the top level)
 // so even an immediate cancel returns a valid mapping.
 func seedIncumbent(sc *search, inc *incumbent, res *Result, seed *mapping.Mapping) {
-	trivial := sc.completeUp(seed)
+	trivial := sc.completeUp(sc.ws[0], seed)
 	if trivial == nil {
 		return
 	}
@@ -583,11 +584,11 @@ func (sc *search) expandStep(ctx context.Context, seq *sequencer, lvl int, state
 			}
 		}
 		outs := make([]unitOut, len(units))
-		runParallel(sc.opt.Threads, len(units), func(_, u int) {
+		runParallel(sc.opt.Threads, len(units), func(wk, u int) {
 			ur := units[u]
-			o := seq.expandUnit(ctx, states[ur.si].m, lvl, &orderings[ur.oi], oShares[ur.si][ur.oi])
+			o := seq.expandUnit(ctx, sc.ws[wk], states[ur.si].m, lvl, ur.oi, oShares[ur.si][ur.oi])
 			if ur.oi == 0 && seq.stateEffort != nil {
-				o.visited += seq.stateEffort(ctx, states[ur.si].m, lvl)
+				o.visited += seq.stateEffort(ctx, sc.ws[wk], states[ur.si].m, lvl)
 			}
 			outs[u] = o
 		})

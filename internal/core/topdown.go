@@ -16,10 +16,31 @@ import (
 
 	"sunstone/internal/anytime"
 	"sunstone/internal/mapping"
-	"sunstone/internal/order"
-	"sunstone/internal/tensor"
-	"sunstone/internal/unroll"
+	"sunstone/internal/tile"
 )
+
+// completeDownAt returns the top-down scoring completion for candidates
+// whose remaining factors land in the level-lvl tile (lower levels stay 1):
+// per dimension, the extent forced at lvl when every factor above it is
+// assigned — bound / (product above). For lvl < 0 — the final step — the
+// mapping is complete as-is, but a fresh Mapping keeps state.m (the partial
+// the next step would extend) distinct from state.completed (the incumbent)
+// in both directions.
+func (sc *search) completeDownAt(lvl int) completeFn {
+	return func(ws *workspace, m *mapping.Mapping) *mapping.Mapping {
+		dt, p := &sc.comp.dims, &ws.p
+		ws.load(m)
+		if lvl >= 0 {
+			trow := p.trow(lvl)
+			for i, bound := range dt.bound {
+				if e := ceilDiv(bound, p.extent(i, lvl+1, p.nl)); e > 1 {
+					trow[i] = e
+				}
+			}
+		}
+		return ws.materialize()
+	}
+}
 
 // expandTopUnit is the sequencer's per-(state, ordering) expansion unit for
 // the top-down direction. Every visited node is either a materialized
@@ -35,187 +56,121 @@ import (
 // counter, every unit's share is fixed up front, which is what makes the
 // outcome independent of execution order and thread count. The unit reports
 // truncated when its share expired before the enumeration finished.
-
-// completeDownAt returns the top-down scoring completion for candidates
-// whose remaining factors land in the level-lvl tile (lower levels stay 1).
-// For lvl < 0 — the final step — the mapping is complete as-is, but cloning
-// keeps state.m (the partial the next step would extend) distinct from
-// state.completed (the incumbent) in both directions.
-func (sc *search) completeDownAt(lvl int) completeFn {
-	return func(m *mapping.Mapping) *mapping.Mapping {
-		c := m.Clone()
-		if lvl >= 0 {
-			ext := remainingExtents(c, lvl)
-			for d, e := range ext {
-				if e > 1 {
-					c.Levels[lvl].Temporal[d] = e
-				}
-			}
-		}
-		return c
-	}
-}
-
-func (sc *search) expandTopUnit(ctx context.Context, base *mapping.Mapping, m int, o *order.Ordering, budget int) unitOut {
+func (sc *search) expandTopUnit(ctx context.Context, ws *workspace, base *mapping.Mapping, m, oi, budget int) unitOut {
 	var out unitOut
-	w := base.Workload
-	a := base.Arch
-	visited := 0
-	poll := &anytime.Poller{Ctx: ctx, Every: 1024}
-	if poll.Stop() != StopComplete {
+	tw := &ws.top
+	tw.m, tw.budget, tw.visited = m, budget, 0
+	tw.poll = anytime.Poller{Ctx: ctx, Every: 1024}
+	if tw.poll.Stop() != StopComplete {
 		return out
 	}
+	dt, p := &sc.comp.dims, &ws.p
+	nd := p.nd
 
-	dims := w.Order
-	m1 := base.Clone()
-	m1.Levels[m].Order = o.Complete(w)
+	ws.load(base)
+	p.order[m] = dt.orderings[oi].complete
 
-	spatials := []*mapping.Mapping{m1}
-	if a.Levels[m].Fanout > 1 {
-		spatials = sc.topDownUnroll(m1, m, &out.prunedUnrolling)
+	ws.high = append(ws.high[:0], p.srow(m)...)
+	if sc.comp.a.Levels[m].Fanout > 1 {
+		ws.high = sc.topDownUnroll(ws, m, ws.high[:0], &out.prunedUnrolling)
 	}
-	for _, m2 := range spatials {
-		// Budget for T(m): the remainder above level m, net of the
-		// spatial factors just assigned at m.
-		quota := remainingExtents(m2, m)
-		for d := range quota {
-			if s := m2.Levels[m].S(d); s > 1 {
-				quota[d] = ceilDiv(quota[d], s)
+	for hi := 0; hi < len(ws.high); hi += nd {
+		srow := p.srow(m)
+		copy(srow, ws.high[hi:hi+nd])
+		tw.ladders, tw.cur, tw.ext, tw.extBase, tw.extRest = tw.ladders[:0], tw.cur[:0], tw.ext[:0], tw.extBase[:0], tw.extRest[:0]
+		for i, bound := range dt.bound {
+			// Budget for T(m): the remainder above level m, net of the
+			// spatial factors just assigned at m.
+			quota := ceilDiv(bound, p.extent(i, m+1, p.nl))
+			if srow[i] > 1 {
+				quota = ceilDiv(quota, srow[i])
 			}
+			tw.ladders = append(tw.ladders, ws.ladder(quota, tile.DefaultMinLadderDivisors))
+			tw.cur = append(tw.cur, 1)
+			// What remains for level m-1 before T(m) is assigned, and with
+			// this dimension at its largest factor (smallest remainder).
+			below := ceilDiv(bound, p.extent(i, m, p.nl))
+			tw.extBase = append(tw.extBase, below)
+			tw.extRest = append(tw.extRest, ceilDiv(below, quota))
 		}
-		// Descending ladders: large top-level factors leave small
-		// remainders below, so the feasible region (remainder fits
-		// the next level) is reached before any visit budget expires.
-		ladders := make([][]int, len(dims))
-		for i, d := range dims {
-			l := sc.comp.ladders.ladder(quota[d], 4)
-			rev := make([]int, len(l))
-			for j, v := range l {
-				rev[len(l)-1-j] = v
-			}
-			ladders[i] = rev
-		}
-		cur := make(map[tensor.Dim]int, len(dims))
-		var rec func(i int)
-		rec = func(i int) {
-			if visited >= budget || poll.Stop() != StopComplete {
-				return
-			}
-			if i == len(dims) {
-				visited++
-				// Full capacity check before paying for a clone.
-				if !partialRemainderCanFit(m2, m, cur, nil, quota) {
-					return
-				}
-				cand := m2.Clone()
-				for d, f := range cur {
-					if f > 1 {
-						cand.Levels[m].Temporal[d] = f
-					}
-				}
-				out.cands = append(out.cands, cand)
-				return
-			}
-			d := dims[i]
-			for _, f := range ladders[i] {
-				cur[d] = f
-				// Sound subtree pruning: with unassigned dims at their
-				// largest factors (smallest remainders), if the partial
-				// remainder already overflows level m-1, no completion
-				// can fit.
-				if !partialRemainderCanFit(m2, m, cur, dims[i+1:], quota) {
-					visited++
-					continue
-				}
-				rec(i + 1)
-			}
-			delete(cur, d)
-		}
-		rec(0)
+		tw.ext = append(tw.ext, tw.extRest...)
+		tw.rec(0, &out)
 	}
-	out.visited = visited
-	out.prunedTiling = visited - len(out.cands)
-	out.truncated = visited >= budget
+	out.visited = tw.visited
+	out.prunedTiling = tw.visited - len(out.cands)
+	out.truncated = tw.visited >= budget
 	return out
 }
 
-// topDownUnroll enumerates spatial unrollings at level m without principle
-// restrictions (top-down has no lower-level ordering fixed yet to derive OP
-// from; this unguided enumeration is part of why its space is larger).
-// Enumeration-tree rejects are added to *pruned.
-func (sc *search) topDownUnroll(m1 *mapping.Mapping, m int, pruned *int) []*mapping.Mapping {
-	a := m1.Arch
-	cands, ustats := unroll.Enumerate(unroll.Space{
-		ReductionDims:         m1.Workload.ReductionDims(),
-		Quota:                 remainingExtents(m1, m),
-		Fanout:                a.Levels[m].Fanout,
-		MinUtilization:        sc.opt.MinUtilization,
-		AllowSpatialReduction: a.Levels[m].AllowSpatialReduction,
-		MaxCandidates:         sc.opt.UnrollsPerStep * 2,
-		Ladder:                sc.comp.ladders.ladder,
-	})
-	*pruned += ustats.NodesVisited - ustats.Survivors
-	var out []*mapping.Mapping
-	for _, u := range cands {
-		mu := m1.Clone()
-		for d, f := range u {
+// topWalk is the state of one unit's top-down factor enumeration: level m's
+// temporal factors are assigned dimension by dimension in canonical order,
+// and ext tracks what the assignment so far leaves for level m-1.
+type topWalk struct {
+	ws      *workspace
+	m       int
+	budget  int
+	visited int
+	poll    anytime.Poller
+
+	ladders [][]int // per dimension, ascending; walked from the top
+	cur     []int   // the factor assigned to each dimension so far
+	// ext is the probe vector: level m-1's extent per dimension — extBase
+	// divided by the assigned factor for assigned dimensions, extRest
+	// (optimistically, the full quota taken at level m) for the rest.
+	ext, extBase, extRest []int
+}
+
+// rec assigns dimension i and recurses. Ladders are walked descending: large
+// top-level factors leave small remainders below, so the feasible region
+// (remainder fits the next level) is reached before any visit budget expires.
+func (tw *topWalk) rec(i int, out *unitOut) {
+	if tw.visited >= tw.budget || tw.poll.Stop() != StopComplete {
+		return
+	}
+	fit := &tw.ws.comp.fit
+	if i == len(tw.cur) {
+		tw.visited++
+		// Full capacity check before paying for a mapping.
+		if !fit.levelFits(tw.m-1, tw.ext) {
+			return
+		}
+		trow := tw.ws.p.trow(tw.m)
+		copy(tw.ws.saved, trow)
+		for j, f := range tw.cur {
 			if f > 1 {
-				mu.Levels[m].Spatial[d] = f
+				trow[j] = f
 			}
 		}
-		out = append(out, mu)
+		out.cands = append(out.cands, tw.ws.materialize())
+		copy(trow, tw.ws.saved)
+		return
 	}
-	if len(out) == 0 {
-		out = append(out, m1.Clone())
-	}
-	return out
-}
-
-// remainingExtents returns, per dimension, the extent forced at level lvl
-// when all factors above lvl are assigned: bound / (product above).
-func remainingExtents(m *mapping.Mapping, lvl int) map[tensor.Dim]int {
-	ext := make(map[tensor.Dim]int, len(m.Workload.Dims))
-	for d, bound := range m.Workload.Dims {
-		above := 1
-		for l := lvl + 1; l < len(m.Levels); l++ {
-			above *= m.Levels[l].T(d) * m.Levels[l].S(d)
-		}
-		ext[d] = ceilDiv(bound, above)
-	}
-	return ext
-}
-
-// partialRemainderCanFit is the subtree-pruning necessity check during
-// factor enumeration: assigned dims use their chosen factors; unassigned
-// dims optimistically use their full quota (remainder 1). If even this
-// minimal remainder overflows level m-1, prune.
-func partialRemainderCanFit(m2 *mapping.Mapping, m int, cur map[tensor.Dim]int, rest []tensor.Dim, quota map[tensor.Dim]int) bool {
-	lvl := m - 1
-	if lvl < 0 {
-		return true
-	}
-	ext := remainingExtents(m2, lvl)
-	for d, f := range cur {
-		ext[d] = ceilDiv(ext[d], f)
-	}
-	for _, d := range rest {
-		ext[d] = ceilDiv(ext[d], quota[d])
-	}
-	al := &m2.Arch.Levels[lvl]
-	for bi := range al.Buffers {
-		buf := &al.Buffers[bi]
-		if buf.Bytes == 0 {
+	ladder := tw.ladders[i]
+	for k := len(ladder) - 1; k >= 0; k-- {
+		tw.cur[i] = ladder[k]
+		tw.ext[i] = ceilDiv(tw.extBase[i], ladder[k])
+		// Sound subtree pruning: with unassigned dims at their largest
+		// factors (smallest remainders), if the partial remainder already
+		// overflows level m-1, no completion can fit.
+		if !fit.levelFits(tw.m-1, tw.ext) {
+			tw.visited++
 			continue
 		}
-		var usedBits int64
-		for _, t := range m2.Workload.Tensors {
-			if buf.Holds(t.Name) {
-				usedBits += int64(t.Footprint(ext)) * int64(m2.Arch.Bits(t.Name))
-			}
-		}
-		if usedBits > buf.Bytes*8 {
-			return false
-		}
+		tw.rec(i+1, out)
 	}
-	return true
+	tw.ext[i] = tw.extRest[i]
+}
+
+// topDownUnroll appends to dst the level-m spatial row of each candidate
+// unrolling, enumerated without principle restrictions (top-down has no
+// lower-level ordering fixed yet to derive OP from; this unguided enumeration
+// is part of why its space is larger) and without a capacity filter (the
+// levels below are still unassigned). Enumeration-tree rejects are added to
+// *pruned.
+func (sc *search) topDownUnroll(ws *workspace, m int, dst []int, pruned *int) []int {
+	dt, p := &sc.comp.dims, &ws.p
+	for k, i := range dt.all.idx {
+		ws.quota[k] = ceilDiv(dt.bound[i], p.extent(i, m+1, p.nl))
+	}
+	return sc.unrollRows(ws, m, &dt.all, sc.opt.UnrollsPerStep*2, false, dst, pruned)
 }

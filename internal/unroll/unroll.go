@@ -15,7 +15,8 @@
 package unroll
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sunstone/internal/factor"
 	"sunstone/internal/tensor"
@@ -49,17 +50,6 @@ type Space struct {
 	// MaxCandidates truncates the result to the highest-utilization
 	// assignments when positive.
 	MaxCandidates int
-	// Ladder, when non-nil, supplies divisor ladders instead of
-	// factor.Ladder (see tile.Space.Ladder).
-	Ladder func(n, minDivisors int) []int
-}
-
-// ladderFn resolves an optional injected ladder supplier to factor.Ladder.
-func ladderFn(f func(n, minDivisors int) []int) func(n, minDivisors int) []int {
-	if f != nil {
-		return f
-	}
-	return factor.Ladder
 }
 
 // Stats reports enumeration effort.
@@ -71,151 +61,181 @@ type Stats struct {
 // Enumerate returns the maximal spatial unrollings meeting the constraints,
 // always including at least the empty unrolling (factor 1 everywhere) when
 // nothing else qualifies.
+//
+// It is the map-keyed front of Walker.Walk: the enumeration runs over factor
+// vectors and a Candidate map is materialized per returned unrolling.
 func Enumerate(s Space) ([]Candidate, Stats) {
-	var stats Stats
-	if s.Fanout <= 1 {
-		stats.NodesVisited = 1
-		stats.Survivors = 1
-		return []Candidate{{}}, stats
-	}
-
-	redSet := map[tensor.Dim]bool{}
-	for _, d := range s.ReductionDims {
-		redSet[d] = true
-	}
-	var dims []tensor.Dim
-	if len(s.Allowed) == 0 {
+	dims := append([]tensor.Dim(nil), s.Allowed...)
+	if len(dims) == 0 {
 		for d := range s.Quota {
 			dims = append(dims, d)
 		}
-	} else {
-		dims = append(dims, s.Allowed...)
 	}
-	var usable []tensor.Dim
-	for _, d := range dims {
-		if redSet[d] && !s.AllowSpatialReduction {
-			continue
-		}
-		if s.Quota[d] > 1 {
-			usable = append(usable, d)
+	slices.Sort(dims)
+	quota := make([]int, len(dims))
+	reduction := make([]bool, len(dims))
+	for i, d := range dims {
+		quota[i] = s.Quota[d]
+		reduction[i] = slices.Contains(s.ReductionDims, d)
+	}
+	var wk Walker
+	rows, stats := wk.Walk(Vec{
+		Dims:                  dims,
+		Quota:                 quota,
+		Reduction:             reduction,
+		Fanout:                s.Fanout,
+		MinUtilization:        s.MinUtilization,
+		AllowSpatialReduction: s.AllowSpatialReduction,
+		MaxCandidates:         s.MaxCandidates,
+	})
+	out := make([]Candidate, stats.Survivors)
+	for i := range out {
+		out[i] = Candidate{}
+		for j, f := range rows[i*len(dims) : (i+1)*len(dims)] {
+			if f > 1 {
+				out[i][dims[j]] = f
+			}
 		}
 	}
-	sort.Slice(usable, func(i, j int) bool { return usable[i] < usable[j] })
+	return out, stats
+}
 
-	ladders := make(map[tensor.Dim][]int, len(usable))
-	for _, d := range usable {
-		q := s.Quota[d]
-		if q > s.Fanout {
-			q = s.Fanout
+// Vec is an unrolling enumeration over factor vectors — the form the search
+// drives directly, with no map per call. Every slice is parallel to Dims and
+// only read.
+type Vec struct {
+	// Dims are the admitted dimensions, sorted by name (the enumeration
+	// recurses over them in this order).
+	Dims []tensor.Dim
+	// Quota is the remaining factor budget per dimension; dimensions with
+	// quota 1 or less are not unrolled.
+	Quota []int
+	// Reduction marks the workload's reduction dimensions; they are not
+	// unrolled unless AllowSpatialReduction.
+	Reduction []bool
+	// Ladder, when non-nil, supplies divisor ladders instead of
+	// factor.Ladder (see tile.Vec.Ladder).
+	Ladder func(n, minDivisors int) []int
+	// Fanout, MinUtilization, AllowSpatialReduction and MaxCandidates are
+	// Space's.
+	Fanout                int
+	MinUtilization        float64
+	AllowSpatialReduction bool
+	MaxCandidates         int
+}
+
+// Walker owns the scratch of unrolling enumerations (see tile.Walker). The
+// zero value is ready; a Walker is not safe for concurrent use.
+type Walker struct {
+	fanout  int
+	visited int
+
+	pos     []int   // positions in Vec.Dims of the usable dimensions
+	ladders [][]int // per usable dimension
+	rung    []int   // current ladder index per usable dimension
+	fs      []int   // current factor per Vec.Dims position (1 = not unrolled)
+
+	maximal []int // factor vectors of the maximal assignments, in discovery order
+	prods   []int
+	names   tile.KeyArena
+	order   []int
+	rows    []int
+}
+
+// Walk enumerates the maximal high-throughput unrollings of v. The result
+// holds one factor vector per survivor (Stats.Survivors of them, len(v.Dims)
+// entries each) in the order Enumerate returns its Candidates; it aliases the
+// walker's scratch and is valid until the next Walk.
+func (wk *Walker) Walk(v Vec) ([]int, Stats) {
+	n := len(v.Dims)
+	wk.fs = wk.fs[:0]
+	for i := 0; i < n; i++ {
+		wk.fs = append(wk.fs, 1)
+	}
+	if v.Fanout <= 1 {
+		return wk.fs, Stats{NodesVisited: 1, Survivors: 1}
+	}
+	ladder := v.Ladder
+	if ladder == nil {
+		ladder = factor.Ladder
+	}
+	wk.pos, wk.ladders, wk.rung = wk.pos[:0], wk.ladders[:0], wk.rung[:0]
+	for i := 0; i < n; i++ {
+		if (v.Reduction[i] && !v.AllowSpatialReduction) || v.Quota[i] <= 1 {
+			continue
 		}
 		// Exact divisors only (minDivisors 2 disables padding): a padded
 		// spatial factor wastes PEs on every single pass, unlike a padded
 		// tile which can amortize.
-		ladders[d] = ladderFn(s.Ladder)(q, 2)
+		wk.pos = append(wk.pos, i)
+		wk.ladders = append(wk.ladders, ladder(min(v.Quota[i], v.Fanout), 2))
+		wk.rung = append(wk.rung, 0)
 	}
+	wk.fanout, wk.visited = v.Fanout, 0
+	wk.maximal, wk.prods = wk.maximal[:0], wk.prods[:0]
+	wk.rec(0, 1)
 
-	var all []Candidate
-	cur := Candidate{}
-	var rec func(i, product int)
-	rec = func(i, product int) {
-		stats.NodesVisited++
-		if i == len(usable) {
-			all = append(all, cloneCand(cur))
-			return
-		}
-		d := usable[i]
-		for _, f := range ladders[d] {
-			if product*f > s.Fanout {
-				break
-			}
-			if f > 1 {
-				cur[d] = f
-			} else {
-				delete(cur, d)
-			}
-			rec(i+1, product*f)
-		}
-		delete(cur, d)
-	}
-	rec(0, 1)
-
-	// Keep only maximal candidates: a candidate is dominated if one of its
-	// dimensions can be raised a rung while staying within fanout.
-	var maximal []Candidate
-	for _, c := range all {
-		if isMaximal(c, usable, ladders, s.Fanout) {
-			maximal = append(maximal, c)
-		}
-	}
-	if len(maximal) == 0 {
-		maximal = []Candidate{{}}
-	}
-
-	// High-throughput filter.
+	// High-throughput filter over the maximal assignments; the ones that
+	// pass are compacted to the front so that keys are rendered for them only.
 	best := 0.0
-	utils := make([]float64, len(maximal))
-	for i, c := range maximal {
-		utils[i] = float64(productOf(c)) / float64(s.Fanout)
-		if utils[i] > best {
-			best = utils[i]
-		}
+	for _, p := range wk.prods {
+		best = max(best, float64(p)/float64(v.Fanout))
 	}
-	thresh := s.MinUtilization
+	thresh := v.MinUtilization
 	if best < thresh {
 		thresh = best // nothing qualifies; fall back to the best available
 	}
-	var out []Candidate
-	for i, c := range maximal {
-		if utils[i] >= thresh {
-			out = append(out, c)
+	wk.names.Reset(v.Dims)
+	wk.order = wk.order[:0]
+	for i, p := range wk.prods {
+		if float64(p)/float64(v.Fanout) < thresh {
+			continue
 		}
+		k := len(wk.order)
+		copy(wk.maximal[k*n:(k+1)*n], wk.maximal[i*n:(i+1)*n])
+		wk.prods[k] = p
+		wk.names.Add(wk.maximal[k*n : (k+1)*n])
+		wk.order = append(wk.order, k)
 	}
-	if s.MaxCandidates > 0 && len(out) > s.MaxCandidates {
-		sort.Slice(out, func(i, j int) bool {
-			pi, pj := productOf(out[i]), productOf(out[j])
-			if pi != pj {
-				return pi > pj
+	if v.MaxCandidates > 0 && len(wk.order) > v.MaxCandidates {
+		slices.SortFunc(wk.order, func(a, b int) int {
+			if c := cmp.Compare(wk.prods[b], wk.prods[a]); c != 0 {
+				return c // higher utilization first
 			}
-			return out[i].Key() < out[j].Key()
+			return wk.names.Compare(a, b)
 		})
-		out = out[:s.MaxCandidates]
+		wk.order = wk.order[:v.MaxCandidates]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	stats.Survivors = len(out)
-	return out, stats
+	slices.SortFunc(wk.order, wk.names.Compare)
+	wk.rows = wk.rows[:0]
+	for _, i := range wk.order {
+		wk.rows = append(wk.rows, wk.maximal[i*n:(i+1)*n]...)
+	}
+	return wk.rows, Stats{NodesVisited: wk.visited, Survivors: len(wk.order)}
 }
 
-func isMaximal(c Candidate, dims []tensor.Dim, ladders map[tensor.Dim][]int, fanout int) bool {
-	p := productOf(c)
-	for _, d := range dims {
-		cur := 1
-		if f, ok := c[d]; ok {
-			cur = f
-		}
-		for _, v := range ladders[d] {
-			if v > cur {
-				if p/cur*v <= fanout {
-					return false
-				}
-				break
+// rec assigns usable dimension i every ladder factor that keeps the running
+// product within the fanout. A complete assignment is kept when it is
+// maximal: no dimension can be raised a rung and still fit the fanout (a
+// dominated assignment leaves PEs idle that a sibling uses).
+func (wk *Walker) rec(i, product int) {
+	wk.visited++
+	if i == len(wk.pos) {
+		for j, l := range wk.ladders {
+			if r := wk.rung[j] + 1; r < len(l) && product/l[r-1]*l[r] <= wk.fanout {
+				return
 			}
 		}
+		wk.maximal = append(wk.maximal, wk.fs...)
+		wk.prods = append(wk.prods, product)
+		return
 	}
-	return true
-}
-
-func productOf(c Candidate) int {
-	p := 1
-	for _, f := range c {
-		p *= f
+	for r, f := range wk.ladders[i] {
+		if product*f > wk.fanout {
+			break
+		}
+		wk.fs[wk.pos[i]], wk.rung[i] = f, r
+		wk.rec(i+1, product*f)
 	}
-	return p
-}
-
-func cloneCand(c Candidate) Candidate {
-	out := make(Candidate, len(c))
-	for d, f := range c {
-		out[d] = f
-	}
-	return out
+	wk.fs[wk.pos[i]], wk.rung[i] = 1, 0
 }

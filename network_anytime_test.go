@@ -139,8 +139,10 @@ func TestScheduleNetworkContextCanceled(t *testing.T) {
 }
 
 func TestOptimizeFacadeTimeout(t *testing.T) {
-	w := sunstone.Conv2D("big", 4, 64, 64, 28, 28, 3, 3, 1, 1)
-	res, err := sunstone.Optimize(w, sunstone.Simba(), sunstone.Options{Timeout: 10 * time.Millisecond})
+	// Big enough that the full search takes well over the timeout (about
+	// 40 ms on a 2.6 GHz core since the dense expansion rewrite).
+	w := sunstone.Conv2D("big", 32, 512, 384, 112, 112, 5, 5, 1, 1)
+	res, err := sunstone.Optimize(w, sunstone.Simba(), sunstone.Options{Timeout: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 	a := Tiny(256)
 	tiny := ConvShape{Name: "tiny", K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
 	mid := ConvShape{Name: "mid", K: 8, C: 8, P: 7, Q: 7, R: 3, S: 3, StrideH: 1, StrideW: 1}
-	big := ConvShape{Name: "big", K: 64, C: 64, P: 28, Q: 28, R: 3, S: 3, StrideH: 1, StrideW: 1}
+	big := ConvShape{Name: "big", K: 960, C: 720, P: 210, Q: 210, R: 7, S: 7, StrideH: 1, StrideW: 1}
 	bad := ConvShape{Name: "bad"} // zero dims: Inference panics in tensor.MustNew
 
 	cases := []struct {
