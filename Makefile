@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet fmt-check guard build test race fuzz fuzz-smoke bench bench-smoke trace-smoke chaos-smoke server-smoke crash-smoke parallel-smoke seed-smoke fuse-smoke
+.PHONY: check vet fmt-check guard build test race fuzz fuzz-smoke bench bench-smoke trace-smoke chaos-smoke server-smoke crash-smoke parallel-smoke seed-smoke fuse-smoke loc
 
 # check is the full pre-commit gate: static analysis, formatting, the
 # unified-stepper guard, build, the whole test suite, the race detector over
@@ -129,3 +129,16 @@ server-smoke:
 # restart as a stable terminal record.
 crash-smoke:
 	$(GO) test -run 'TestCrashRecoverySmoke' -count 1 ./cmd/sunstoned/
+
+# loc prints the tracked Go line counts (wc -l) per package directory —
+# non-test files, _test.go files, and everything under bench/ — with a total
+# row: the measure a simplicity change quotes before and after.
+loc:
+	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
+		k = d ~ /^bench(\/|$$)/ ? 3 : $$2 ~ /_test\.go$$/ ? 2 : 1; \
+		n[d, k] += $$1; seen[d] = 1 } \
+		END { for (d in seen) printf "%-36s %7d %7d %7d\n", d, n[d, 1], n[d, 2], n[d, 3] }' | sort | \
+	awk 'BEGIN { printf "%-36s %7s %7s %7s\n", "package", "code", "test", "bench" } \
+		{ print; c += $$2; t += $$3; b += $$4 } \
+		END { printf "%-36s %7d %7d %7d\n", "total", c, t, b }'

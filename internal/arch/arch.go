@@ -150,8 +150,10 @@ func (a *Arch) KeeperBelow(name string, lvl int) int {
 }
 
 // Validate checks structural invariants: at least two levels, a top level
-// that is unbounded and keeps everything, positive fanouts, and buffers with
-// non-negative capacities.
+// that is unbounded and keeps everything, positive fanouts, buffers with
+// non-negative capacities, and names that key a cost report unambiguously —
+// cost.Report.Accesses is keyed "level/buffer/tensor", so level names are
+// unique and neither level nor buffer names contain '/'.
 func (a *Arch) Validate() error {
 	if len(a.Levels) < 2 {
 		return fmt.Errorf("arch %q: need at least two levels (got %d)", a.Name, len(a.Levels))
@@ -176,9 +178,20 @@ func (a *Arch) Validate() error {
 		if len(l.Buffers) == 0 {
 			return fmt.Errorf("arch %q: level %q has no buffers", a.Name, l.Name)
 		}
+		if strings.Contains(l.Name, "/") {
+			return fmt.Errorf("arch %q: level name %q contains '/'", a.Name, l.Name)
+		}
+		for j := 0; j < i; j++ {
+			if a.Levels[j].Name == l.Name {
+				return fmt.Errorf("arch %q: levels %d and %d are both named %q", a.Name, j, i, l.Name)
+			}
+		}
 		for j := range l.Buffers {
 			if l.Buffers[j].Bytes < 0 {
 				return fmt.Errorf("arch %q: buffer %q has negative capacity", a.Name, l.Buffers[j].Name)
+			}
+			if strings.Contains(l.Buffers[j].Name, "/") {
+				return fmt.Errorf("arch %q: buffer name %q contains '/'", a.Name, l.Buffers[j].Name)
 			}
 		}
 	}

@@ -110,6 +110,19 @@ func TestValidateRejects(t *testing.T) {
 			{Name: "l1", Fanout: 1, Buffers: []Buffer{{Name: "b", Bytes: 8}}},
 			{Name: "top", Fanout: 1, Buffers: []Buffer{{Name: "t", Tensors: []string{"x"}}}},
 		}},
+		// Names a cost report ("level/buffer/tensor" keys) cannot tell apart.
+		{Name: "duplicate-level-name", MACPJ: 1, Levels: []Level{
+			{Name: "mem", Fanout: 1, Buffers: []Buffer{{Name: "b", Bytes: 8}}},
+			{Name: "mem", Fanout: 1, Buffers: []Buffer{{Name: "t"}}},
+		}},
+		{Name: "slash-in-level-name", MACPJ: 1, Levels: []Level{
+			{Name: "pe/l1", Fanout: 1, Buffers: []Buffer{{Name: "b", Bytes: 8}}},
+			{Name: "top", Fanout: 1, Buffers: []Buffer{{Name: "t"}}},
+		}},
+		{Name: "slash-in-buffer-name", MACPJ: 1, Levels: []Level{
+			{Name: "l1", Fanout: 1, Buffers: []Buffer{{Name: "w/buf", Bytes: 8}}},
+			{Name: "top", Fanout: 1, Buffers: []Buffer{{Name: "t"}}},
+		}},
 	}
 	for _, a := range bad {
 		if err := a.Validate(); err == nil {

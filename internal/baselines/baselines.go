@@ -61,7 +61,7 @@ type Mapper interface {
 	MapContext(ctx context.Context, w *tensor.Workload, a *arch.Arch) Result
 }
 
-// SessionSource supplies shared fast-path cost sessions. A core.Engine
+// SessionSource supplies shared cost sessions. A core.Engine
 // satisfies it structurally, so an Engine-held baseline scores candidates
 // against the same compiled tables and warm evaluation memo as the main
 // search instead of rebuilding both per call. A nil source — or a source
@@ -83,19 +83,19 @@ func SessionFor(src SessionSource, model cost.Model, w *tensor.Workload, a *arch
 }
 
 // FinalReport materializes the full cost.Report — breakdowns, per-buffer
-// accesses — for the winning mapping of a search that scored candidates on
-// the fast scalar path (cost.Evaluator.EvaluateEDP). The scalar path already
-// established the mapping's objective and validity; this recovers the
-// detailed report for display. A cost-model panic here (e.g. an injected
-// probe fault) falls back to a Report synthesized from the scalars instead
-// of losing the search's result.
-func FinalReport(model cost.Model, m *mapping.Mapping, edp, energyPJ, cycles float64, valid bool) (rep cost.Report) {
+// accesses — for the winning mapping of a search that scored candidates by
+// their scalars (cost.Evaluator.EvaluateEDP), on the same compiled Session.
+// The scalars already established the mapping's objective and validity; this
+// recovers the detailed report for display. A cost-model panic here (e.g. an
+// injected probe fault) falls back to a Report synthesized from the scalars
+// instead of losing the search's result.
+func FinalReport(ev *cost.Evaluator, m *mapping.Mapping, edp, energyPJ, cycles float64, valid bool) (rep cost.Report) {
 	defer func() {
 		if e := anytime.PanicErrorFrom(recover(), "final report evaluation", m.String); e != nil {
 			rep = cost.Report{Valid: valid, EDP: edp, EnergyPJ: energyPJ, Cycles: cycles}
 		}
 	}()
-	return model.Evaluate(m)
+	return ev.Report(m)
 }
 
 // Instrument runs one tool's search under a telemetry span named after the

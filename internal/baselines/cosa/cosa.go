@@ -210,7 +210,7 @@ func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
 		}
 	}
 
-	rep := baselines.FinalReport(m.Model, best, bestEDP, bestEnergyPJ, bestCycles, bestValid)
+	rep := baselines.FinalReport(ev, best, bestEDP, bestEnergyPJ, bestCycles, bestValid)
 	res := baselines.Result{
 		Mapping:   best,
 		Report:    rep,

@@ -183,8 +183,7 @@ func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
 	}
 
 	// A fixed dataflow evaluates exactly one mapping and that evaluation is
-	// the final report, so the full model runs directly — the scalar fast
-	// path (cost.Evaluator) would only add a second pass here.
+	// the final report: no scalar pass, no shared session.
 	rep := m.Model.Evaluate(cur)
 	res.Mapping = cur
 	res.Report = rep

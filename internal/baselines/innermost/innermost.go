@@ -103,7 +103,7 @@ func (m *Mapper) score(w *tensor.Workload, a *arch.Arch, best *mapping.Mapping, 
 	sess := baselines.SessionFor(m.Sessions, m.Model, w, a)
 	ev := sess.NewEvaluator()
 	edp, energyPJ, cycles, ok := ev.EvaluateEDP(best)
-	rep = baselines.FinalReport(m.Model, best, edp, energyPJ, cycles, ok)
+	rep = baselines.FinalReport(ev, best, edp, energyPJ, cycles, ok)
 	return rep, rep.Valid
 }
 

@@ -157,7 +157,7 @@ func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
 		res.InvalidReason = "no valid mapping under the preset unrolling"
 		return res
 	}
-	res.Report = baselines.FinalReport(m.Model, res.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
+	res.Report = baselines.FinalReport(ev, res.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
 	res.Valid = true
 	return res
 }

@@ -115,7 +115,7 @@ func (m *Mapper) mapContext(ctx context.Context, w *tensor.Workload, a *arch.Arc
 	deadline := start.Add(cfg.MaxTime)
 	budgetHit := false
 
-	// One fast-path session for the whole search; each thread owns a scratch
+	// One cost session for the whole search; each thread owns a scratch
 	// evaluator, so the sampling loop allocates only the candidates.
 	sess := baselines.SessionFor(m.Sessions, m.Model, w, a)
 
@@ -213,7 +213,7 @@ func (m *Mapper) mapContext(ctx context.Context, w *tensor.Workload, a *arch.Arc
 		}
 	}
 	if out.Mapping != nil {
-		out.Report = baselines.FinalReport(m.Model, out.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
+		out.Report = baselines.FinalReport(sess.NewEvaluator(), out.Mapping, bestEDP, bestEnergyPJ, bestCycles, true)
 	}
 	switch {
 	case anytime.FromContext(ctx) != anytime.Complete:

@@ -43,8 +43,7 @@ type Compiled struct {
 	expansions expandCache      // memoized level expansions (warm-search replay)
 }
 
-// Compile validates the problem and builds its artifact bundle. The zero
-// model compiles as cost.Default, mirroring Options.withDefaults.
+// Compile validates the problem and builds its artifact bundle.
 func Compile(w *tensor.Workload, a *arch.Arch, model cost.Model) (*Compiled, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -57,9 +56,6 @@ func Compile(w *tensor.Workload, a *arch.Arch, model cost.Model) (*Compiled, err
 	// would land.
 	if err, _ := faults.Fire(faults.SiteCompile); err != nil {
 		return nil, err
-	}
-	if model == (cost.Model{}) {
-		model = cost.Default
 	}
 	c := &Compiled{w: w, a: a, model: model}
 	c.orderings, c.ostats = order.Enumerate(w)

@@ -202,7 +202,7 @@ type Options struct {
 	// pool of this size (default GOMAXPROCS). Results are bit-identical at
 	// every thread count; see TestParallelParity.
 	Threads int
-	// Model is the cost model (default cost.Default).
+	// Model is the cost model (the zero Model is cost.Default).
 	Model cost.Model
 	// TopDownVisitBudget caps the candidates a top-down search may
 	// enumerate before it settles for the best found (default 4,000,000).
@@ -370,9 +370,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Threads <= 0 {
 		o.Threads = def.Threads
-	}
-	if o.Model == (cost.Model{}) {
-		o.Model = def.Model
 	}
 	if o.TopDownVisitBudget <= 0 {
 		o.TopDownVisitBudget = def.TopDownVisitBudget
@@ -683,22 +680,10 @@ func (sc *search) dedupe(ms []*mapping.Mapping) []*mapping.Mapping {
 	return out
 }
 
-// safeEval evaluates m with the given model, converting a panic in the cost
-// model into an invalid report plus a *anytime.PanicError. Used wherever a
-// single evaluation runs outside the evalAll worker pool.
-func safeEval(model cost.Model, m *mapping.Mapping) (rep cost.Report, err error) {
-	defer func() {
-		if e := anytime.PanicErrorFrom(recover(), "evaluate mapping", func() string { return reproMapping(m) }); e != nil {
-			rep = cost.Report{EDP: math.Inf(1), EnergyPJ: math.Inf(1), Cycles: math.Inf(1), Invalid: e}
-			err = e
-		}
-	}()
-	return model.Evaluate(m), nil
-}
-
-// safeEvalFast is safeEval on the fast path: one scalar evaluation with the
-// given scratch evaluator, panics contained.
-func (sc *search) safeEvalFast(ev *cost.Evaluator, m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool, err error) {
+// containedEDP is one memoized scalar evaluation outside the evalAll worker
+// pool, with a cost-model panic converted into +Inf invalid scalars plus a
+// *anytime.PanicError.
+func containedEDP(ev *cost.Evaluator, m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool, err error) {
 	defer func() {
 		if e := anytime.PanicErrorFrom(recover(), "evaluate mapping", func() string { return reproMapping(m) }); e != nil {
 			edp, energyPJ, cycles, valid = math.Inf(1), math.Inf(1), math.Inf(1), false
@@ -707,19 +692,6 @@ func (sc *search) safeEvalFast(ev *cost.Evaluator, m *mapping.Mapping) (edp, ene
 	}()
 	edp, energyPJ, cycles, valid = ev.EvaluateEDP(m)
 	return edp, energyPJ, cycles, valid, nil
-}
-
-// finalReport materializes the full cost.Report — breakdowns, per-buffer
-// accesses — for the mapping a search is about to return. The fast path
-// proved the mapping valid with the given scalars; if the full model
-// panics here (an injected probe fault, say), fall back to a Report
-// synthesized from those scalars rather than losing the result.
-func (sc *search) finalReport(m *mapping.Mapping, energyPJ, cycles float64) cost.Report {
-	rep, err := safeEval(sc.opt.Model, m)
-	if err == nil {
-		return rep
-	}
-	return cost.Report{Valid: true, EDP: energyPJ * cycles, EnergyPJ: energyPJ, Cycles: cycles}
 }
 
 // reproMapping serializes m for panic-repro messages: JSON (reloadable via

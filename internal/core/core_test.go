@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"sunstone/internal/arch"
@@ -314,15 +315,24 @@ func TestOptimizeTopDownInfeasible(t *testing.T) {
 	}
 }
 
+// TestOptimizeWithCustomModel: the naive (no sliding-reuse) model is a
+// supported configuration and reaches the search — the result is scored by
+// it, not by the default model it used to be silently replaced with.
 func TestOptimizeWithCustomModel(t *testing.T) {
-	// The naive (no sliding-reuse) model is a supported configuration.
-	w := conv1D(t, 8, 8, 28, 3)
+	w := conv1D(t, 8, 8, 28, 3) // ifmap has a P+R window axis
 	a := arch.Tiny(256)
-	res, err := Optimize(w, a, Options{Model: cost.Model{SlidingReuse: false}})
+	naive := cost.Model{NoSlidingReuse: true}
+	res, err := Optimize(w, a, Options{Model: naive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Report.Valid {
 		t.Fatalf("invalid: %v", res.Report.Invalid)
+	}
+	if want := naive.Evaluate(res.Mapping); !reflect.DeepEqual(res.Report, want) {
+		t.Errorf("Report is not the naive model's evaluation of the returned mapping:\n got %+v\nwant %+v", res.Report, want)
+	}
+	if def := cost.Default.Evaluate(res.Mapping); def.EDP == res.Report.EDP {
+		t.Errorf("naive and default models agree (EDP %v) on a windowed conv: the sliding discount never applied, so the test cannot tell them apart", def.EDP)
 	}
 }

@@ -122,7 +122,7 @@ func TestEngineProbeBypassesCache(t *testing.T) {
 	a := arch.Tiny(64)
 	e := NewEngine(0)
 	probe := &countingProbe{}
-	opt := Options{Model: cost.Model{SlidingReuse: true, Probe: probe}}
+	opt := Options{Model: cost.Model{Probe: probe}}
 
 	for i := 0; i < 2; i++ {
 		if _, err := e.Optimize(w, a, opt); err != nil {

@@ -13,7 +13,7 @@ import (
 
 // Problem bundles everything that identifies one optimization problem: the
 // workload to map, the architecture to map it onto, and the cost model that
-// scores mappings (zero value = cost.Default, exactly like Options.Model).
+// scores mappings (the zero Model is cost.Default).
 // It is the canonical input of Solve and Engine.Solve, and the single source
 // of the content-addressed cache key an Engine stores compiled artifacts
 // under — two Problems with equal serialized content share one compilation
@@ -22,7 +22,7 @@ type Problem struct {
 	Workload *tensor.Workload
 	Arch     *arch.Arch
 	// Model overrides Options.Model when non-zero; the zero Model defers to
-	// the Options (and ultimately to cost.Default).
+	// the Options.
 	Model cost.Model
 }
 
@@ -42,7 +42,7 @@ func (p Problem) Validate() error {
 }
 
 // model resolves the effective cost model: the Problem's when set, the
-// (already defaulted) Options' otherwise.
+// Options' otherwise.
 func (p Problem) model(opt Options) cost.Model {
 	if p.Model != (cost.Model{}) {
 		return p.Model
@@ -73,10 +73,10 @@ func (p Problem) Key() (key string, ok bool) {
 	h.Write(wj)
 	h.Write([]byte{0})
 	h.Write(aj)
-	if p.Model.SlidingReuse {
-		h.Write([]byte{1})
-	} else {
+	if p.Model.NoSlidingReuse {
 		h.Write([]byte{2})
+	} else {
+		h.Write([]byte{1})
 	}
 	// Residency changes the flow structure, so resident problems must never
 	// share a compiled entry with the DRAM-backed ones. Pins hash in
@@ -89,8 +89,7 @@ func (p Problem) Key() (key string, ok bool) {
 	return string(h.Sum(nil)), true
 }
 
-// Compile builds the problem's immutable artifact bundle under the effective
-// model (the Problem's when set, cost.Default otherwise).
+// Compile builds the problem's immutable artifact bundle under its model.
 func (p Problem) Compile() (*Compiled, error) {
 	return Compile(p.Workload, p.Arch, p.Model)
 }

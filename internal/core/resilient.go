@@ -48,9 +48,8 @@ type RetryPolicy struct {
 	// MaxAttempts caps the total attempts — primaries, retries and fallbacks
 	// together — as the hard stop of the whole resilient run (0 = default 32).
 	MaxAttempts int
-	// NoAudit skips the final mapping audit (structural validation, full
-	// cost-model evaluation, fast-path cross-check) before a result is
-	// accepted. Only for benchmarking the audit's overhead; the audit is the
+	// NoAudit skips the final mapping audit (structural validation, uncached
+	// cost-model evaluation, memo cross-check) before a result is accepted. Only for benchmarking the audit's overhead; the audit is the
 	// resilience guarantee.
 	NoAudit bool
 }
@@ -117,9 +116,9 @@ const primaryName = "sunstone"
 //     pol.MaxAttempts (the default chain ends in innermost-fit, which cannot
 //     fail on any workload/arch pair that admits a legal mapping);
 //  3. every candidate result passes the final mapping audit — structural
-//     validation, a full cost-model evaluation, and a bit-exact fast-path
-//     cross-check — before it is returned; an audit failure is a failed
-//     attempt like any other.
+//     validation, an uncached cost-model evaluation, and a bit-exact
+//     cross-check of the memoized one against it — before it is returned;
+//     an audit failure is a failed attempt like any other.
 //
 // Every attempt is recorded in Result.Attempts (accepted attempt last, nil
 // Err); Result.FallbackUsed names the fallback that produced the mapping
@@ -304,28 +303,21 @@ func shrinkOptions(o Options, f float64) Options {
 //
 //  1. structural legality — mapping.Validate covers factor coverage, buffer
 //     capacity (the fit check), fanout and spatial-reduction legality;
-//  2. a full cost-model evaluation must succeed and report Valid;
-//  3. the fast-path evaluator must agree with the full evaluation bit for
-//     bit on EDP, energy and cycles — this is what catches a corrupted
-//     memo-cache read (chaos site "cache-get") or any fast-path divergence.
+//  2. an uncached evaluation must succeed and report Valid;
+//  3. the memoized evaluation must agree with that recompute bit for bit on
+//     EDP, energy and cycles — this is what catches a corrupted memo-cache
+//     read (chaos site "cache-get").
 //
-// The audit's own full Report becomes the result's Report, so the numbers a
+// The audit's own Report becomes the result's Report, so the numbers a
 // caller sees are exactly the audited ones. Any failure — including a panic
-// inside the audit itself, contained by safeEval — rejects the attempt and
-// the retry loop moves on.
-func (e *Engine) audit(w *tensor.Workload, a *arch.Arch, model cost.Model, m *mapping.Mapping) (cost.Report, error) {
+// inside the audit's evaluations — rejects the attempt and the retry loop
+// moves on.
+func (e *Engine) audit(w *tensor.Workload, a *arch.Arch, model cost.Model, m *mapping.Mapping) (rep cost.Report, err error) {
 	if m == nil {
 		return cost.Report{}, errors.New("audit: no mapping produced")
 	}
 	if err := m.Validate(); err != nil {
 		return cost.Report{}, fmt.Errorf("audit: mapping fails validation: %w", err)
-	}
-	rep, err := safeEval(model, m)
-	if err != nil {
-		return cost.Report{}, fmt.Errorf("audit: full evaluation failed: %w", err)
-	}
-	if !rep.Valid {
-		return cost.Report{}, fmt.Errorf("audit: mapping evaluates invalid: %v", rep.Invalid)
 	}
 	sess := e.Session(model, w, a)
 	if sess == nil {
@@ -333,29 +325,21 @@ func (e *Engine) audit(w *tensor.Workload, a *arch.Arch, model cost.Model, m *ma
 		// session has no chaos hook on construction and always works.
 		sess = model.NewSession(w, a)
 	}
-	edp, energyPJ, cycles, valid, err := evalFastContained(sess.NewEvaluator(), m)
-	if err != nil {
-		return cost.Report{}, fmt.Errorf("audit: fast-path evaluation failed: %w", err)
-	}
-	if !valid {
-		return cost.Report{}, errors.New("audit: fast path rejects a mapping the full model accepts")
-	}
-	if edp != rep.EDP || energyPJ != rep.EnergyPJ || cycles != rep.Cycles {
-		return cost.Report{}, fmt.Errorf(
-			"audit: fast path (EDP %g, energy %g pJ, %g cycles) disagrees with full evaluation (EDP %g, energy %g pJ, %g cycles)",
-			edp, energyPJ, cycles, rep.EDP, rep.EnergyPJ, rep.Cycles)
-	}
-	return rep, nil
-}
-
-// evalFastContained is one fast-path evaluation with panic containment, for
-// callers outside a search's worker pool.
-func evalFastContained(ev *cost.Evaluator, m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool, err error) {
+	ev := sess.NewEvaluator()
 	defer func() {
-		if e := anytime.PanicErrorFrom(recover(), "fast-path audit evaluation", func() string { return reproMapping(m) }); e != nil {
-			valid, err = false, e
+		if pe := anytime.PanicErrorFrom(recover(), "audit evaluation", func() string { return reproMapping(m) }); pe != nil {
+			rep, err = cost.Report{}, fmt.Errorf("audit: evaluation failed: %w", pe)
 		}
 	}()
-	edp, energyPJ, cycles, valid = ev.EvaluateEDP(m)
-	return edp, energyPJ, cycles, valid, nil
+	rep = ev.Report(m)
+	if !rep.Valid {
+		return cost.Report{}, fmt.Errorf("audit: mapping evaluates invalid: %v", rep.Invalid)
+	}
+	edp, energyPJ, cycles, valid := ev.EvaluateEDP(m)
+	if !valid || edp != rep.EDP || energyPJ != rep.EnergyPJ || cycles != rep.Cycles {
+		return cost.Report{}, fmt.Errorf(
+			"audit: memoized evaluation (EDP %g, energy %g pJ, %g cycles, valid %v) disagrees with a recompute (EDP %g, energy %g pJ, %g cycles)",
+			edp, energyPJ, cycles, valid, rep.EDP, rep.EnergyPJ, rep.Cycles)
+	}
+	return rep, nil
 }

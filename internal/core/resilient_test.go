@@ -124,9 +124,9 @@ func TestResilientExhaustsWhenEvaluationIsDead(t *testing.T) {
 }
 
 // TestResilientAuditCatchesMemoCorruption arms 100% cache-get corruption:
-// every memo hit returns perturbed scalars, so the audit's fast-path
-// cross-check must disagree with the full evaluation on any mapping that was
-// scored before (every candidate the search or a fallback touched) and
+// every memo hit returns perturbed scalars, so the audit's memoized
+// evaluation must disagree with its uncached recompute on any mapping that
+// was scored before (every candidate the search or a fallback touched) and
 // reject it.
 func TestResilientAuditCatchesMemoCorruption(t *testing.T) {
 	restore := faults.Activate(mustInjector(t, 1,
@@ -140,7 +140,7 @@ func TestResilientAuditCatchesMemoCorruption(t *testing.T) {
 	if err == nil {
 		t.Fatal("permanently corrupted memo reads must fail the audit")
 	}
-	if !strings.Contains(err.Error(), "disagrees with full evaluation") {
+	if !strings.Contains(err.Error(), "disagrees with a recompute") {
 		t.Errorf("error should carry the cross-check diagnosis: %v", err)
 	}
 	if len(res.Attempts) != 3 {

@@ -9,6 +9,7 @@ import (
 	"sunstone/internal/analytic"
 	"sunstone/internal/anytime"
 	"sunstone/internal/arch"
+	"sunstone/internal/baselines"
 	"sunstone/internal/faults"
 	"sunstone/internal/mapping"
 	"sunstone/internal/obs"
@@ -144,7 +145,7 @@ func (inc *incumbent) finish(sc *search, res Result, reason StopReason) (Result,
 		return res, fmt.Errorf("search stopped (%s) before any valid mapping was completed", reason)
 	}
 	res.Mapping = inc.m
-	res.Report = sc.finalReport(inc.m, inc.energyPJ, inc.cycles)
+	res.Report = baselines.FinalReport(sc.evs[0], inc.m, inc.energyPJ*inc.cycles, inc.energyPJ, inc.cycles, true)
 	return res, nil
 }
 
@@ -157,7 +158,7 @@ func seedIncumbent(sc *search, inc *incumbent, res *Result, seed *mapping.Mappin
 	}
 	sc.ctr.Generated.Inc()
 	sc.ctr.Evaluated.Inc()
-	edp, energyPJ, cycles, valid, err := sc.safeEvalFast(sc.evs[0], trivial)
+	edp, energyPJ, cycles, valid, err := containedEDP(sc.evs[0], trivial)
 	if err != nil {
 		res.CandidateErrors = appendCapped(res.CandidateErrors, err)
 		return
@@ -200,7 +201,7 @@ func (sc *search) seedAnalytic(inc *incumbent, res *Result) {
 	}
 	sc.ctr.Generated.Inc()
 	sc.ctr.Evaluated.Inc()
-	edp, energyPJ, cycles, valid, err := sc.safeEvalFast(sc.evs[0], seed)
+	edp, energyPJ, cycles, valid, err := containedEDP(sc.evs[0], seed)
 	if err != nil {
 		res.CandidateErrors = appendCapped(res.CandidateErrors, err)
 		return
@@ -237,7 +238,7 @@ func (sc *search) seedWarmStart(inc *incumbent, res *Result) {
 	}
 	sc.ctr.Generated.Inc()
 	sc.ctr.Evaluated.Inc()
-	edp, energyPJ, cycles, valid, err := sc.safeEvalFast(sc.evs[0], warm)
+	edp, energyPJ, cycles, valid, err := containedEDP(sc.evs[0], warm)
 	if err != nil {
 		res.CandidateErrors = appendCapped(res.CandidateErrors, fmt.Errorf("warm start rejected: %w", err))
 		return
@@ -382,7 +383,7 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 		psp.Arg("evals", evals).End()
 	}
 	res.Mapping = final
-	res.Report = sc.finalReport(final, energyPJ, cycles)
+	res.Report = baselines.FinalReport(sc.evs[0], final, energyPJ*cycles, energyPJ, cycles, true)
 	if budgetHit {
 		res.Stopped = StopBudget
 	}

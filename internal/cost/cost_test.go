@@ -178,8 +178,8 @@ func TestSlidingWindowDiscount(t *testing.T) {
 	m := algorithm4(t, K, C, P, R, 2, 2, 4, 1<<20)
 	m.Levels[1].Order = []tensor.Dim{"P", "C", "K"}
 
-	naive := Model{SlidingReuse: false}
-	slide := Model{SlidingReuse: true}
+	naive := Model{NoSlidingReuse: true}
+	slide := Model{}
 	tn := m.Workload.Tensor(arch.Ifmap)
 	var rNaive, rSlide int64
 	for _, f := range naive.Flows(m, tn) {

@@ -82,9 +82,9 @@ func TestResidencyBelowInnermostKeeper(t *testing.T) {
 	}
 }
 
-// TestResidencyFastSlowParity: under a residency model the zero-allocation
-// fast path still reproduces Evaluate bit-for-bit on randomized valid and
-// invalid mappings — the same contract the resilient-path audit relies on.
+// TestResidencyFastSlowParity: under the fused scheduler's two-pin residency
+// model the evaluator still reproduces the reference model bit-for-bit on
+// randomized valid and invalid mappings (see checkEquivalence).
 func TestResidencyFastSlowParity(t *testing.T) {
 	w := workloads.ResNet18[1].Inference(4)
 	for _, tc := range []struct {

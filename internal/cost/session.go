@@ -1,12 +1,11 @@
-// Fast-path cost evaluation. A Session precomputes everything about a
-// (workload, arch) pair that Evaluate re-derives per call — tensor axis
-// structure, keeper chains, per-flow buffer energy coefficients, the
-// component and access-slot tables behind the Breakdown/Accesses maps — and
-// an Evaluator owns reusable scratch so scoring a mapping allocates nothing
-// in steady state. EvaluateEDP returns exactly the numbers Evaluate would
-// (bit-for-bit: the same arithmetic in the same order), minus the Report
-// maps the search never reads; the full Evaluate remains for final mappings
-// and the CLI.
+// The evaluator. A Session precomputes everything about a (workload, arch)
+// pair that does not depend on the mapping — tensor axis structure, keeper
+// chains, per-flow buffer energy coefficients, the component and access-slot
+// tables behind Report's Breakdown/Accesses maps — and an Evaluator owns
+// reusable scratch so scoring a mapping allocates nothing in steady state.
+// Evaluator.compute is the only implementation of the model's arithmetic:
+// EvaluateEDP returns its scalars, Report renders its accumulators as maps,
+// Flows lists the per-flow word counts it passed to account.
 //
 // On top of the scalar path sits a search-wide memoization cache keyed by a
 // canonical 128-bit fingerprint of the mapping (per level: the effective
@@ -18,7 +17,7 @@ package cost
 
 import (
 	"fmt"
-	"strings"
+	"sort"
 	"sync"
 
 	"sunstone/internal/arch"
@@ -76,6 +75,7 @@ type flowPlan struct {
 // tensorPlan is the per-tensor precomputation: axis structure, indexing and
 // window-only dimension sets, and the keeper-pair flows.
 type tensorPlan struct {
+	t        *tensor.Tensor
 	output   bool
 	axes     []axisPlan
 	indexing []bool // by dim index: does the dim appear in any axis?
@@ -83,13 +83,11 @@ type tensorPlan struct {
 	flows    []flowPlan
 }
 
-// slotPlan resolves one "level/buffer/tensor" access key the way the legacy
-// cycles() does — by re-splitting the rendered string — so bandwidth
-// attribution is identical even for degenerate names.
+// slotPlan is one (level, tensor) access counter: the level and the
+// bandwidths of the buffer holding the tensor there.
 type slotPlan struct {
-	lvl             int // -1: unresolvable key, skipped by cycles
+	lvl             int
 	readBW, writeBW float64
-	resolved        bool
 }
 
 // capPlan is one bounded buffer's capacity check at one level.
@@ -118,14 +116,15 @@ type Session struct {
 	noSR    []bool // per level: !AllowSpatialReduction
 	fanout  []int
 
-	macPJ    float64
-	levels   []levelCoef
-	compMAC  int
-	compNoC  int
-	compSR   int
-	nComps   int
-	sumOrder []int // component indices in sorted-name order (EnergyPJ sum)
-	slots    []slotPlan
+	macPJ     float64
+	levels    []levelCoef
+	compMAC   int
+	compNoC   int
+	compSR    int
+	compNames []string // Report.Breakdown keys, by component index
+	sumOrder  []int    // component indices in sorted-name order (EnergyPJ sum)
+	slots     []slotPlan
+	slotNames []string // Report.Accesses keys ("level/buffer/tensor"), by slot index
 
 	// Admissible lower-bound tables (see LowerBound), built once by
 	// buildLowerBound from compulsory traffic and peak-throughput
@@ -146,10 +145,10 @@ type levelCoef struct {
 	spatialReducePJ float64
 }
 
-// NewSession precomputes the fast-path tables for mapping w onto a. The
+// NewSession precomputes the model's tables for mapping w onto a. The
 // workload and arch must be structurally valid (every tensor kept at the
-// top level — what arch.Validate guarantees); they are treated as immutable
-// for the Session's lifetime.
+// top level, level names unique — what arch.Validate guarantees); they are
+// treated as immutable for the Session's lifetime.
 func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 	s := &Session{
 		model:   mo,
@@ -182,47 +181,25 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 		}
 	}
 
+	// Components are keyed by buffer name alone: same-named buffers at
+	// different levels share one Breakdown entry.
 	compIdx := map[string]int{}
-	var compNames []string
 	comp := func(name string) int {
 		if i, ok := compIdx[name]; ok {
 			return i
 		}
-		i := len(compNames)
+		i := len(s.compNames)
 		compIdx[name] = i
-		compNames = append(compNames, name)
+		s.compNames = append(s.compNames, name)
 		return i
 	}
 	s.compMAC = comp("MAC")
 	s.compNoC = comp("NoC")
 	s.compSR = comp("SpatialReduce")
 
-	slotIdx := map[string]int{}
-	slot := func(lvl int, bufName, tName string) int {
-		key := fmt.Sprintf("%s/%s/%s", a.Levels[lvl].Name, bufName, tName)
-		if i, ok := slotIdx[key]; ok {
-			return i
-		}
-		// Resolve exactly like the legacy cycles(): split the rendered key
-		// and look the pieces back up; an ambiguous or unresolvable key
-		// (names containing '/', duplicate level names) degrades the same
-		// way it always did.
-		parts := strings.SplitN(key, "/", 3)
-		p := slotPlan{lvl: -1}
-		if li := levelIndexByName(a, parts[0]); li >= 0 {
-			if buf := a.Levels[li].BufferFor(parts[2]); buf != nil {
-				p = slotPlan{lvl: li, readBW: buf.ReadBW, writeBW: buf.WriteBW, resolved: true}
-			}
-		}
-		i := len(s.slots)
-		slotIdx[key] = i
-		s.slots = append(s.slots, p)
-		return i
-	}
-
 	// Capacity checks: every bounded buffer below the top level, with the
-	// tensors it holds (Holds implies Keeps at that level, so the legacy
-	// heldHere conjunction reduces to Holds).
+	// tensors it holds (Holds implies Keeps at that level, so
+	// mapping.Validate's heldHere conjunction reduces to Holds).
 	for lvl := 0; lvl < s.nLevels-1; lvl++ {
 		al := &a.Levels[lvl]
 		for bi := range al.Buffers {
@@ -241,11 +218,14 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 	}
 
 	// Per-tensor plans, in w.Tensors order (the Breakdown accumulation
-	// order Evaluate uses).
+	// order).
 	nd := len(s.dims)
+	s.tensors = make([]tensorPlan, 0, len(w.Tensors))
 	for _, t := range w.Tensors {
 		tp := tensorPlan{
+			t:        t,
 			output:   t.Output,
+			axes:     make([]axisPlan, 0, len(t.Axes)),
 			indexing: make([]bool, nd),
 			winOnly:  make([]bool, nd),
 		}
@@ -260,54 +240,52 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 			}
 			tp.axes = append(tp.axes, ap)
 		}
-		var keepers []int
+		keepers := make([]int, 0, s.nLevels)
 		for l := 0; l < s.nLevels; l++ {
 			if a.Levels[l].Keeps(t.Name) {
 				keepers = append(keepers, l)
 			}
 		}
-		// Residency truncation mirrors Flows exactly; buildLowerBound walks
-		// these flow plans, so the lower bound inherits the truncation and
-		// stays admissible for the resident problem.
+		// buildLowerBound walks these flow plans, so the lower bound inherits
+		// the residency truncation and stays admissible for the resident
+		// problem.
 		keepers = mo.residentKeepers(t.Name, keepers)
-		mkFlow := func(child, parent int) flowPlan {
-			pbuf := a.Levels[parent].BufferFor(t.Name)
+		// One flow per keeper: the datapath below the innermost one, then
+		// each adjacent pair. Keeper i is the parent of flow i and the child
+		// of flow i+1, and owns one access slot.
+		tp.flows = make([]flowPlan, 0, len(keepers))
+		for i, l := range keepers {
+			buf := a.Levels[l].BufferFor(t.Name)
 			fl := flowPlan{
-				child: child, parent: parent,
-				pReadPJ: pbuf.ReadPJ, pWritePJ: pbuf.WritePJ,
-				pComp: comp(pbuf.Name),
-				pSlot: slot(parent, pbuf.Name, t.Name),
+				child: -1, parent: l,
+				pReadPJ: buf.ReadPJ, pWritePJ: buf.WritePJ,
+				pComp: comp(buf.Name), pSlot: len(s.slots),
 				cComp: -1, cSlot: -1,
 			}
-			if child >= 0 {
-				cbuf := a.Levels[child].BufferFor(t.Name)
-				fl.cReadPJ, fl.cWritePJ = cbuf.ReadPJ, cbuf.WritePJ
-				fl.cComp = comp(cbuf.Name)
-				fl.cSlot = slot(child, cbuf.Name, t.Name)
+			if i > 0 {
+				prev := &tp.flows[i-1]
+				fl.child = prev.parent
+				fl.cReadPJ, fl.cWritePJ = prev.pReadPJ, prev.pWritePJ
+				fl.cComp, fl.cSlot = prev.pComp, prev.pSlot
 			}
-			return fl
-		}
-		tp.flows = append(tp.flows, mkFlow(-1, keepers[0]))
-		for i := 0; i+1 < len(keepers); i++ {
-			tp.flows = append(tp.flows, mkFlow(keepers[i], keepers[i+1]))
+			tp.flows = append(tp.flows, fl)
+			s.slots = append(s.slots, slotPlan{lvl: l, readBW: buf.ReadBW, writeBW: buf.WriteBW})
+			s.slotNames = append(s.slotNames, fmt.Sprintf("%s/%s/%s", a.Levels[l].Name, buf.Name, t.Name))
 		}
 		s.tensors = append(s.tensors, tp)
 	}
 
-	// EnergyPJ sums Breakdown entries in sorted component-name order; adding
-	// a component that Evaluate would have left absent contributes +0.0,
-	// which cannot change the bits of a sum of non-negative terms.
-	s.nComps = len(compNames)
-	s.sumOrder = make([]int, s.nComps)
-	order := append([]string(nil), compNames...)
-	insertionSortStrings(order)
-	for i, name := range order {
+	// EnergyPJ sums the components in sorted-name order (float addition is
+	// not associative, so the order is part of the result). A component no
+	// flow touched contributes +0.0, which cannot change the bits of a sum
+	// of non-negative terms.
+	sorted := append([]string(nil), s.compNames...)
+	sort.Strings(sorted)
+	s.sumOrder = make([]int, len(sorted))
+	for i, name := range sorted {
 		s.sumOrder[i] = compIdx[name]
 	}
 
-	for i := range s.shards {
-		s.shards[i].m = make(map[Key]cacheEntry)
-	}
 	s.buildLowerBound()
 	return s
 }
@@ -339,8 +317,8 @@ const lbSlack = 1 - 1e-9
 //     trips are bounded below by zero.
 //   - NoC and spatial-reduce energy are non-negative extras: floor zero.
 //   - Cycles: compute cycles are at least macsU / (total spatial), and each
-//     resolved slot needs its compulsory traffic through its bandwidth at
-//     the maximal instance count (fanout product strictly above the level).
+//     slot needs its compulsory traffic through its bandwidth at the maximal
+//     instance count (fanout product strictly above the level).
 func (s *Session) buildLowerBound() {
 	top := s.nLevels - 1
 	if top < 0 {
@@ -451,9 +429,6 @@ func (s *Session) buildLowerBound() {
 	worst := 0.0
 	for si := range s.slots {
 		sp := &s.slots[si]
-		if !sp.resolved {
-			continue
-		}
 		var t float64
 		if sp.readBW > 0 {
 			t += readsLB[si] / (sp.readBW * instMax[sp.lvl])
@@ -486,15 +461,6 @@ func (s *Session) LowerBound(maxSpatial float64) (energyPJ, cycles float64) {
 		cycles = s.lbXferCycles
 	}
 	return s.lbEnergyPJ, cycles
-}
-
-// insertionSortStrings avoids importing sort for one tiny build-time sort.
-func insertionSortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // CacheStats returns the memoization cache's hit and miss counts so far.
@@ -536,25 +502,12 @@ func (e *Evaluator) lookup(k Key) (cacheEntry, bool) {
 func (s *Session) store(k Key, e cacheEntry) {
 	sh := &s.shards[k.Hi%cacheShards]
 	sh.mu.Lock()
+	if sh.m == nil {
+		sh.m = make(map[Key]cacheEntry)
+	}
 	sh.m[k] = e
 	sh.mu.Unlock()
 }
-
-// EvaluateEDP is a convenience that builds a throwaway Session; hot callers
-// (searches) should hold one Session per (workload, arch) and one Evaluator
-// per worker instead.
-func (mo Model) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
-	return mo.NewSession(m.Workload, m.Arch).NewEvaluator().EvaluateEDP(m)
-}
-
-// snapshot outcome classification.
-type snapResult int
-
-const (
-	snapOK    snapResult = iota
-	snapBad              // a raw factor < 1: Validate fails, but the T/S view cannot see it — uncacheable
-	snapStray            // a spatial factor > 1 on a non-workload dimension: fall back to Evaluate
-)
 
 // Evaluator owns the mutable scratch for scoring mappings against one
 // Session. It is NOT safe for concurrent use; create one per worker
@@ -577,35 +530,43 @@ type Evaluator struct {
 	seen  []bool
 
 	// Evaluation scratch.
-	cum   []int // nLevels x nDims cumulative extents (Extents at each level)
-	ext   []int // per-flow working extents
-	loopD []int32
-	loopB []int
-	bd    []float64
-	acc   []Access
-	inst  []float64
+	cum     []int // nLevels x nDims cumulative extents (Extents at each level)
+	ext     []int // per-flow working extents
+	loopD   []int32
+	loopB   []int
+	macs    int64
+	bd      []float64 // energy per component: Report.Breakdown by index
+	touched []bool    // components some flow added to, even a zero amount
+	acc     []Access  // words per slot: Report.Accesses by index
+	inst    []float64
+
+	// recordFlows makes account append each flow's word counts to flows
+	// (Model.Flows); off on every scoring path.
+	recordFlows bool
+	flows       []Flow
 }
 
 // NewEvaluator returns a fresh Evaluator with all scratch preallocated.
 func (s *Session) NewEvaluator() *Evaluator {
 	nd, nl := len(s.dims), s.nLevels
 	return &Evaluator{
-		s:     s,
-		tb:    make([]int, nl*nd),
-		sf:    make([]int, nl*nd),
-		eo:    make([]int32, nl*nd),
-		eoLen: make([]int, nl),
-		spIdx: make([]int32, nl*nd),
-		spS:   make([]int64, nl*nd),
-		spOff: make([]int, nl+1),
-		seen:  make([]bool, nd),
-		cum:   make([]int, nl*nd),
-		ext:   make([]int, nd),
-		loopD: make([]int32, nl*nd),
-		loopB: make([]int, nl*nd),
-		bd:    make([]float64, s.nComps),
-		acc:   make([]Access, len(s.slots)),
-		inst:  make([]float64, nl),
+		s:       s,
+		tb:      make([]int, nl*nd),
+		sf:      make([]int, nl*nd),
+		eo:      make([]int32, nl*nd),
+		eoLen:   make([]int, nl),
+		spIdx:   make([]int32, nl*nd),
+		spS:     make([]int64, nl*nd),
+		spOff:   make([]int, nl+1),
+		seen:    make([]bool, nd),
+		cum:     make([]int, nl*nd),
+		ext:     make([]int, nd),
+		loopD:   make([]int32, nl*nd),
+		loopB:   make([]int, nl*nd),
+		bd:      make([]float64, len(s.compNames)),
+		touched: make([]bool, len(s.compNames)),
+		acc:     make([]Access, len(s.slots)),
+		inst:    make([]float64, nl),
 	}
 }
 
@@ -618,24 +579,26 @@ func (e *Evaluator) CountCacheInto(hits, misses *obs.Counter) {
 	e.hits, e.misses = hits, misses
 }
 
-// EvaluateEDP scores m on the zero-allocation fast path, returning exactly
-// the EDP/EnergyPJ/Cycles/Valid that Model.Evaluate would report. Results
-// are memoized in the Session's search-wide cache under the mapping's
-// canonical Key; the Probe (fault injection) still fires on every call,
-// before the cache is consulted.
-func (e *Evaluator) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
-	s := e.s
-	if s.model.Probe != nil {
-		s.model.Probe.BeforeEvaluate(m)
+// begin opens one evaluation of m: the Probe and the chaos hook fire, then
+// m is captured into the scratch. It reports whether the model can
+// represent m's factors (see snapshot).
+func (e *Evaluator) begin(m *mapping.Mapping) bool {
+	if p := e.s.model.Probe; p != nil {
+		p.BeforeEvaluate(m)
 	}
 	// Chaos hook: an injected evaluation fault panics, contained by the
 	// caller's per-candidate isolation like any poisoned cost model.
 	faults.MustFire(faults.SiteEvaluate)
-	switch e.snapshot(m) {
-	case snapBad:
+	return e.snapshot(m)
+}
+
+// EvaluateEDP scores m without allocating: EDP, EnergyPJ, Cycles and
+// validity, +Inf scalars when invalid. Results are memoized in the Session's
+// search-wide cache under the mapping's canonical Key; the Probe (fault
+// injection) still fires on every call, before the cache is consulted.
+func (e *Evaluator) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
+	if !e.begin(m) {
 		return inf, inf, inf, false
-	case snapStray:
-		return e.fallback(m)
 	}
 	k := e.key()
 	if v, ok := e.lookup(k); ok {
@@ -648,7 +611,7 @@ func (e *Evaluator) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float
 		return v.edp, v.energy, v.cycles, v.valid
 	}
 	edp, energyPJ, cycles, valid = e.compute()
-	s.store(k, cacheEntry{edp: edp, energy: energyPJ, cycles: cycles, valid: valid})
+	e.s.store(k, cacheEntry{edp: edp, energy: energyPJ, cycles: cycles, valid: valid})
 	return edp, energyPJ, cycles, valid
 }
 
@@ -656,64 +619,79 @@ func (e *Evaluator) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float
 // raw compute path. Useful for one-shot scoring and for benchmarking the
 // model itself.
 func (e *Evaluator) EvaluateEDPUncached(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
-	s := e.s
-	if s.model.Probe != nil {
-		s.model.Probe.BeforeEvaluate(m)
-	}
-	switch e.snapshot(m) {
-	case snapBad:
+	if !e.begin(m) {
 		return inf, inf, inf, false
-	case snapStray:
-		return e.fallback(m)
 	}
 	return e.compute()
 }
 
+// Report scores m like EvaluateEDPUncached — one evaluation, never served
+// from the memo — and renders the accumulators behind the scalars: energy
+// per component, words per level/buffer/tensor. An invalid mapping gets
+// Valid=false, the violation mapping.Validate names, and +Inf scalars.
+func (e *Evaluator) Report(m *mapping.Mapping) Report {
+	s := e.s
+	r := Report{
+		EDP: inf, EnergyPJ: inf, Cycles: inf,
+		Breakdown: map[string]float64{}, Accesses: map[string]Access{},
+	}
+	if e.begin(m) {
+		r.EDP, r.EnergyPJ, r.Cycles, r.Valid = e.compute()
+	}
+	if !r.Valid {
+		r.Invalid = m.Validate()
+		return r
+	}
+	r.MACs = e.macs
+	for i, name := range s.compNames {
+		if e.touched[i] {
+			r.Breakdown[name] = e.bd[i]
+		}
+	}
+	for i, name := range s.slotNames {
+		r.Accesses[name] = e.acc[i]
+	}
+	return r
+}
+
 // Key returns the mapping's canonical fingerprint, or ok=false when the
-// mapping is outside the fast path's domain (raw factors < 1, which the
-// T/S view cannot represent, or stray spatial dimensions). No Probe fires:
-// computing a key is not an evaluation.
+// model cannot represent the mapping's factors (see snapshot). No Probe
+// fires: computing a key is not an evaluation.
 func (e *Evaluator) Key(m *mapping.Mapping) (k Key, ok bool) {
-	if e.snapshot(m) != snapOK {
+	if !e.snapshot(m) {
 		return Key{}, false
 	}
 	return e.key(), true
 }
 
-// fallback scores a mapping the snapshot cannot represent (spatial factors
-// on dimensions outside the workload — legal in the map representation and
-// visible to the model) on the full Evaluate path. The Probe already fired.
-func (e *Evaluator) fallback(m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool) {
-	mo := e.s.model
-	mo.Probe = nil
-	rep := mo.Evaluate(m)
-	return rep.EDP, rep.EnergyPJ, rep.Cycles, rep.Valid
-}
-
 // snapshot captures m's T/S bounds, per-level spatial entries, and the
 // effective order of its bound>1 temporal loops into the evaluator scratch.
-func (e *Evaluator) snapshot(m *mapping.Mapping) snapResult {
+// It reports false for the two factor defects mapping.Validate rejects but
+// the T/S view cannot see: a raw factor < 1, and a factor > 1 on a dimension
+// outside the workload.
+func (e *Evaluator) snapshot(m *mapping.Mapping) bool {
 	s := e.s
 	nd := len(s.dims)
 	sp := 0
 	for l := 0; l < s.nLevels; l++ {
 		lm := &m.Levels[l]
-		// Raw-map scan: Validate rejects any factor < 1 even on dimensions
-		// the accessors normalize away, and spatial factors > 1 on stray
-		// dimensions do reach the model (SpatialProduct, multicast widths).
+		// Count the raw entries > 1; the workload's dimensions must account
+		// for every one of them below.
+		big := 0
 		for _, n := range lm.Temporal {
 			if n < 1 {
-				return snapBad
-			}
-		}
-		for d, n := range lm.Spatial {
-			if n < 1 {
-				return snapBad
+				return false
 			}
 			if n > 1 {
-				if _, known := s.dimIdx[d]; !known {
-					return snapStray
-				}
+				big++
+			}
+		}
+		for _, n := range lm.Spatial {
+			if n < 1 {
+				return false
+			}
+			if n > 1 {
+				big++
 			}
 		}
 		base := l * nd
@@ -723,15 +701,22 @@ func (e *Evaluator) snapshot(m *mapping.Mapping) snapResult {
 		}
 		e.spOff[l] = sp
 		for i := 0; i < nd; i++ {
+			if e.tb[base+i] > 1 {
+				big--
+			}
 			if f := e.sf[base+i]; f > 1 {
+				big--
 				e.spIdx[sp] = int32(i)
 				e.spS[sp] = int64(f)
 				sp++
 			}
 		}
+		if big != 0 {
+			return false
+		}
 		// Effective order restricted to bound>1 loops: declared order first
 		// (deduped, declared dims only), then the canonical remainder —
-		// bound-1 loops are invisible to passCount, so dropping them here
+		// bound-1 loops never change a pass count, so dropping them here
 		// canonicalizes equal-cost orderings onto one Key.
 		cnt := 0
 		for _, d := range lm.Order {
@@ -757,7 +742,7 @@ func (e *Evaluator) snapshot(m *mapping.Mapping) snapResult {
 		}
 	}
 	e.spOff[s.nLevels] = sp
-	return snapOK
+	return true
 }
 
 // mix64 is the splitmix64 finalizer — a full-avalanche 64-bit mixer.
@@ -792,16 +777,21 @@ func (e *Evaluator) key() Key {
 	return Key{Hi: h1, Lo: h2}
 }
 
-// compute runs the cost model over the snapshot — the same arithmetic as
-// Evaluate, in the same order, against precomputed tables. It allocates
-// nothing.
+// compute runs the cost model over the snapshot. It allocates nothing.
 func (e *Evaluator) compute() (edp, energyPJ, cycles float64, valid bool) {
+	e.extents()
+	if !e.legal() {
+		return inf, inf, inf, false
+	}
+	energyPJ, cycles = e.traffic()
+	return energyPJ * cycles, energyPJ, cycles, true
+}
+
+// extents fills the cumulative extents per level: cum[l][i] is the tile
+// extent of dim i at level l (mapping.Extent's int-multiply sequence).
+func (e *Evaluator) extents() {
 	s := e.s
 	nd := len(s.dims)
-	top := s.nLevels - 1
-
-	// Cumulative extents per level (the Extents view): cum[l][i] is the tile
-	// extent of dim i at level l. Same int-multiply sequence as Extent.
 	for i := 0; i < nd; i++ {
 		e.cum[i] = e.tb[i] * e.sf[i]
 	}
@@ -811,102 +801,110 @@ func (e *Evaluator) compute() (edp, energyPJ, cycles float64, valid bool) {
 			e.cum[base+i] = e.cum[prev+i] * (e.tb[base+i] * e.sf[base+i])
 		}
 	}
+}
 
-	// Validity, in Validate's order of checks (the boolean outcome is all
-	// that matters; Evaluate maps invalid to +Inf scalars).
-	topBase := top * nd
+// legal is mapping.Validate's boolean outcome on the snapshot: coverage,
+// buffer capacity, fanout, and reduction dimensions unrolled only where the
+// level can combine partial sums.
+func (e *Evaluator) legal() bool {
+	s := e.s
+	nd := len(s.dims)
+	topBase := (s.nLevels - 1) * nd
 	for i := 0; i < nd; i++ {
 		if e.cum[topBase+i] < s.bounds[i] {
-			return inf, inf, inf, false
+			return false
 		}
 	}
 	for ci := range s.caps {
 		cp := &s.caps[ci]
 		var usedBits int64
 		for _, ti := range cp.tensors {
-			usedBits += int64(e.footprint(&s.tensors[ti], cp.lvl*nd)) * int64(s.a.Bits(s.w.Tensors[ti].Name))
+			usedBits += int64(footprint(&s.tensors[ti], e.cum[cp.lvl*nd:])) * int64(s.a.Bits(s.w.Tensors[ti].Name))
 		}
 		if usedBits > cp.capBits {
-			return inf, inf, inf, false
+			return false
 		}
 	}
 	for l := 0; l < s.nLevels; l++ {
-		spp := 1
-		for k := e.spOff[l]; k < e.spOff[l+1]; k++ {
-			spp *= int(e.spS[k])
-		}
-		if spp > s.fanout[l] {
-			return inf, inf, inf, false
+		if e.spatialProduct(l) > s.fanout[l] {
+			return false
 		}
 		if s.noSR[l] {
 			base := l * nd
 			for _, ri := range s.redDims {
 				if e.sf[base+ri] > 1 {
-					return inf, inf, inf, false
+					return false
 				}
 			}
 		}
 	}
+	return true
+}
 
-	// MACs (PaddedMACs): product of per-dim coverage.
-	macs := int64(1)
-	for i := 0; i < nd; i++ {
-		macs *= int64(e.cum[topBase+i])
+// spatialProduct is the product of level l's spatial factors.
+func (e *Evaluator) spatialProduct(l int) int {
+	spp := 1
+	for k := e.spOff[l]; k < e.spOff[l+1]; k++ {
+		spp *= int(e.spS[k])
+	}
+	return spp
+}
+
+// traffic accumulates every tensor's flows into the component energies and
+// slot word counts, and totals them into energy and cycles.
+func (e *Evaluator) traffic() (energyPJ, cycles float64) {
+	s := e.s
+	nd := len(s.dims)
+
+	// MACs actually executed, padding included: the product of per-dim
+	// coverage.
+	e.macs = 1
+	for _, n := range e.cum[(s.nLevels-1)*nd:] {
+		e.macs *= int64(n)
 	}
 
 	for i := range e.bd {
 		e.bd[i] = 0
+		e.touched[i] = false
 	}
 	for i := range e.acc {
 		e.acc[i] = Access{}
 	}
-	e.bd[s.compMAC] += float64(macs) * s.macPJ
+	e.flows = e.flows[:0]
+	e.add(s.compMAC, float64(e.macs)*s.macPJ)
 
 	for ti := range s.tensors {
 		tp := &s.tensors[ti]
 		for fi := range tp.flows {
 			fl := &tp.flows[fi]
 			if fl.child < 0 {
-				e.computeFlow(tp, fl, macs)
+				e.computeFlow(tp, fl)
 			} else {
 				e.pairFlow(tp, fl)
 			}
 		}
 	}
 
-	energyPJ = 0.0
 	for _, ci := range s.sumOrder {
 		energyPJ += e.bd[ci]
 	}
-	cycles = e.cycles(macs)
-	edp = energyPJ * cycles
-	return edp, energyPJ, cycles, true
+	return energyPJ, e.cycles()
 }
 
-// footprint mirrors Tensor.Footprint over the extents stored at e.cum[base:].
-func (e *Evaluator) footprint(tp *tensorPlan, base int) int {
+// add charges pj to one component.
+func (e *Evaluator) add(comp int, pj float64) {
+	e.bd[comp] += pj
+	e.touched[comp] = true
+}
+
+// footprint is Tensor.Footprint over the per-dim extents ext: the product
+// over axes of 1 + Σ stride·(extent-1).
+func footprint(tp *tensorPlan, ext []int) int {
 	fp := 1
 	for ai := range tp.axes {
 		ex := 1
 		for _, t := range tp.axes[ai].terms {
-			n := e.cum[base+t.dim]
-			if n <= 0 {
-				n = 1
-			}
-			ex += t.stride * (n - 1)
-		}
-		fp *= ex
-	}
-	return fp
-}
-
-// extFootprint is footprint over the per-flow working extents e.ext.
-func (e *Evaluator) extFootprint(tp *tensorPlan) int {
-	fp := 1
-	for ai := range tp.axes {
-		ex := 1
-		for _, t := range tp.axes[ai].terms {
-			n := e.ext[t.dim]
+			n := ext[t.dim]
 			if n <= 0 {
 				n = 1
 			}
@@ -918,8 +916,10 @@ func (e *Evaluator) extFootprint(tp *tensorPlan) int {
 }
 
 // mergeWidth is the product of spatial factors at levels [lo, hi] on
-// dimensions not indexing tp — multicast (inputs) or spatial-reduce
-// (outputs) width, and the merge divisor of the compute flow.
+// dimensions not indexing tp: how many child instances each parent word is
+// multicast to (inputs), how many child partial results combine into one
+// parent word (outputs — reduction dims are exactly an output's
+// non-indexing dims), and the merge divisor of the compute flow.
 func (e *Evaluator) mergeWidth(tp *tensorPlan, lo, hi int) int64 {
 	w := int64(1)
 	for k := e.spOff[lo]; k < e.spOff[hi+1]; k++ {
@@ -930,23 +930,33 @@ func (e *Evaluator) mergeWidth(tp *tensorPlan, lo, hi int) int64 {
 	return w
 }
 
-// computeFlow mirrors Model.computeFlow: the MAC datapath consuming tp from
-// its innermost keeper.
-func (e *Evaluator) computeFlow(tp *tensorPlan, fl *flowPlan, macs int64) {
-	merge := e.mergeWidth(tp, 0, fl.parent)
-	var pr, pw, psum int64
+// computeFlow models the MAC datapath's consumption of tp from its innermost
+// keeper: each MAC consumes one word of each input and produces one update
+// of each output per cycle. Spatial distribution at or below the keeper
+// merges accesses: multicast (non-indexing unroll) serves several MACs with
+// one read, and spatial reduction (reduction-dimension unroll) combines
+// several updates into one write. Temporal reuse below the keeper is
+// conservatively not modeled (no implicit operand latches): accesses merge
+// only spatially.
+func (e *Evaluator) computeFlow(tp *tensorPlan, fl *flowPlan) {
+	n := e.macs / e.mergeWidth(tp, 0, fl.parent)
 	if tp.output {
-		pw = macs / merge
-		psum = pw
+		e.account(tp, fl, 0, n, n, 0, 0) // read-modify-write accumulation
 	} else {
-		pr = macs / merge
+		e.account(tp, fl, n, 0, 0, 0, 0)
 	}
-	e.account(tp, fl, pr, pw, psum, 0, 0)
 }
 
-// pairFlow mirrors Model.pairFlow for keeper pair (child, parent): tile
-// refill passes over the loops above the child, sliding-window overlap for
-// inputs, partial-sum writeback for outputs.
+// pairFlow computes the traffic between keeper levels c and p (c < p).
+//
+// Refills of the level-c tile are driven by every temporal loop above c —
+// loops above p change p's own tile and therefore also re-trigger refills of
+// c — so passes are counted over loops at levels (c, top], with the
+// innermost non-indexing run skipped (passCount). Spatially unrolled indexing
+// dimensions enlarge the aggregate slice read from p (the footprint ignores
+// non-indexing spatial dims — multicast, Eqs. (5)-(7)). Non-indexing spatial
+// unrolling *above* p replicates p's tile across p-instances, each of which
+// pays its own accesses.
 func (e *Evaluator) pairFlow(tp *tensorPlan, fl *flowPlan) {
 	s := e.s
 	nd := len(s.dims)
@@ -954,13 +964,12 @@ func (e *Evaluator) pairFlow(tp *tensorPlan, fl *flowPlan) {
 	c, p := fl.child, fl.parent
 
 	// Working extents: the child tile enlarged by every spatial unroll above
-	// it (replication by non-indexing unrolls above the parent is folded
-	// into fp, not the extents — exactly as in pairFlow).
+	// it; replication above the parent multiplies the footprint instead.
 	copy(e.ext, e.cum[c*nd:c*nd+nd])
 	for k := e.spOff[c+1]; k < e.spOff[top+1]; k++ {
 		e.ext[e.spIdx[k]] *= int(e.spS[k])
 	}
-	fp := int64(e.extFootprint(tp))
+	fp := int64(footprint(tp, e.ext))
 	fp *= e.mergeWidth(tp, p+1, top)
 
 	// Temporal loops at levels (c, top], innermost first; bound-1 loops are
@@ -975,21 +984,11 @@ func (e *Evaluator) pairFlow(tp *tensorPlan, fl *flowPlan) {
 			nLoops++
 		}
 	}
-	passes := int64(1)
-	inPrefix := true
-	breakIdx := -1
-	for li := 0; li < nLoops; li++ {
-		if inPrefix && !tp.indexing[e.loopD[li]] {
-			continue
-		}
-		if inPrefix {
-			inPrefix = false
-			breakIdx = li
-		}
-		passes *= int64(e.loopB[li])
-	}
+	passes, breakIdx := e.passCount(tp, nLoops)
 
 	if tp.output {
+		// Each pass writes the tile back; every pass beyond the first visit
+		// of an output tile (outIters of them) reads its partial sums first.
 		outIters := int64(1)
 		for li := 0; li < nLoops; li++ {
 			if tp.indexing[e.loopD[li]] {
@@ -1004,7 +1003,9 @@ func (e *Evaluator) pairFlow(tp *tensorPlan, fl *flowPlan) {
 	}
 
 	reads := passes * fp
-	if s.model.SlidingReuse && breakIdx >= 0 && tp.winOnly[e.loopD[breakIdx]] {
+	if !s.model.NoSlidingReuse && breakIdx >= 0 && tp.winOnly[e.loopD[breakIdx]] {
+		// The reuse-breaking loop walks a window dimension: after the first
+		// tile of each sweep, a step fetches only the new portion.
 		inc := e.incFootprint(tp, int(e.loopD[breakIdx]))
 		outer := passes / int64(e.loopB[breakIdx])
 		reads = outer * (fp + int64(e.loopB[breakIdx]-1)*inc)
@@ -1013,8 +1014,29 @@ func (e *Evaluator) pairFlow(tp *tensorPlan, fl *flowPlan) {
 	e.account(tp, fl, reads, 0, 0, fills, 0)
 }
 
-// incFootprint mirrors incrementalFootprint over the working extents: the
-// new data fetched when the tile advances one step along window dim d.
+// passCount applies Ordering Principles 1-2 to the first nLoops collected
+// loops: the number of times the child tile is refilled is the product of all
+// loop bounds except the maximal innermost-contiguous run of loops not
+// indexing tp. It also returns the index of the loop that breaks the reuse
+// run (the innermost indexing loop), or -1.
+func (e *Evaluator) passCount(tp *tensorPlan, nLoops int) (passes int64, breakIdx int) {
+	passes, breakIdx = 1, -1
+	for li := 0; li < nLoops; li++ {
+		if breakIdx < 0 {
+			if !tp.indexing[e.loopD[li]] {
+				continue // fully reused across this loop
+			}
+			breakIdx = li
+		}
+		passes *= int64(e.loopB[li])
+	}
+	return passes, breakIdx
+}
+
+// incFootprint is the footprint of the *new* data fetched when the tile
+// advances one step along window dimension d, over the working extents: for
+// each compound axis containing d, the axis extent is replaced by the step
+// size stride_d * ext[d] (capped at the full axis extent).
 func (e *Evaluator) incFootprint(tp *tensorPlan, d int) int64 {
 	fp := int64(1)
 	for ai := range tp.axes {
@@ -1046,97 +1068,83 @@ func (e *Evaluator) incFootprint(tp *tensorPlan, d int) int64 {
 	return fp
 }
 
-// account mirrors Model.account: buffer energy, access-slot counts, and NoC
-// distribution/collection energy for one flow.
+// account adds one flow to the accumulators: pr words read out of the parent
+// toward the child, pw written into it from the child (outputs), psum
+// partial-sum words read back out of it, fills written into the child
+// instances (inputs), drains read out of them (outputs).
 func (e *Evaluator) account(tp *tensorPlan, fl *flowPlan, pr, pw, psum, fills, drains int64) {
 	s := e.s
+	if e.recordFlows {
+		e.flows = append(e.flows, Flow{
+			Tensor: tp.t, Child: fl.child, Parent: fl.parent,
+			ParentReads: pr, ParentWrites: pw, PsumReads: psum,
+			ChildFills: fills, ChildDrains: drains,
+		})
+	}
 	e.acc[fl.pSlot].Reads += pr + psum
 	e.acc[fl.pSlot].Writes += pw
-	e.bd[fl.pComp] += float64(pr+psum)*fl.pReadPJ + float64(pw)*fl.pWritePJ
+	e.add(fl.pComp, float64(pr+psum)*fl.pReadPJ+float64(pw)*fl.pWritePJ)
 
+	// Child side: fills for inputs, drains + psum refills for outputs. The
+	// MAC datapath (child < 0) has none: its operand consumption is part of
+	// MAC energy.
 	if fl.child >= 0 {
 		if tp.output {
 			e.acc[fl.cSlot].Reads += drains
 			e.acc[fl.cSlot].Writes += psum
-			e.bd[fl.cComp] += float64(drains)*fl.cReadPJ + float64(psum)*fl.cWritePJ
+			e.add(fl.cComp, float64(drains)*fl.cReadPJ+float64(psum)*fl.cWritePJ)
 		} else {
 			e.acc[fl.cSlot].Writes += fills
-			e.bd[fl.cComp] += float64(fills) * fl.cWritePJ
+			e.add(fl.cComp, float64(fills)*fl.cWritePJ)
 		}
 	}
 
-	lo := fl.child
-	if lo < 0 {
-		lo = -1
-	}
+	// NoC energy across the spatial levels the flow traverses.
 	if tp.output {
-		vol := float64(pw)
-		volBelow := vol * float64(e.mergeWidth(tp, lo+1, fl.parent))
-		for l := lo + 1; l <= fl.parent; l++ {
+		// Collection: child partials flow up, combined at reducing levels.
+		volBelow := float64(pw) * float64(e.mergeWidth(tp, fl.child+1, fl.parent))
+		for l := fl.child + 1; l <= fl.parent; l++ {
 			if s.fanout[l] <= 1 {
 				continue
 			}
-			rho := e.levelWidth(tp, l)
-			if rho > 1 {
-				e.bd[s.compSR] += volBelow * s.levels[l].spatialReducePJ
+			if rho := e.mergeWidth(tp, l, l); rho > 1 {
+				e.add(s.compSR, volBelow*s.levels[l].spatialReducePJ)
 				volBelow /= float64(rho)
 			}
-			e.bd[s.compNoC] += volBelow * s.levels[l].noCPerWordPJ
+			e.add(s.compNoC, volBelow*s.levels[l].noCPerWordPJ)
 		}
 	} else {
+		// Distribution: parent words flow down, multicast at each level.
 		vol := float64(pr)
-		for l := fl.parent; l > lo; l-- {
+		for l := fl.parent; l > fl.child; l-- {
 			if s.fanout[l] <= 1 {
 				continue
 			}
-			e.bd[s.compNoC] += vol * s.levels[l].noCPerWordPJ
-			vol *= float64(e.levelWidth(tp, l))
-			e.bd[s.compNoC] += vol * s.levels[l].noCTagCheckPJ
+			e.add(s.compNoC, vol*s.levels[l].noCPerWordPJ)
+			vol *= float64(e.mergeWidth(tp, l, l))
+			e.add(s.compNoC, vol*s.levels[l].noCTagCheckPJ)
 		}
 	}
 }
 
-// levelWidth mirrors the legacy levelWidth: level l's non-indexing spatial
-// product for tp.
-func (e *Evaluator) levelWidth(tp *tensorPlan, l int) int64 {
-	w := int64(1)
-	for k := e.spOff[l]; k < e.spOff[l+1]; k++ {
-		if !tp.indexing[e.spIdx[k]] {
-			w *= e.spS[k]
-		}
-	}
-	return w
-}
-
-// cycles mirrors Model.cycles over the accumulated access slots.
-func (e *Evaluator) cycles(macs int64) float64 {
+// cycles is the double-buffered latency: the maximum of compute time and
+// any slot's transfer time (reads and writes serialized per port, parallel
+// instances dividing the traffic).
+func (e *Evaluator) cycles() float64 {
 	s := e.s
-	spatialUsed := 1
-	for l := 0; l < s.nLevels; l++ {
-		spp := 1
-		for k := e.spOff[l]; k < e.spOff[l+1]; k++ {
-			spp *= int(e.spS[k])
-		}
-		spatialUsed *= spp
-	}
-	compute := float64(macs) / float64(spatialUsed)
-	worst := compute
-
-	acc := 1.0
+	// Instances of level l actually active = product of the spatial factors
+	// used above l.
+	acc, spatialUsed := 1.0, 1
 	for l := s.nLevels - 1; l >= 0; l-- {
 		e.inst[l] = acc
-		spp := 1
-		for k := e.spOff[l]; k < e.spOff[l+1]; k++ {
-			spp *= int(e.spS[k])
-		}
+		spp := e.spatialProduct(l)
 		acc *= float64(spp)
+		spatialUsed *= spp
 	}
+	worst := float64(e.macs) / float64(spatialUsed)
 
 	for si := range s.slots {
 		sp := &s.slots[si]
-		if !sp.resolved {
-			continue
-		}
 		var t float64
 		if sp.readBW > 0 {
 			t += float64(e.acc[si].Reads) / (sp.readBW * e.inst[sp.lvl])

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -18,8 +19,8 @@ import (
 // (sometimes partial) loop orders, and an occasional dropped factor. The
 // samples deliberately include invalid mappings — capacity and fanout
 // overflows, uncovered dimensions, reduction dims unrolled across
-// non-reducing levels — because the fast path must agree with Evaluate on
-// those too.
+// non-reducing levels — because the evaluator must agree with the reference
+// model on those too.
 func randomMappingOn(w *tensor.Workload, a *arch.Arch, rng *rand.Rand) *mapping.Mapping {
 	m := mapping.New(w, a)
 	type slot struct {
@@ -57,25 +58,66 @@ func randomMappingOn(w *tensor.Workload, a *arch.Arch, rng *rand.Rand) *mapping.
 	return m
 }
 
-// requireSameScalars asserts bit-for-bit agreement between a full Evaluate
-// report and one fast-path result.
+// requireSameScalars asserts bit-for-bit agreement between a Report and one
+// scalar evaluation.
 func requireSameScalars(t *testing.T, label string, rep Report, edp, en, cy float64, valid bool) {
 	t.Helper()
 	if valid != rep.Valid ||
 		math.Float64bits(edp) != math.Float64bits(rep.EDP) ||
 		math.Float64bits(en) != math.Float64bits(rep.EnergyPJ) ||
 		math.Float64bits(cy) != math.Float64bits(rep.Cycles) {
-		t.Fatalf("%s: fast path (edp=%v en=%v cy=%v valid=%v) != Evaluate (edp=%v en=%v cy=%v valid=%v)",
+		t.Fatalf("%s: (edp=%v en=%v cy=%v valid=%v) != Report (edp=%v en=%v cy=%v valid=%v)",
 			label, edp, en, cy, valid, rep.EDP, rep.EnergyPJ, rep.Cycles, rep.Valid)
 	}
 }
 
-// checkEquivalence runs one mapping through Evaluate, the memoized fast path
-// (twice: miss then hit), and the uncached fast path, requiring identical
-// scalars from all of them.
+// checkEquivalence holds one mapping's evaluation to the reference model
+// (reference_test.go) in everything a Report and Flows expose — validity and
+// its message, MACs, the bits of energy, cycles and EDP, the Breakdown and
+// Accesses key sets and values, every Flow field — and requires the
+// memoized path (twice: miss then hit) and the uncached path to return the
+// Report's scalars. ev must be an Evaluator of model.
 func checkEquivalence(t *testing.T, model Model, ev *Evaluator, m *mapping.Mapping) {
 	t.Helper()
-	rep := model.Evaluate(m)
+	ref := model.referenceEvaluate(m)
+	rep := ev.Report(m)
+	requireSameScalars(t, "reference", rep, ref.EDP, ref.EnergyPJ, ref.Cycles, ref.Valid)
+	if rep.MACs != ref.MACs {
+		t.Fatalf("MACs %d, reference %d", rep.MACs, ref.MACs)
+	}
+	if (m.Validate() == nil) != rep.Valid || fmt.Sprint(rep.Invalid) != fmt.Sprint(ref.Invalid) {
+		t.Fatalf("valid=%v with Invalid=%v; Validate says %v, reference %v", rep.Valid, rep.Invalid, m.Validate(), ref.Invalid)
+	}
+	if len(rep.Breakdown) != len(ref.Breakdown) {
+		t.Fatalf("Breakdown keys %v, reference %v", rep.Breakdown, ref.Breakdown)
+	}
+	for k, want := range ref.Breakdown {
+		if got, ok := rep.Breakdown[k]; !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Breakdown[%s] = %v (present %v), reference %v", k, got, ok, want)
+		}
+	}
+	if len(rep.Accesses) != len(ref.Accesses) {
+		t.Fatalf("Accesses keys %v, reference %v", rep.Accesses, ref.Accesses)
+	}
+	for k, want := range ref.Accesses {
+		if got, ok := rep.Accesses[k]; !ok || got != want {
+			t.Fatalf("Accesses[%s] = %+v (present %v), reference %+v", k, got, ok, want)
+		}
+	}
+	if _, keyed := ev.Key(m); keyed {
+		// Flows needs only representable factors, not a legal mapping.
+		for _, tn := range m.Workload.Tensors {
+			got, want := model.Flows(m, tn), model.referenceFlows(m, tn)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d flows, reference %d", tn.Name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s flow %d = %+v, reference %+v", tn.Name, i, got[i], want[i])
+				}
+			}
+		}
+	}
 	for pass := 0; pass < 2; pass++ {
 		edp, en, cy, valid := ev.EvaluateEDP(m)
 		requireSameScalars(t, "EvaluateEDP", rep, edp, en, cy, valid)
@@ -84,12 +126,14 @@ func checkEquivalence(t *testing.T, model Model, ev *Evaluator, m *mapping.Mappi
 	requireSameScalars(t, "EvaluateEDPUncached", rep, edp, en, cy, valid)
 }
 
-// equivalenceCase is one (workload, arch) pair of the property test.
-func equivalenceCases() []struct {
+// equivalenceCase is one (workload, arch) pair of the property tests.
+type equivalenceCase struct {
 	name string
 	w    *tensor.Workload
 	a    *arch.Arch
-} {
+}
+
+func equivalenceCases() []equivalenceCase {
 	conv1d := tensor.MustNew("conv1d",
 		map[tensor.Dim]int{"K": 16, "C": 8, "P": 24, "R": 3},
 		&tensor.Tensor{Name: arch.Ifmap, Axes: []tensor.Axis{tensor.Win("P", 1, "R", 1), tensor.A("C")}},
@@ -97,11 +141,7 @@ func equivalenceCases() []struct {
 		&tensor.Tensor{Name: arch.Ofmap, Axes: []tensor.Axis{tensor.A("K"), tensor.A("P")}, Output: true},
 	)
 	conv2d := workloads.ResNet18[1].Inference(4)
-	return []struct {
-		name string
-		w    *tensor.Workload
-		a    *arch.Arch
-	}{
+	return []equivalenceCase{
 		{"conv1d/tinyspatial", conv1d, arch.TinySpatial(4096, 1<<18, 8)},
 		{"conv2d/conventional", conv2d, arch.Conventional()},
 		{"conv2d/simba", conv2d, arch.Simba()},
@@ -110,10 +150,10 @@ func equivalenceCases() []struct {
 	}
 }
 
-// TestEvaluateEDPEquivalenceProperty: the fast path reproduces Evaluate
-// bit-for-bit — EDP, EnergyPJ, Cycles, and validity — on randomized valid
-// AND invalid mappings across the Conventional, Simba, and DianNao presets
-// (plus the tiny fixture the other property tests use).
+// TestEvaluateEDPEquivalenceProperty: the evaluator reproduces the reference
+// model bit-for-bit (see checkEquivalence) on randomized valid AND invalid
+// mappings across the Conventional, Simba, and DianNao presets (plus the tiny
+// fixture the other property tests use).
 func TestEvaluateEDPEquivalenceProperty(t *testing.T) {
 	const samples = 120
 	for _, tc := range equivalenceCases() {
@@ -141,7 +181,7 @@ func TestEvaluateEDPEquivalenceProperty(t *testing.T) {
 // TestEvaluateEDPSlidingReuseOff: equivalence holds for non-default model
 // configurations too.
 func TestEvaluateEDPSlidingReuseOff(t *testing.T) {
-	model := Model{SlidingReuse: false}
+	model := Model{NoSlidingReuse: true}
 	tc := equivalenceCases()[0]
 	ev := model.NewSession(tc.w, tc.a).NewEvaluator()
 	rng := rand.New(rand.NewSource(11))
@@ -150,10 +190,61 @@ func TestEvaluateEDPSlidingReuseOff(t *testing.T) {
 	}
 }
 
-// TestEvaluateEDPEdgeCases pins the fast path's off-domain handling: raw
-// factors < 1 (invalid but invisible to the T/S accessors, so uncacheable),
-// stray-dimension spatial factors (fall back to the full model), stray
-// temporal factors and explicit 1-entries (cost-invisible).
+// TestReportMatchesReference crosses what the tests above sample one axis at
+// a time: random valid and invalid mappings on every machine — the presets
+// plus the dual-spatial one of core's TestFlowGolden, the only machine with a
+// fanout at both level 0 and level 1 — under all four models of sliding
+// reuse on/off and the output tensor pinned at the outermost on-chip level
+// or not, each held to the reference model by checkEquivalence.
+func TestReportMatchesReference(t *testing.T) {
+	dual := arch.TinySpatial(64, 4096, 8)
+	dual.Name = "dual-spatial"
+	dual.Levels[0].Fanout = 4
+	cases := equivalenceCases()
+	cases = append(cases, equivalenceCase{"conv1d/dualspatial", cases[0].w, dual})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out string
+			for _, tn := range tc.w.Tensors {
+				if tn.Output {
+					out = tn.Name
+				}
+			}
+			pin := &Residency{Pins: []Pin{{Tensor: out, Level: len(tc.a.Levels) - 2}}}
+			for _, model := range []Model{
+				{}, {NoSlidingReuse: true}, {Resident: pin}, {NoSlidingReuse: true, Resident: pin},
+			} {
+				ev := model.NewSession(tc.w, tc.a).NewEvaluator()
+				rng := rand.New(rand.NewSource(23))
+				// Valid samples are ~1% of the draws on the tighter machines:
+				// draw until both kinds are well represented.
+				const wantValid, wantInvalid = 15, 45
+				valid, invalid := 0, 0
+				for i := 0; i < 8000 && (valid < wantValid || invalid < wantInvalid); i++ {
+					m := randomMappingOn(tc.w, tc.a, rng)
+					count, want := &invalid, wantInvalid
+					if m.Validate() == nil {
+						count, want = &valid, wantValid
+					}
+					if *count == want {
+						continue // enough of this kind already
+					}
+					*count++
+					checkEquivalence(t, model, ev, m)
+				}
+				if valid < wantValid || invalid < wantInvalid {
+					t.Errorf("sampled %d valid and %d invalid mappings, want %d and %d", valid, invalid, wantValid, wantInvalid)
+				}
+			}
+		})
+	}
+}
+
+// TestEvaluateEDPEdgeCases pins the evaluator's handling of factors the T/S
+// view cannot represent: raw factors < 1 and factors > 1 on a dimension
+// outside the workload are invalid (exactly when mapping.Validate says so)
+// and have no Key; explicit 1-entries, on known or unknown dimensions, are
+// invisible.
 func TestEvaluateEDPEdgeCases(t *testing.T) {
 	tc := equivalenceCases()[0]
 	ev := Default.NewSession(tc.w, tc.a).NewEvaluator()
@@ -166,33 +257,53 @@ func TestEvaluateEDPEdgeCases(t *testing.T) {
 			}
 		}
 	}
+	requireRejected := func(label string, m *mapping.Mapping) {
+		t.Helper()
+		checkEquivalence(t, Default, ev, m)
+		if rep := ev.Report(m); rep.Valid || rep.Invalid == nil {
+			t.Errorf("%s: Report valid=%v, Invalid=%v; want rejected with a reason", label, rep.Valid, rep.Invalid)
+		}
+		if _, ok := ev.Key(m); ok {
+			t.Errorf("%s: Key accepted the mapping", label)
+		}
+		if flows := Default.Flows(m, tc.w.Tensors[0]); flows != nil {
+			t.Errorf("%s: Flows returned %d flows", label, len(flows))
+		}
+	}
 
 	zero := base()
 	zero.Levels[0].Temporal["K"] = 0
-	checkEquivalence(t, Default, ev, zero)
-	if _, ok := ev.Key(zero); ok {
-		t.Error("Key accepted a mapping with a raw zero factor")
-	}
+	requireRejected("raw zero factor", zero)
 
 	neg := base()
 	neg.Levels[1].Spatial["C"] = -2
-	checkEquivalence(t, Default, ev, neg)
+	requireRejected("negative factor", neg)
 
 	stray := base()
-	stray.Levels[1].Spatial["Z"] = 2 // undeclared dim: reaches SpatialProduct and multicast widths
-	checkEquivalence(t, Default, ev, stray)
-	if _, ok := ev.Key(stray); ok {
-		t.Error("Key accepted a mapping with a stray spatial factor")
-	}
+	stray.Levels[1].Spatial["Z"] = 2
+	requireRejected("stray spatial factor", stray)
 
 	strayT := base()
-	strayT.Levels[2].Temporal["Z"] = 5 // undeclared temporal dim: cost-invisible
-	checkEquivalence(t, Default, ev, strayT)
+	strayT.Levels[2].Temporal["Z"] = 5
+	requireRejected("stray temporal factor", strayT)
 
 	ones := base()
-	ones.Levels[0].Temporal["R"] = 1
-	ones.Levels[1].Spatial["K"] = 1
+	want, _ := ev.Key(ones)
+	if ones.Levels[0].T("R") == 1 {
+		ones.Levels[0].Temporal["R"] = 1
+	}
+	if ones.Levels[1].S("K") == 1 {
+		ones.Levels[1].Spatial["K"] = 1
+	}
+	ones.Levels[1].Spatial["Z"] = 1
+	ones.Levels[2].Temporal["Z"] = 1
 	checkEquivalence(t, Default, ev, ones)
+	if got, ok := ev.Key(ones); !ok || got != want {
+		t.Errorf("explicit 1-factors changed the Key: %v (ok=%v), want %v", got, ok, want)
+	}
+	if rep := ev.Report(ones); !rep.Valid {
+		t.Errorf("explicit 1-factors made the mapping invalid: %v", rep.Invalid)
+	}
 }
 
 // TestMappingKeyCanonicalization: equal-content mappings share a Key, the

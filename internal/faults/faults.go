@@ -37,8 +37,8 @@ const (
 	// error and panic kinds surface as a panicking expansion (expansion has
 	// no error channel).
 	SiteExpand Site = "expand"
-	// SiteEvaluate fires at the start of every cost evaluation, fast path
-	// and full model alike; error and panic kinds panic (contained by the
+	// SiteEvaluate fires at the start of every cost evaluation, scalar or
+	// Report, memoized or not; error and panic kinds panic (contained by the
 	// search's per-candidate isolation).
 	SiteEvaluate Site = "evaluate"
 	// SiteCacheGet fires on evaluation-memo cache hits. Corrupt-kind

@@ -173,7 +173,9 @@ func (m *Mapping) FootprintBits(t *tensor.Tensor, lvl int) int64 {
 //     dMazeRunner);
 //  3. fanout: the spatial factor product at each level fits its fanout;
 //  4. spatial reduction: reduction dimensions are unrolled only across
-//     levels that support combining partial sums.
+//     levels that support combining partial sums;
+//  5. factors: every factor is positive, and only workload dimensions carry
+//     a factor above 1.
 func (m *Mapping) Validate() error {
 	for _, d := range m.Workload.Order {
 		if m.Coverage(d) < m.Workload.Dims[d] {
@@ -213,15 +215,30 @@ func (m *Mapping) Validate() error {
 				}
 			}
 		}
-		for d, n := range lm.Temporal {
-			if n < 1 {
-				return fmt.Errorf("level %s: non-positive temporal factor %d for %s", al.Name, n, d)
-			}
+		if err := m.checkFactors(al.Name, "temporal", lm.Temporal); err != nil {
+			return err
 		}
-		for d, n := range lm.Spatial {
-			if n < 1 {
-				return fmt.Errorf("level %s: non-positive spatial factor %d for %s", al.Name, n, d)
-			}
+		if err := m.checkFactors(al.Name, "spatial", lm.Spatial); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkFactors rejects what the T/S accessors hide: a factor below 1, and a
+// factor above 1 on a dimension the workload does not declare (a factor of 1
+// there is legal and invisible).
+func (m *Mapping) checkFactors(level, kind string, factors map[tensor.Dim]int) error {
+	for d, n := range factors {
+		if n < 1 {
+			return fmt.Errorf("level %s: non-positive %s factor %d for %s", level, kind, n, d)
+		}
+		if n == 1 {
+			continue
+		}
+		if _, declared := m.Workload.Dims[d]; !declared {
+			return fmt.Errorf("level %s: %s factor %d for %s: workload %q has no such dimension",
+				level, kind, n, d, m.Workload.Name)
 		}
 	}
 	return nil

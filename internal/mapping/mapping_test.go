@@ -131,6 +131,32 @@ func TestValidateNonPositiveFactors(t *testing.T) {
 	}
 }
 
+// TestValidateStrayDimension: a factor above 1 on a dimension the workload
+// does not declare is rejected — the spatial one would claim fanout and widen
+// multicasts for a loop that does not exist — while a factor of 1 there is
+// legal and invisible.
+func TestValidateStrayDimension(t *testing.T) {
+	for kind, factors := range map[string]func(*LevelMapping) map[tensor.Dim]int{
+		"temporal": func(lm *LevelMapping) map[tensor.Dim]int { return lm.Temporal },
+		"spatial":  func(lm *LevelMapping) map[tensor.Dim]int { return lm.Spatial },
+	} {
+		w := conv1D(t, 8, 8, 16, 3)
+		m := New(w, arch.TinySpatial(64, 4096, 4)) // level 1 has fanout for the stray unroll
+		for d, n := range w.Dims {
+			m.Levels[2].Temporal[d] = n
+		}
+		factors(&m.Levels[1])["Z"] = 1
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s factor 1 on an undeclared dimension: %v", kind, err)
+		}
+		factors(&m.Levels[1])["Z"] = 2
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), "no such dimension") || !strings.Contains(err.Error(), kind) {
+			t.Errorf("%s factor 2 on an undeclared dimension: got %v", kind, err)
+		}
+	}
+}
+
 func TestEffectiveOrder(t *testing.T) {
 	m := paperMapping(t, 4096)
 	order := m.EffectiveOrder(1)

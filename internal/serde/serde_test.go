@@ -163,6 +163,23 @@ func TestDecodeArchRejectsInvalid(t *testing.T) {
 	if _, err := DecodeArch([]byte(`garbage`)); err == nil {
 		t.Error("bad JSON should fail")
 	}
+	// Names that collide or cannot be resolved in a cost report's
+	// "level/buffer/tensor" keys.
+	for name, rename := range map[string]func(*arch.Arch){
+		"duplicate level name": func(a *arch.Arch) { a.Levels[0].Name = a.Levels[1].Name },
+		"slash in level name":  func(a *arch.Arch) { a.Levels[0].Name = "pe/l1" },
+		"slash in buffer name": func(a *arch.Arch) { a.Levels[0].Buffers[0].Name = "w/buf" },
+	} {
+		a := arch.Tiny(256)
+		rename(a)
+		data, err := EncodeArch(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeArch(data); err == nil {
+			t.Errorf("%s: DecodeArch accepted it", name)
+		}
+	}
 }
 
 func TestDecodeMappingRejects(t *testing.T) {

@@ -257,11 +257,7 @@ func (s *Server) promoteCheckpoint(j *job, res core.Result, err error) (core.Res
 		if derr != nil {
 			return false
 		}
-		model := j.opt.Model
-		if model == (cost.Model{}) {
-			model = cost.Default
-		}
-		rep = model.Evaluate(mm)
+		rep = j.opt.Model.Evaluate(mm)
 		if !rep.Valid {
 			return false
 		}

@@ -35,11 +35,11 @@ func DefaultRetryPolicy() RetryPolicy { return core.DefaultRetryPolicy() }
 // fail: bounded primary retries with budget backoff, then pol's fallback-
 // mapper chain (ending, by default, in the guaranteed-feasible innermost-fit
 // construction), with every accepted result passing a final mapping audit —
-// structural validation, a full cost-model evaluation, and a bit-exact
-// fast-path cross-check. Attempts are recorded in Result.Attempts;
-// Result.FallbackUsed names the fallback that produced the mapping (""
-// means the primary search). The error is non-nil only when every attempt
-// failed. It runs on a transient Engine; hold an Engine to reuse compiled
+// structural validation, an uncached cost-model evaluation, and a bit-exact
+// cross-check of the memoized one against it. Attempts are recorded in
+// Result.Attempts; Result.FallbackUsed names the fallback that produced the
+// mapping ("" means the primary search). The error is non-nil only when
+// every attempt failed. It runs on a transient Engine; hold an Engine to reuse compiled
 // artifacts across calls.
 func OptimizeResilient(ctx context.Context, w *Workload, a *Arch, opt Options, pol RetryPolicy) (Result, error) {
 	return NewEngine().OptimizeResilient(ctx, w, a, opt, pol)
