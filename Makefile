@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: check vet fmt-check guard build test race fuzz fuzz-smoke bench bench-smoke trace-smoke chaos-smoke server-smoke crash-smoke parallel-smoke seed-smoke fuse-smoke loc
 
 # check is the full pre-commit gate: static analysis, formatting, the
-# unified-stepper guard, build, the whole test suite, the race detector over
+# unified-stepper and one-way-in API guards, build, the whole test suite, the race detector over
 # the concurrent search paths, a thread-count parity smoke of the parallel
 # beam expansion, an EDP-parity smoke of the analytical seeding layer, a
 # fused-vs-unfused smoke of the fusion-aware network scheduler, a telemetry
@@ -22,10 +22,14 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# guard enforces that the direction-specific entry points stay merged: no
-# code outside the unified level sequencer may call bottomUp/topDown.
+# guard enforces that what was merged stays merged: no code outside the
+# unified level sequencer may call bottomUp/topDown, and no non-test file
+# outside bench/ may declare one of the deleted solve/schedule wrappers
+# (Optimize*, SolveContext, ScheduleNetworkContext/IR) or a second retry
+# carrier (a struct field named Resilience) next to Options.Retry.
 guard:
 	./scripts/guard-stepper.sh
+	./scripts/guard-api.sh
 
 build:
 	$(GO) build ./...

@@ -138,7 +138,7 @@ func BenchmarkOptimizeConvConventional(b *testing.B) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sunstone.Optimize(w, a, sunstone.Options{Threads: threads}); err != nil {
+				if _, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{Threads: threads}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -158,7 +158,7 @@ func BenchmarkOptimizeConvConventionalTelemetry(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := sunstone.WithTrace(context.Background(), sunstone.NewTrace())
-		if _, err := sunstone.OptimizeContext(ctx, w, a, opt); err != nil {
+		if _, err := sunstone.Solve(ctx, sunstone.Problem{Workload: w, Arch: a}, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func BenchmarkOptimizeConvSimba(b *testing.B) {
 	b.ResetTimer()
 	var hits, misses uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sunstone.Optimize(w, a, sunstone.Options{})
+		res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func BenchmarkAnalyticalLayer(b *testing.B) {
 			var edp float64
 			for i := 0; i < b.N; i++ {
 				an := arm.an
-				res, err := sunstone.Optimize(w, a, sunstone.Options{Analytical: &an})
+				res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{Analytical: &an})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -242,7 +242,7 @@ func BenchmarkNetworkFused(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			var edp float64
 			for i := 0; i < b.N; i++ {
-				sched, err := sunstone.ScheduleNetworkFused(context.Background(), net, a, opt,
+				sched, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net, a, opt,
 					sunstone.FusionOptions{MaxGroup: arm.maxGroup})
 				if err != nil {
 					b.Fatal(err)
@@ -260,7 +260,7 @@ func BenchmarkOptimizeMTTKRP(b *testing.B) {
 	a := sunstone.Conventional()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sunstone.Optimize(w, a, sunstone.Options{}); err != nil {
+		if _, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func BenchmarkOptimizeMTTKRP(b *testing.B) {
 func BenchmarkEvaluateMapping(b *testing.B) {
 	w := sunstone.ResNet18Layers[1].Inference(16)
 	a := sunstone.Conventional()
-	res, err := sunstone.Optimize(w, a, sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func BenchmarkEvaluateMapping(b *testing.B) {
 func BenchmarkEvaluateEDP(b *testing.B) {
 	w := sunstone.ResNet18Layers[1].Inference(16)
 	a := sunstone.Conventional()
-	res, err := sunstone.Optimize(w, a, sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func BenchmarkEvaluateEDP(b *testing.B) {
 func BenchmarkEvaluateEDPUncached(b *testing.B) {
 	w := sunstone.ResNet18Layers[1].Inference(16)
 	a := sunstone.Conventional()
-	res, err := sunstone.Optimize(w, a, sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -339,19 +339,19 @@ func BenchmarkEngineReuse(b *testing.B) {
 	a := sunstone.Conventional()
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sunstone.NewEngine().Optimize(w, a, sunstone.Options{}); err != nil {
+			if _, err := sunstone.NewEngine().Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		eng := sunstone.NewEngine()
-		if _, err := eng.Optimize(w, a, sunstone.Options{}); err != nil {
+		if _, err := eng.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Optimize(w, a, sunstone.Options{}); err != nil {
+			if _, err := eng.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -422,7 +422,7 @@ func BenchmarkUnrollEnumerate(b *testing.B) {
 func BenchmarkDianNaoCompileSimulate(b *testing.B) {
 	w := sunstone.ResNet18Layers[1].Inference(1)
 	a := sunstone.DianNao()
-	res, err := sunstone.Optimize(w, a, sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func ablate(b *testing.B, opt sunstone.Options) {
 	w := sunstone.ResNet18Layers[1].Inference(16)
 	a := sunstone.Conventional()
 	for i := 0; i < b.N; i++ {
-		res, err := sunstone.Optimize(w, a, opt)
+		res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

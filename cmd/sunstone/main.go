@@ -22,6 +22,8 @@ import (
 	"strings"
 
 	"sunstone"
+	"sunstone/internal/arch"
+	"sunstone/internal/core"
 	"sunstone/internal/faults"
 	"sunstone/internal/profiling"
 )
@@ -60,15 +62,14 @@ var (
 	traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev) of the search's phases to this file")
 	progress  = flag.Bool("progress", false, "stream live search progress (phases, incumbent improvements) to stderr")
 	baseList  = flag.String("baselines", "timeloop-fast,dmaze-fast,interstellar,cosa", "with -compare: comma-separated baseline registry names, or 'all'")
-	retries   = flag.Int("retries", 0, "enable the resilient search path with this many primary retries at backed-off budgets (0 = plain single-attempt search unless -fallback is set)")
+	retries   = flag.Int("retries", 0, "set Options.Retry with this many primary retries at backed-off budgets (0 = plain single-attempt search unless -fallback is set)")
 	fallback  = flag.String("fallback", "", "with the resilient path: comma-separated fallback mapper chain tried after the primary retries (empty = default chain, 'none' = retries only); enables resilience when set")
 	faultSpec = flag.String("fault-spec", "", "arm deterministic fault injection, e.g. 'evaluate:panic:0.3', 'compile:error:0.1,seed=42', or 'all:mixed:0.3' (chaos testing; pair with -retries)")
 )
 
-// resiliencePolicy translates -retries/-fallback into the RetryPolicy for the
-// graceful-degradation path; nil means the flags were not used and searches
-// take the legacy single-attempt path.
-func resiliencePolicy() *sunstone.RetryPolicy {
+// retryPolicy translates -retries/-fallback into Options.Retry; nil means the
+// flags were not used and every search is a single attempt.
+func retryPolicy() *sunstone.RetryPolicy {
 	if *retries <= 0 && *fallback == "" {
 		return nil
 	}
@@ -164,6 +165,26 @@ func progressTicker() sunstone.ProgressFunc {
 	}
 }
 
+// searchOptions translates the search flags into the Options every search of
+// the invocation runs under — the single-workload search and each layer of
+// -all-layers alike.
+func searchOptions() (sunstone.Options, error) {
+	obj, err := core.ParseObjective(*objective)
+	if err != nil {
+		return sunstone.Options{}, err
+	}
+	opt := sunstone.Options{
+		Objective: obj, BeamWidth: *beam, Threads: *threads, Timeout: *timeout,
+		Progress:   progressTicker(),
+		Analytical: &sunstone.AnalyticalOptions{Seed: *seedOn, Bounds: *boundsOn},
+		Retry:      retryPolicy(),
+	}
+	if *topDown {
+		opt.Direction = sunstone.TopDown
+	}
+	return opt, nil
+}
+
 // pickBaselines resolves the -baselines list against the registry; the
 // mappers come from eng.Baselines, so tools that support session injection
 // share the cost sessions already compiled for the main search.
@@ -205,22 +226,16 @@ func main() {
 	// scheduling, and the -compare baselines all share its compiled
 	// per-problem artifacts.
 	eng := sunstone.NewEngine()
-	var a *sunstone.Arch
-	var err error
-	if *afile != "" {
-		data, rerr := os.ReadFile(*afile)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		a, err = sunstone.DecodeArch(data)
-	} else {
-		a, err = pickArch(*archName)
+	a, err := pickArch(*archName, *afile)
+	if err != nil {
+		fatal(err)
 	}
+	opt, err := searchOptions()
 	if err != nil {
 		fatal(err)
 	}
 	if *allLayers {
-		runAllLayers(eng)
+		runAllLayers(eng, a, opt)
 		return
 	}
 	var w *sunstone.Workload
@@ -244,32 +259,8 @@ func main() {
 		fatal(err)
 	}
 
-	opt := sunstone.Options{
-		BeamWidth: *beam, Threads: *threads, Timeout: *timeout, Progress: progressTicker(),
-		Analytical: &sunstone.AnalyticalOptions{Seed: *seedOn, Bounds: *boundsOn},
-	}
-	if *topDown {
-		opt.Direction = sunstone.TopDown
-	}
-	switch *objective {
-	case "edp":
-		opt.Objective = sunstone.MinEDP
-	case "energy":
-		opt.Objective = sunstone.MinEnergy
-	case "delay":
-		opt.Objective = sunstone.MinDelay
-	case "ed2p":
-		opt.Objective = sunstone.MinED2P
-	default:
-		fatal(fmt.Errorf("unknown objective %q", *objective))
-	}
 	ctx, flushTrace := searchContext()
-	var res sunstone.Result
-	if pol := resiliencePolicy(); pol != nil {
-		res, err = eng.OptimizeResilient(ctx, w, a, opt, *pol)
-	} else {
-		res, err = eng.OptimizeContext(ctx, w, a, opt)
-	}
+	res, err := eng.Solve(ctx, sunstone.Problem{Workload: w, Arch: a}, opt)
 	if err != nil {
 		fatal(err)
 	}
@@ -364,53 +355,32 @@ func main() {
 
 // runAllLayers schedules the whole -net table through eng and prints network
 // totals; repeated shapes compile their problem artifacts once.
-func runAllLayers(eng *sunstone.Engine) {
-	a, err := pickArch(*archName)
-	if err != nil {
-		fatal(err)
-	}
-	var table []sunstone.ConvShape
-	var repeats []int
+func runAllLayers(eng *sunstone.Engine, a *sunstone.Arch, opt sunstone.Options) {
 	var irNet *sunstone.Network
-	switch *net {
-	case "resnet18":
-		table, repeats = sunstone.ResNet18Layers, sunstone.ResNet18Repeats()
-	case "inception":
-		table = sunstone.InceptionV3Layers
-	case "alexnet":
-		table = sunstone.AlexNetLayers
-	case "vgg16":
-		table = sunstone.VGG16Layers
-	case "transformer":
+	var err error
+	if *net == "transformer" {
 		// The GEMM-chain preset is IR-native (no ConvShape table); -batch
 		// does not apply — the chain is one transformer block's projections.
 		irNet = sunstone.TransformerChain(512, 512, 2048)
-	default:
-		fatal(fmt.Errorf("-all-layers needs -net resnet18|inception|alexnet|vgg16|transformer"))
+	} else {
+		table, repeats, ok := layerTable(*net)
+		if !ok {
+			fatal(fmt.Errorf("-all-layers needs -net resnet18|inception|alexnet|vgg16|transformer"))
+		}
+		if irNet, err = sunstone.FromConvShapes(*net, table, *batch, repeats); err != nil {
+			fatal(err)
+		}
 	}
-	nopt := sunstone.NetworkOptions{
-		Options: sunstone.Options{
-			Threads: *threads, Timeout: *timeout, Progress: progressTicker(),
-			Analytical: &sunstone.AnalyticalOptions{Seed: *seedOn, Bounds: *boundsOn},
-		},
-		ContinueOnError: *contErr,
-		Resilience:      resiliencePolicy(),
-	}
+	nopt := sunstone.NetworkOptions{Options: opt, ContinueOnError: *contErr}
 	ctx, flushTrace := searchContext()
 	var sched sunstone.NetworkSchedule
-	switch {
-	case *fuse:
-		if irNet == nil {
-			irNet, err = sunstone.FromConvShapes(*net, table, *batch, repeats)
-			if err != nil {
-				fatal(err)
-			}
+	if *fuse {
+		if opt.Objective != sunstone.MinEDP {
+			fatal(core.ErrFusionObjective)
 		}
 		sched, err = eng.ScheduleNetworkFused(ctx, irNet, a, nopt, sunstone.FusionOptions{MaxGroup: *maxGroup})
-	case irNet != nil:
-		sched, err = eng.ScheduleNetworkIR(ctx, irNet, a, nopt)
-	default:
-		sched, err = eng.ScheduleNetworkContext(ctx, *net, table, *batch, repeats, a, nopt)
+	} else {
+		sched, err = eng.ScheduleNetwork(ctx, irNet, a, nopt)
 	}
 	fmt.Printf("%-12s %-3s %-12s %-12s %s\n", "layer", "x", "EDP", "energy pJ", "cycles")
 	for _, l := range sched.Layers {
@@ -455,18 +425,33 @@ func runAllLayers(eng *sunstone.Engine) {
 	}
 }
 
-func pickArch(name string) (*sunstone.Arch, error) {
-	switch name {
-	case "conventional":
-		return sunstone.Conventional(), nil
-	case "simba":
-		return sunstone.Simba(), nil
-	case "diannao":
-		return sunstone.DianNao(), nil
-	case "tiny":
-		return sunstone.Tiny(256), nil
+// pickArch resolves the architecture: the -arch-file document when given,
+// the -arch preset otherwise.
+func pickArch(name, file string) (*sunstone.Arch, error) {
+	if file == "" {
+		return arch.Preset(name)
 	}
-	return nil, fmt.Errorf("unknown arch %q", name)
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	return sunstone.DecodeArch(data)
+}
+
+// layerTable resolves a -net conv layer table and its per-shape repeat counts
+// (nil = once each).
+func layerTable(name string) (table []sunstone.ConvShape, repeats []int, ok bool) {
+	switch name {
+	case "resnet18":
+		return sunstone.ResNet18Layers, sunstone.ResNet18Repeats(), true
+	case "inception":
+		return sunstone.InceptionV3Layers, nil, true
+	case "alexnet":
+		return sunstone.AlexNetLayers, nil, true
+	case "vgg16":
+		return sunstone.VGG16Layers, nil, true
+	}
+	return nil, nil, false
 }
 
 func pickWorkload() (*sunstone.Workload, error) {
@@ -534,17 +519,8 @@ func pickTensorDataset(name string) (tdataset, error) {
 }
 
 func pickLayer() (*sunstone.Workload, error) {
-	var table []sunstone.ConvShape
-	switch *net {
-	case "resnet18":
-		table = sunstone.ResNet18Layers
-	case "inception":
-		table = sunstone.InceptionV3Layers
-	case "alexnet":
-		table = sunstone.AlexNetLayers
-	case "vgg16":
-		table = sunstone.VGG16Layers
-	default:
+	table, _, ok := layerTable(*net)
+	if !ok {
 		return nil, fmt.Errorf("unknown net %q", *net)
 	}
 	if *layer == "" {

@@ -12,15 +12,15 @@ import (
 // expensive per-(workload, architecture, cost model) compilation artifacts —
 // the pruned ordering trie, the factor/divisor ladder tables, the fit-check
 // capacity skeleton, and the fast-path cost session with its search-wide
-// evaluation memo — across calls. The first Optimize for a problem shape
+// evaluation memo — across calls. The first Solve for a problem shape
 // compiles it; every later call on the same shape (same Engine) reuses the
 // compiled artifacts and the warmed evaluation cache, which is the common
 // case when scheduling a network whose layers repeat or when sweeping options
 // over one layer.
 //
-// The zero-cost alternative remains: the package-level Optimize builds the
-// same artifacts per call. An Engine never changes *what* is found — results
-// are identical to the per-call path, only faster when shapes repeat.
+// The package-level Solve is this same method on an Engine it throws away.
+// An Engine never changes *what* is found — results are identical cold or
+// warm, only faster when shapes repeat.
 //
 // Engines are safe for concurrent use; calls from many goroutines share one
 // bounded (LRU-evicted) compilation cache. Searches with Options.Model.Probe
@@ -45,32 +45,18 @@ type EngineStats = core.EngineStats
 func (e *Engine) Stats() EngineStats { return e.core.Stats() }
 
 // Solve runs the Sunstone optimizer on a Problem under ctx through the
-// Engine's compilation cache, with the same anytime contract as the
-// package-level SolveContext. This is the canonical Engine entry point;
-// the cache key is derived from the Problem's content (workload, arch,
-// cost model), never from pointer identity.
+// Engine's compilation cache, as an anytime algorithm (see the package
+// comment). The cache key is derived from the Problem's content (workload,
+// arch, cost model), never from pointer identity. With Options.Retry set it
+// is hardened for environments where searches can fail: bounded retries at
+// backed-off budgets, then the policy's fallback-mapper chain (ending, by
+// default, in the guaranteed-feasible innermost-fit construction), with
+// every accepted result passing a final mapping audit. Attempts are recorded
+// in Result.Attempts; Result.FallbackUsed names the fallback that produced
+// the mapping ("" means the primary search), and the error is non-nil only
+// when every attempt failed.
 func (e *Engine) Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	return e.core.Solve(ctx, p, opt)
-}
-
-// Optimize runs the Sunstone optimizer through the Engine's compilation
-// cache. It is OptimizeContext with a background context; Options.Timeout
-// still bounds the wall-clock.
-//
-// Deprecated-style note: Engine.Solve with a Problem is the canonical entry
-// point; this wrapper remains for positional-argument callers.
-func (e *Engine) Optimize(w *Workload, a *Arch, opt Options) (Result, error) {
-	return e.core.Optimize(w, a, opt)
-}
-
-// OptimizeContext runs the Sunstone optimizer under ctx through the Engine's
-// compilation cache, with the same anytime contract as the package-level
-// OptimizeContext.
-//
-// Deprecated-style note: Engine.Solve with a Problem is the canonical entry
-// point; this wrapper remains for positional-argument callers.
-func (e *Engine) OptimizeContext(ctx context.Context, w *Workload, a *Arch, opt Options) (Result, error) {
-	return e.core.OptimizeContext(ctx, w, a, opt)
 }
 
 // Baselines returns the same ordered prior-art registry as the package-level

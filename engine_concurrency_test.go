@@ -1,6 +1,7 @@
 package sunstone_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			for c := 0; c < callsPerGoroutine; c++ {
 				w := shapes[(g+c)%len(shapes)]
-				res, err := eng.Optimize(w, a, sunstone.Options{})
+				res, err := eng.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 				if err != nil {
 					t.Errorf("goroutine %d call %d (%s): %v", g, c, w.Name, err)
 					return
@@ -79,9 +80,11 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 // recompiling per layer.
 func TestEngineScheduleNetwork(t *testing.T) {
 	eng := sunstone.NewEngine()
-	shapes := sunstone.ResNet18Layers[:2]
-	sched, err := eng.ScheduleNetwork("head", shapes, 1, []int{1, 2},
-		sunstone.Conventional(), sunstone.Options{})
+	net, err := sunstone.FromConvShapes("head", sunstone.ResNet18Layers[:2], 1, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := eng.ScheduleNetwork(context.Background(), net, sunstone.Conventional(), sunstone.NetworkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +102,7 @@ func TestEngineScheduleNetwork(t *testing.T) {
 	}
 
 	// Rescheduling the same network on the same Engine is fully warm.
-	if _, err := eng.ScheduleNetwork("head", shapes, 1, []int{1, 2},
-		sunstone.Conventional(), sunstone.Options{}); err != nil {
+	if _, err := eng.ScheduleNetwork(context.Background(), net, sunstone.Conventional(), sunstone.NetworkOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if s2 := eng.Stats(); s2.Compiles != s.Compiles {

@@ -1,6 +1,7 @@
 package sunstone_test
 
 import (
+	"context"
 	"fmt"
 
 	"sunstone"
@@ -29,19 +30,19 @@ func ExampleDefaultOptions() {
 // shapes compile once and later searches reuse the warm tables and memoized
 // expansions (cold ~90ms vs warm ~9ms for a ResNet-18 conv layer on the
 // conventional preset — see BenchmarkEngineReuse). Results are identical to
-// the package-level Optimize; only the speed differs.
+// the package-level Solve; only the speed differs.
 func ExampleNewEngine() {
 	eng := sunstone.NewEngine() // goroutine-safe; share one per process
 
 	w := sunstone.Conv1D("layer", 4, 4, 14, 3)
 	a := sunstone.Tiny(64)
-	cold, err := eng.Optimize(w, a, sunstone.Options{})
+	cold, err := eng.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	// Same shape again — served from the compilation cache.
-	warm, err := eng.Optimize(w, a, sunstone.Options{})
+	warm, err := eng.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

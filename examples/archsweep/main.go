@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,7 +32,7 @@ func main() {
 	for _, pes := range []int{16, 64, 256, 1024} {
 		for _, l1Words := range []int{128, 256, 512, 1024} {
 			a := sunstone.TinySpatial(l1Words, 1<<20, pes)
-			res, err := sunstone.Optimize(w, a, sunstone.Options{})
+			res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{})
 			if err != nil {
 				log.Fatalf("pes=%d l1=%d: %v", pes, l1Words, err)
 			}

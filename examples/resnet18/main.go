@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -20,8 +21,11 @@ func main() {
 	fmt.Println(a)
 	fmt.Println()
 
-	sched, err := sunstone.ScheduleNetwork("resnet18", sunstone.ResNet18Layers, 16,
-		sunstone.ResNet18Repeats(), a, sunstone.Options{})
+	net, err := sunstone.FromConvShapes("resnet18", sunstone.ResNet18Layers, 16, sunstone.ResNet18Repeats())
+	if err != nil {
+		log.Fatal(err)
+	}
+	sched, err := sunstone.NewEngine().ScheduleNetwork(context.Background(), net, a, sunstone.NetworkOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,11 @@
 package arch
 
-import "sunstone/internal/energy"
+import (
+	"fmt"
+	"strings"
+
+	"sunstone/internal/energy"
+)
 
 // Tensor role names used by the convolution workloads and the Simba /
 // DianNao per-datatype buffers. Generic tensor workloads (MTTKRP, TTMc, ...)
@@ -306,6 +311,23 @@ func TinySpatial(l1Words, l2Words, pes int) *Arch {
 	}
 	mustValidate(a)
 	return a
+}
+
+// Preset resolves an architecture preset by the name flags and job
+// submissions use, case-insensitively: conventional (also ""), simba,
+// diannao, or tiny (a 256-word L1).
+func Preset(name string) (*Arch, error) {
+	switch strings.ToLower(name) {
+	case "", "conventional":
+		return Conventional(), nil
+	case "simba":
+		return Simba(), nil
+	case "diannao":
+		return DianNao(), nil
+	case "tiny":
+		return Tiny(256), nil
+	}
+	return nil, fmt.Errorf("unknown arch preset %q (conventional|simba|diannao|tiny)", name)
 }
 
 func mustValidate(a *Arch) {

@@ -1,6 +1,7 @@
 package marvel
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestDecouplingCostsQuality(t *testing.T) {
 	if !mv.Valid {
 		t.Fatalf("marvel invalid: %s", mv.InvalidReason)
 	}
-	sun, err := core.Optimize(w, a, core.Options{})
+	sun, err := core.Solve(context.Background(), core.Problem{Workload: w, Arch: a}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sunstone/internal/arch"
@@ -12,12 +13,12 @@ import (
 func TestAnalyticalOffDeterministic(t *testing.T) {
 	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
 	opt := Options{Analytical: &AnalyticalOptions{}}
-	first, err := Optimize(w, arch.Simba(), opt)
+	first, err := solve(w, arch.Simba(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		res, err := Optimize(w, arch.Simba(), opt)
+		res, err := solve(w, arch.Simba(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,11 +36,11 @@ func TestAnalyticalOffDeterministic(t *testing.T) {
 // fewer candidates — the PR's acceptance bar.
 func TestAnalyticalOnEqualOrBetter(t *testing.T) {
 	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
-	off, err := Optimize(w, arch.Simba(), Options{Analytical: &AnalyticalOptions{}})
+	off, err := solve(w, arch.Simba(), Options{Analytical: &AnalyticalOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := Optimize(w, arch.Simba(), Options{})
+	on, err := solve(w, arch.Simba(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestAnalyticalDefaultsOn(t *testing.T) {
 		t.Fatalf("DefaultOptions.Analytical = %+v, want both toggles on", def.Analytical)
 	}
 	w := conv1D(t, 16, 16, 28, 3)
-	res, err := Optimize(w, arch.Tiny(256), Options{})
+	res, err := solve(w, arch.Tiny(256), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +90,11 @@ func TestAnalyticalSeedEDPParity(t *testing.T) {
 		{"diannao", arch.DianNao},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			off, err := Optimize(w, tc.a(), Options{Analytical: &AnalyticalOptions{}})
+			off, err := solve(w, tc.a(), Options{Analytical: &AnalyticalOptions{}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := Optimize(w, tc.a(), Options{})
+			on, err := solve(w, tc.a(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,45 +105,21 @@ func TestAnalyticalSeedEDPParity(t *testing.T) {
 	}
 }
 
-// TestSolveProblemAPI: the Problem-based entry points agree with the
-// positional wrappers, and Problem.Model overrides Options.Model.
+// TestSolveProblemAPI: the Engine's cache is keyed by Problem content, not
+// identity, and an empty Problem fails validation.
 func TestSolveProblemAPI(t *testing.T) {
 	w := conv1D(t, 16, 16, 28, 3)
 	a := arch.Tiny(256)
-	viaSolve, err := Solve(Problem{Workload: w, Arch: a}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaOptimize, err := Optimize(w, a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaSolve.Report.EDP != viaOptimize.Report.EDP ||
-		viaSolve.Mapping.String() != viaOptimize.Mapping.String() {
-		t.Fatalf("Solve and Optimize disagree: %g vs %g", viaSolve.Report.EDP, viaOptimize.Report.EDP)
-	}
-
 	eng := NewEngine(0)
-	viaEngine, err := eng.Solve(t.Context(), Problem{Workload: w, Arch: a}, Options{})
-	if err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := eng.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if viaEngine.Report.EDP != viaSolve.Report.EDP {
-		t.Fatalf("Engine.Solve diverged: %g vs %g", viaEngine.Report.EDP, viaSolve.Report.EDP)
+	if st := eng.Stats(); st.Compiles != 1 || st.Hits != 1 {
+		t.Errorf("two solves of one Problem content: %d compiles, %d hits, want 1 and 1", st.Compiles, st.Hits)
 	}
-	if st := eng.Stats(); st.Compiles != 1 {
-		t.Errorf("engine compiled %d problems, want 1", st.Compiles)
-	}
-
-	// A second Solve on the same Problem content must hit the cache.
-	if _, err := eng.Solve(t.Context(), Problem{Workload: w, Arch: a}, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Stats(); st.Hits == 0 {
-		t.Error("content-addressed cache never hit on a repeated Problem")
-	}
-
-	if _, err := Solve(Problem{}, Options{}); err == nil {
+	if _, err := Solve(context.Background(), Problem{}, Options{}); err == nil {
 		t.Error("empty Problem must fail validation")
 	}
 }

@@ -54,10 +54,10 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("Validate rejected valid options %+v: %v", opt, err)
 		}
 	}
-	// Invalid options must surface through Optimize, not just Validate.
+	// Invalid options must surface through Solve, not just Validate.
 	w := conv1D(t, 4, 4, 8, 3)
-	if _, err := Optimize(w, arch.Tiny(256), Options{BeamWidth: -1}); err == nil {
-		t.Error("Optimize accepted invalid options")
+	if _, err := solve(w, arch.Tiny(256), Options{BeamWidth: -1}); err == nil {
+		t.Error("Solve accepted invalid options")
 	}
 }
 
@@ -97,7 +97,7 @@ func TestOptimizeContextPreCanceled(t *testing.T) {
 	cancel()
 	w := conv1D(t, 8, 8, 28, 3)
 	start := time.Now()
-	res, err := OptimizeContext(ctx, w, arch.Tiny(256), Options{})
+	res, err := Solve(ctx, Problem{Workload: w, Arch: arch.Tiny(256)}, Options{})
 	if el := time.Since(start); el > 100*time.Millisecond {
 		t.Errorf("pre-canceled search took %v, want ~immediate", el)
 	}
@@ -109,7 +109,7 @@ func TestOptimizeTimeoutDeadline(t *testing.T) {
 	// 40 ms on a 2.6 GHz core since the dense expansion rewrite).
 	w := conv2D(t, 32, 512, 384, 112, 112, 5, 5)
 	start := time.Now()
-	res, err := Optimize(w, arch.Simba(), Options{Timeout: 5 * time.Millisecond})
+	res, err := solve(w, arch.Simba(), Options{Timeout: 5 * time.Millisecond})
 	elapsed := time.Since(start)
 	if elapsed > 500*time.Millisecond {
 		t.Errorf("deadline-stopped search took %v, want well under 500ms", elapsed)
@@ -131,7 +131,7 @@ func TestOptimizeCancelMidSearch(t *testing.T) {
 		}
 	}}
 	start := time.Now()
-	res, err := OptimizeContext(ctx, w, arch.Simba(), opt)
+	res, err := Solve(ctx, Problem{Workload: w, Arch: arch.Simba()}, opt)
 	if el := time.Since(start); el > 500*time.Millisecond {
 		t.Errorf("canceled search took %v after the signal, want well under 500ms", el)
 	}
@@ -142,10 +142,10 @@ func TestOptimizeTopDownStops(t *testing.T) {
 	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := OptimizeContext(ctx, w, arch.Tiny(256), Options{Direction: TopDown})
+	res, err := Solve(ctx, Problem{Workload: w, Arch: arch.Tiny(256)}, Options{Direction: TopDown})
 	verifyAnytime(t, res, err, StopCanceled, false)
 
-	res, err = Optimize(w, arch.Tiny(256), Options{Direction: TopDown, Timeout: 10 * time.Millisecond})
+	res, err = solve(w, arch.Tiny(256), Options{Direction: TopDown, Timeout: 10 * time.Millisecond})
 	if res.Stopped != StopDeadline && res.Stopped != StopBudget && res.Stopped != StopComplete {
 		t.Fatalf("unexpected stop reason %v", res.Stopped)
 	}
@@ -156,7 +156,7 @@ func TestOptimizeTopDownStops(t *testing.T) {
 
 func TestOptimizeTopDownVisitBudget(t *testing.T) {
 	w := conv2D(t, 4, 16, 16, 14, 14, 3, 3)
-	res, err := Optimize(w, arch.Tiny(4096), Options{Direction: TopDown, TopDownVisitBudget: 50})
+	res, err := solve(w, arch.Tiny(4096), Options{Direction: TopDown, TopDownVisitBudget: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestOptimizePanicIsolation(t *testing.T) {
 	w := conv1D(t, 16, 16, 28, 3)
 	model := cost.Default
 	model.Probe = &flakyProbe{every: 7}
-	res, err := Optimize(w, arch.Tiny(256), Options{Model: model})
+	res, err := solve(w, arch.Tiny(256), Options{Model: model})
 	if err != nil {
 		t.Fatalf("intermittent panics must not fail the search: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestOptimizeAllEvaluationsPanic(t *testing.T) {
 	w := conv1D(t, 8, 8, 28, 3)
 	model := cost.Default
 	model.Probe = alwaysPanicProbe{}
-	res, err := Optimize(w, arch.Tiny(256), Options{Model: model})
+	res, err := solve(w, arch.Tiny(256), Options{Model: model})
 	if err == nil {
 		t.Fatalf("fully poisoned model must fail with an error, got %+v", res)
 	}
@@ -228,7 +228,7 @@ func TestOptimizeCancelLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		if _, err := OptimizeContext(ctx, w, arch.Simba(), Options{}); err != nil {
+		if _, err := Solve(ctx, Problem{Workload: w, Arch: arch.Simba()}, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		cancel()

@@ -20,7 +20,7 @@ import (
 // table and fit-check capacity skeleton the dense expansion runs on, and an
 // empty factor-ladder memo — work that today's
 // serving-shaped callers (network scheduling, figure sweeps, -compare) would
-// otherwise repeat on every Optimize call for the same problem.
+// otherwise repeat on every Solve call for the same problem.
 //
 // A Compiled is immutable after Compile returns and safe for any number of
 // concurrent searches: the ordering set, dimension table and fit skeleton are

@@ -30,20 +30,19 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"sunstone/internal/anytime"
-	"sunstone/internal/arch"
 	"sunstone/internal/cost"
 	"sunstone/internal/mapping"
 	"sunstone/internal/obs"
 	"sunstone/internal/serde"
-	"sunstone/internal/tensor"
 )
 
 // StopReason re-exports the anytime-search stop taxonomy (see
-// internal/anytime): every Optimize entry point is an anytime algorithm that
+// internal/anytime): Solve is an anytime algorithm that
 // on cancellation, deadline, or budget exhaustion returns the best mapping
 // completed so far with Result.Stopped set, instead of discarding work.
 type StopReason = anytime.StopReason
@@ -69,6 +68,18 @@ func (d Direction) String() string {
 		return "top-down"
 	}
 	return "bottom-up"
+}
+
+// ParseDirection resolves a direction by the name job submissions use,
+// case-insensitively; "" is the default.
+func ParseDirection(name string) (Direction, error) {
+	switch strings.ToLower(name) {
+	case "", "bottom-up":
+		return BottomUp, nil
+	case "top-down":
+		return TopDown, nil
+	}
+	return 0, fmt.Errorf("unknown direction %q (bottom-up|top-down)", name)
 }
 
 // Strategy selects the intra-level optimization order (Table VI). All three
@@ -128,6 +139,22 @@ func (o Objective) String() string {
 	default:
 		return "EDP"
 	}
+}
+
+// ParseObjective resolves an objective by the name flags and job submissions
+// use, case-insensitively; "" is the default.
+func ParseObjective(name string) (Objective, error) {
+	switch strings.ToLower(name) {
+	case "", "edp":
+		return MinEDP, nil
+	case "energy":
+		return MinEnergy, nil
+	case "delay":
+		return MinDelay, nil
+	case "ed2p":
+		return MinED2P, nil
+	}
+	return 0, fmt.Errorf("unknown objective %q (edp|energy|delay|ed2p)", name)
 }
 
 // Score extracts the objective value from a report (lower is better;
@@ -209,17 +236,25 @@ type Options struct {
 	// The cap exists because the top-down space is orders of magnitude
 	// larger (Table VI) — exactly the pathology the paper reports.
 	TopDownVisitBudget int
-	// Timeout bounds the search wall-clock (0 = unbounded). When it
+	// Timeout bounds one search's wall-clock (0 = unbounded). When it
 	// expires the search stops at the next cancellation poll and returns
 	// the best mapping completed so far with Result.Stopped = StopDeadline.
-	// Equivalent to passing OptimizeContext a context with that deadline.
+	// Without Retry that is the same as passing Solve a context with that
+	// deadline. With Retry, Timeout bounds each primary attempt separately
+	// and the context bounds the whole call.
 	Timeout time.Duration
+	// Retry, when non-nil, hardens Solve for environments where searches
+	// can fail: bounded retries of the search at backed-off budgets, then
+	// the policy's fallback-mapper chain, with every accepted mapping
+	// passing a final audit (see RetryPolicy). Attempts are recorded in
+	// Result.Attempts. Nil (the default) is a single attempt.
+	Retry *RetryPolicy
 	// Progress, when non-nil, receives live search events: phase-started /
 	// phase-finished for every per-level pass (and polish), and
 	// incumbent-improved whenever the best-so-far completed mapping gets
 	// better. Events are emitted synchronously from the goroutine driving
 	// the search, incumbent improvements at a bounded rate; no event is
-	// delivered after OptimizeContext returns. A panicking callback is
+	// delivered after Solve returns. A panicking callback is
 	// isolated like a poisoned candidate: progress reporting stops, the
 	// panic is recorded in Result.CandidateErrors, and the search itself
 	// continues unharmed.
@@ -281,7 +316,7 @@ const MaxThreads = 4096
 // silently accepted but can never be what the caller meant: NaN or negative
 // floats, MinUtilization above 1 (no unrolling can exceed full utilization),
 // and absurd Threads/BeamWidth magnitudes. Zero values remain "use the
-// default" and are always accepted. Optimize calls this on every run.
+// default" and are always accepted. Solve calls this on every run.
 func (o Options) Validate() error {
 	var errs []error
 	badf := func(name string, v float64) {
@@ -328,8 +363,8 @@ func (o Options) Validate() error {
 
 // DefaultOptions returns the optimizer's default configuration, spelled out.
 // The zero Options value is exactly equivalent: every zero field is filled
-// from this set before a search runs, so Optimize(w, a, Options{}) and
-// Optimize(w, a, DefaultOptions()) perform the identical search. Use this
+// from this set before a search runs, so Solve(ctx, p, Options{}) and
+// Solve(ctx, p, DefaultOptions()) perform the identical search. Use this
 // when you want to start from the defaults and tweak one knob explicitly.
 func DefaultOptions() Options {
 	return Options{
@@ -412,7 +447,7 @@ type Result struct {
 	Elapsed time.Duration
 	// Attempts records every attempt the resilient path made before this
 	// result was accepted, in order — the accepted attempt last with a nil
-	// Err. Nil for the plain (non-resilient) entry points.
+	// Err. Nil when Options.Retry is nil.
 	Attempts []Attempt
 	// FallbackUsed names the fallback mapper that produced Mapping when the
 	// resilient path degraded ("" = the primary Sunstone search).
@@ -433,36 +468,9 @@ type Result struct {
 // after the first few identical repros.
 const maxCandidateErrors = 8
 
-// Optimize searches for the best mapping of w onto a. It is
-// OptimizeContext with a background context; Options.Timeout still applies.
-//
-// Deprecated-style note: Solve with a Problem is the canonical entry point;
-// this wrapper remains for positional-argument callers.
-func Optimize(w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
-	return SolveContext(context.Background(), Problem{Workload: w, Arch: a}, opt)
-}
-
-// OptimizeContext searches for the best mapping of w onto a under ctx.
-// The search is an *anytime* algorithm: it polls ctx at bounded intervals,
-// and on cancellation or deadline (from ctx or Options.Timeout) it stops
-// within one polling interval and returns the best completed mapping seen so
-// far with Result.Stopped set — a nil error as long as at least one valid
-// mapping was completed before the signal.
-//
-// Deprecated-style note: SolveContext with a Problem is the canonical entry
-// point; this wrapper remains for positional-argument callers.
-func OptimizeContext(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
-	return SolveContext(ctx, Problem{Workload: w, Arch: a}, opt)
-}
-
 // optimizeCompiled runs one search over a compiled problem. opt must already
-// be validated and defaulted. This is the single execution path: the per-call
-// entry points compile fresh, an Engine reuses cached artifacts, and both end
-// here.
+// be validated and defaulted, and ctx non-nil: Engine.Solve sees to all three.
 func optimizeCompiled(ctx context.Context, comp *Compiled, opt Options) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if opt.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)

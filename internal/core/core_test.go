@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -45,10 +46,16 @@ func conv1D(t testing.TB, k, c, p, r int) *tensor.Workload {
 	return w
 }
 
+// solve is the tests' positional shorthand for one Solve on a transient
+// Engine under a background context.
+func solve(w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
+	return Solve(context.Background(), Problem{Workload: w, Arch: a}, opt)
+}
+
 func TestOptimizeTinyConv(t *testing.T) {
 	w := conv1D(t, 8, 8, 56, 3)
 	a := arch.Tiny(256)
-	res, err := Optimize(w, a, Options{})
+	res, err := solve(w, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +83,7 @@ func TestOptimizeTinyConv(t *testing.T) {
 func TestOptimizeUsesSpatialFanout(t *testing.T) {
 	w := conv2D(t, 1, 32, 32, 16, 16, 3, 3)
 	a := arch.TinySpatial(512, 1<<18, 16)
-	res, err := Optimize(w, a, Options{})
+	res, err := solve(w, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +96,7 @@ func TestOptimizeUsesSpatialFanout(t *testing.T) {
 func TestOptimizeConventional(t *testing.T) {
 	w := conv2D(t, 1, 16, 16, 14, 14, 3, 3)
 	a := arch.Conventional()
-	res, err := Optimize(w, a, Options{})
+	res, err := solve(w, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +113,7 @@ func TestOptimizeSimbaMultiLevelSpatial(t *testing.T) {
 	// multiple spatial levels (Simba) out of the box.
 	w := conv2D(t, 1, 64, 64, 8, 8, 3, 3)
 	a := arch.Simba()
-	res, err := Optimize(w, a, Options{})
+	res, err := solve(w, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +133,8 @@ func TestOptimizeSimbaMultiLevelSpatial(t *testing.T) {
 func TestOptimizeDeterministic(t *testing.T) {
 	w := conv1D(t, 8, 8, 28, 3)
 	a := arch.TinySpatial(256, 1<<16, 4)
-	r1, err1 := Optimize(w, a, Options{})
-	r2, err2 := Optimize(w, a, Options{})
+	r1, err1 := solve(w, a, Options{})
+	r2, err2 := solve(w, a, Options{})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -144,11 +151,11 @@ func TestTopDownVsBottomUp(t *testing.T) {
 	// the same ballpark.
 	w := conv1D(t, 16, 16, 28, 3)
 	a := arch.TinySpatial(512, 1<<16, 16)
-	bu, err := Optimize(w, a, Options{Direction: BottomUp})
+	bu, err := solve(w, a, Options{Direction: BottomUp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	td, err := Optimize(w, a, Options{Direction: TopDown, TopDownVisitBudget: 30_000})
+	td, err := solve(w, a, Options{Direction: TopDown, TopDownVisitBudget: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +179,7 @@ func TestIntraLevelStrategies(t *testing.T) {
 	var edps []float64
 	var sizes []int
 	for _, s := range []Strategy{OrderTileUnroll, TileUnrollOrder, UnrollTileOrder} {
-		res, err := Optimize(w, a, Options{Strategy: s})
+		res, err := solve(w, a, Options{Strategy: s})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -202,7 +209,7 @@ func TestOptimizeMTTKRP(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := arch.TinySpatial(1024, 1<<18, 16)
-	res, optErr := Optimize(w, a, Options{})
+	res, optErr := solve(w, a, Options{})
 	if optErr != nil {
 		t.Fatal(optErr)
 	}
@@ -214,11 +221,11 @@ func TestOptimizeMTTKRP(t *testing.T) {
 func TestOptimizeRejectsBadInputs(t *testing.T) {
 	w := conv1D(t, 8, 8, 28, 3)
 	badArch := &arch.Arch{Name: "bad"}
-	if _, err := Optimize(w, badArch, Options{}); err == nil {
+	if _, err := solve(w, badArch, Options{}); err == nil {
 		t.Error("invalid arch must error")
 	}
 	badW := &tensor.Workload{Name: "bad"}
-	if _, err := Optimize(badW, arch.Tiny(64), Options{}); err == nil {
+	if _, err := solve(badW, arch.Tiny(64), Options{}); err == nil {
 		t.Error("invalid workload must error")
 	}
 }
@@ -228,7 +235,7 @@ func TestOptimizeImperfectDims(t *testing.T) {
 	// mapping legal.
 	w := conv1D(t, 7, 13, 149, 3)
 	a := arch.Tiny(512)
-	res, err := Optimize(w, a, Options{})
+	res, err := solve(w, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,19 +259,19 @@ func TestDirectionAndStrategyStrings(t *testing.T) {
 func TestObjectives(t *testing.T) {
 	w := conv2D(t, 1, 32, 32, 16, 16, 3, 3)
 	a := arch.TinySpatial(512, 1<<18, 16)
-	edp, err := Optimize(w, a, Options{Objective: MinEDP})
+	edp, err := solve(w, a, Options{Objective: MinEDP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := Optimize(w, a, Options{Objective: MinEnergy})
+	en, err := solve(w, a, Options{Objective: MinEnergy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl, err := Optimize(w, a, Options{Objective: MinDelay})
+	dl, err := solve(w, a, Options{Objective: MinDelay})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ed2, err := Optimize(w, a, Options{Objective: MinED2P})
+	ed2, err := solve(w, a, Options{Objective: MinED2P})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +307,7 @@ func TestOptimizeInfeasibleArch(t *testing.T) {
 	// each datatype) must produce a clear error, not a bogus mapping.
 	w := conv1D(t, 8, 8, 28, 3)
 	a := arch.Tiny(2)
-	_, err := Optimize(w, a, Options{})
+	_, err := solve(w, a, Options{})
 	if err == nil {
 		t.Fatal("expected an error for an infeasible architecture")
 	}
@@ -309,7 +316,7 @@ func TestOptimizeInfeasibleArch(t *testing.T) {
 func TestOptimizeTopDownInfeasible(t *testing.T) {
 	w := conv1D(t, 8, 8, 28, 3)
 	a := arch.Tiny(2)
-	_, err := Optimize(w, a, Options{Direction: TopDown, TopDownVisitBudget: 10_000})
+	_, err := solve(w, a, Options{Direction: TopDown, TopDownVisitBudget: 10_000})
 	if err == nil {
 		t.Fatal("top-down must also report infeasibility")
 	}
@@ -322,7 +329,7 @@ func TestOptimizeWithCustomModel(t *testing.T) {
 	w := conv1D(t, 8, 8, 28, 3) // ifmap has a P+R window axis
 	a := arch.Tiny(256)
 	naive := cost.Model{NoSlidingReuse: true}
-	res, err := Optimize(w, a, Options{Model: naive})
+	res, err := solve(w, a, Options{Model: naive})
 	if err != nil {
 		t.Fatal(err)
 	}

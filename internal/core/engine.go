@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/list"
-	"context"
 	"sync"
 
 	"sunstone/internal/anytime"
@@ -104,29 +103,16 @@ func (e *Engine) Stats() EngineStats {
 	return s
 }
 
-// Optimize is OptimizeContext with a background context.
-//
-// Deprecated-style note: Engine.Solve with a Problem is the canonical entry
-// point; this wrapper remains for positional-argument callers.
-func (e *Engine) Optimize(w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
-	return e.Solve(context.Background(), Problem{Workload: w, Arch: a}, opt)
-}
-
-// OptimizeContext is a thin wrapper over Engine.Solve for positional
-// (workload, arch) callers; Solve with a Problem is the canonical entry
-// point. Results are identical to a cold call — the search replays the
-// compiled enumeration into its own counters and spans — only faster,
-// because the per-problem precomputation and the evaluation memo carry over.
-func (e *Engine) OptimizeContext(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
-	return e.Solve(ctx, Problem{Workload: w, Arch: a}, opt)
-}
-
 // Session returns the compiled cost session for (model, w, a), compiling
 // and caching the problem if needed, or nil when the problem is invalid.
 // Baselines use this (via baselines.SessionSource) to score against the same
 // warm tables and memo the main search uses.
 func (e *Engine) Session(model cost.Model, w *tensor.Workload, a *arch.Arch) *cost.Session {
-	comp, err := e.compiled(Problem{Workload: w, Arch: a, Model: model})
+	p := Problem{Workload: w, Arch: a, Model: model}
+	if p.Validate() != nil {
+		return nil
+	}
+	comp, err := e.compiled(p)
 	if err != nil {
 		return nil
 	}
@@ -135,14 +121,9 @@ func (e *Engine) Session(model cost.Model, w *tensor.Workload, a *arch.Arch) *co
 
 // compiled returns the cached artifacts for the problem, compiling them on
 // first sight. Problems outside the cacheable domain — a model with a fault
-// probe, or inputs that fail to serialize — compile fresh per call, exactly
-// like the package-level path.
+// probe, or inputs that fail to serialize — compile fresh per call. The
+// caller validates p first: keying assumes structurally sound inputs.
 func (e *Engine) compiled(p Problem) (*Compiled, error) {
-	// Validate before keying: encoding assumes structurally sound inputs,
-	// and the invalid-input errors must match the per-call path's.
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	key, cacheable := p.Key()
 	if !cacheable {
 		e.compiles.Inc()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func TestEngineFailedCompileNotCached(t *testing.T) {
 
 	restore := faults.Activate(mustInjector(t, 1,
 		faults.Rule{Site: faults.SiteCompile, Kind: faults.Error, Rate: 1}))
-	_, err := e.Optimize(w, a, Options{})
+	_, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{})
 	var inj *faults.InjectedError
 	if !errors.As(err, &inj) {
 		t.Fatalf("want the injected compile error, got %v", err)
@@ -30,7 +31,7 @@ func TestEngineFailedCompileNotCached(t *testing.T) {
 	}
 	restore()
 
-	if _, err := e.Optimize(w, a, Options{}); err != nil {
+	if _, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{}); err != nil {
 		t.Fatalf("same Engine must recover once the fault clears: %v", err)
 	}
 	if n := e.Stats().Entries; n != 1 {
@@ -51,7 +52,7 @@ func TestEnginePanickedCompileNotPoisoned(t *testing.T) {
 
 	restore := faults.Activate(mustInjector(t, 1,
 		faults.Rule{Site: faults.SiteCompile, Kind: faults.Panic, Rate: 1}))
-	_, err := e.Optimize(w, a, Options{})
+	_, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{})
 	var pe *anytime.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("panicking compile must surface as a contained PanicError, got %v", err)
@@ -61,7 +62,7 @@ func TestEnginePanickedCompileNotPoisoned(t *testing.T) {
 	}
 	restore()
 
-	res, err := e.Optimize(w, a, Options{})
+	res, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{})
 	if err != nil || res.Mapping == nil {
 		t.Fatalf("Engine poisoned by an earlier compile panic: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestEngineConcurrentFailedCompile(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := e.Optimize(w, a, Options{})
+			_, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{})
 			errCh <- err
 		}()
 	}
@@ -101,7 +102,7 @@ func TestEngineConcurrentFailedCompile(t *testing.T) {
 	}
 	restore()
 
-	if _, err := e.Optimize(w, a, Options{}); err != nil {
+	if _, err := e.Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{}); err != nil {
 		t.Fatalf("Engine must recover after concurrent failures: %v", err)
 	}
 }

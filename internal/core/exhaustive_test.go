@@ -101,7 +101,7 @@ func TestSunstoneMatchesExhaustiveOptimum(t *testing.T) {
 			if math.IsInf(optimum, 1) {
 				t.Skip("no valid mapping exists at this capacity")
 			}
-			res, err := Optimize(c.w, a, Options{})
+			res, err := solve(c.w, a, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -204,7 +204,7 @@ func TestColdSolveAllocCeiling(t *testing.T) {
 	w := conv2D(t, 1, 64, 64, 56, 56, 3, 3)
 	a := arch.Conventional()
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Optimize(w, a, Options{Threads: 1}); err != nil {
+		if _, err := solve(w, a, Options{Threads: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})

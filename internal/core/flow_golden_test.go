@@ -81,7 +81,7 @@ func TestFlowGolden(t *testing.T) {
 					// The top-down budget is cut from its 4M default so the
 					// table stays a few seconds; the budget still binds on the
 					// larger presets, which pins the truncation path too.
-					res, err := Optimize(w, a, Options{Direction: dir, Strategy: st, TopDownVisitBudget: 24_000})
+					res, err := solve(w, a, Options{Direction: dir, Strategy: st, TopDownVisitBudget: 24_000})
 					if err != nil {
 						row.Err = err.Error()
 					} else {

@@ -25,7 +25,6 @@ import (
 	"sunstone/internal/cost"
 	"sunstone/internal/network"
 	"sunstone/internal/obs"
-	"sunstone/internal/tensor"
 )
 
 // FusionOptions configures SolveNetworkFused on top of the per-member
@@ -34,10 +33,12 @@ type FusionOptions struct {
 	// MaxGroup bounds the chain positions per fused group (0 = default 4).
 	// MaxGroup 1 disables fusion: the result is the all-singleton schedule.
 	MaxGroup int
-	// Resilience, when non-nil, routes every member search — singleton
-	// baseline and fused — through OptimizeResilient with this policy.
-	Resilience *RetryPolicy
 }
+
+// ErrFusionObjective is how the callers that take an objective from outside
+// (cmd/sunstone -fuse, sunstoned network jobs) reject a non-EDP one: the cut
+// DP minimizes total EDP whatever the members were searched for.
+var ErrFusionObjective = errors.New("network jobs pick their fusion cut by edp; set objective edp (or leave it unset)")
 
 // defaultMaxGroup bounds fused group length when FusionOptions doesn't: the
 // resident-footprint reservations of longer chains exhaust realistic on-chip
@@ -120,6 +121,9 @@ type groupSpec struct {
 // buffer has the resident footprint carved out, and selects the cut
 // minimizing total EDP by an exact Pareto DP over prefix (energy, cycles).
 //
+// Every member search — singleton baseline and fused — is one Engine.Solve
+// under opt, so opt.Retry hardens each of them individually.
+//
 // The anytime contract threads through every member search: canceling ctx
 // degrades in-flight members to their best-so-far mappings, stops the group
 // sweep, and still returns a complete schedule (the all-singleton cut at
@@ -164,7 +168,7 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 	singleErrs := make([]error, len(net.Layers))
 	parallelDo(len(net.Layers), func(i int) {
 		l := &net.Layers[i]
-		r, err := e.solveMember(ctx, l.Workload, a, opt, fopt.Resilience)
+		r, err := e.solveMember(ctx, Problem{Workload: l.Workload, Arch: a}, opt)
 		singles[i] = r
 		if err != nil {
 			singleErrs[i] = &LayerError{Layer: l.Name, Cause: ClassifyFailure(err, false), Err: err}
@@ -316,9 +320,7 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 	}
 	parallelDo(len(needed), func(i int) {
 		j := needed[i]
-		opt2 := opt
-		opt2.Model = j.prob.Model
-		j.res, j.err = e.solveMember(ctx, j.prob.Workload, j.prob.Arch, opt2, fopt.Resilience)
+		j.res, j.err = e.solveMember(ctx, j.prob, opt)
 	})
 	for _, g := range groupList {
 		ok := true
@@ -461,19 +463,16 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 	return res, nil
 }
 
-// solveMember runs one member search — through the resilient path when a
-// policy is given — with panic containment, so a poisoned cost model on one
-// member degrades that member instead of the whole schedule.
-func (e *Engine) solveMember(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options, pol *RetryPolicy) (r Result, err error) {
+// solveMember runs one member search with panic containment, so a poisoned
+// cost model on one member degrades that member instead of the whole
+// schedule.
+func (e *Engine) solveMember(ctx context.Context, p Problem, opt Options) (r Result, err error) {
 	defer func() {
-		if pe := anytime.PanicErrorFrom(recover(), "fused member "+w.Name, nil); pe != nil {
+		if pe := anytime.PanicErrorFrom(recover(), "fused member "+p.Workload.Name, nil); pe != nil {
 			err = pe
 		}
 	}()
-	if pol != nil {
-		return e.OptimizeResilient(ctx, w, a, opt, *pol)
-	}
-	return e.Solve(ctx, Problem{Workload: w, Arch: a, Model: opt.Model}, opt)
+	return e.Solve(ctx, p, opt)
 }
 
 // parallelDo runs fn(0..n-1) on up to GOMAXPROCS goroutines and waits.

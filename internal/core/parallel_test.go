@@ -35,11 +35,11 @@ func TestParallelParity(t *testing.T) {
 	for _, cb := range combos {
 		for _, dir := range []Direction{BottomUp, TopDown} {
 			t.Run(fmt.Sprintf("%s/%s", cb.name, dir), func(t *testing.T) {
-				serial, err := Optimize(cb.w, cb.a, Options{Direction: dir, Threads: 1})
+				serial, err := solve(cb.w, cb.a, Options{Direction: dir, Threads: 1})
 				if err != nil {
 					t.Fatalf("threads=1: %v", err)
 				}
-				parallel, err := Optimize(cb.w, cb.a, Options{Direction: dir, Threads: 8})
+				parallel, err := solve(cb.w, cb.a, Options{Direction: dir, Threads: 8})
 				if err != nil {
 					t.Fatalf("threads=8: %v", err)
 				}

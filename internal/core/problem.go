@@ -94,43 +94,46 @@ func (p Problem) Compile() (*Compiled, error) {
 	return Compile(p.Workload, p.Arch, p.Model)
 }
 
-// Solve is SolveContext with a background context.
-func Solve(p Problem, opt Options) (Result, error) {
-	return SolveContext(context.Background(), p, opt)
+// Solve is (*Engine).Solve on a transient Engine: nothing is retained across
+// calls. Hold an Engine to reuse compiled artifacts when problems repeat.
+func Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
+	return NewEngine(0).Solve(ctx, p, opt)
 }
 
-// SolveContext searches for the best mapping of the problem under ctx — the
-// canonical entry point every Optimize wrapper delegates to. The search is
-// an anytime algorithm: on cancellation or deadline it returns the best
-// completed mapping seen so far with Result.Stopped set.
-func SolveContext(ctx context.Context, p Problem, opt Options) (Result, error) {
+// Solve searches for the best mapping of the problem under ctx — the single
+// entry point of the optimizer. The search is an anytime algorithm: on
+// cancellation or deadline it returns the best completed mapping seen so far
+// with Result.Stopped set. Options and Problem are validated once, here;
+// then either one search runs, or — with Options.Retry set — the
+// retry→fallback→audit loop of resilient.go around it.
+//
+// The search runs over the Engine's compiled-artifact cache. Results are
+// identical to a cold call — the search replays the compiled enumeration
+// into its own counters and spans — only faster, because the per-problem
+// precomputation and the evaluation memo carry over across calls with the
+// same Problem.Key.
+func (e *Engine) Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	if err := opt.Validate(); err != nil {
 		return Result{}, err
 	}
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	opt = opt.withDefaults()
-	opt.Model = p.model(opt)
-	comp, err := Compile(p.Workload, p.Arch, opt.Model)
-	if err != nil {
-		return Result{}, err
-	}
-	return optimizeCompiled(ctx, comp, opt)
-}
-
-// Solve runs SolveContext over the Engine's compiled-artifact cache: the
-// canonical Engine entry point. Results are identical to a cold SolveContext
-// call — the search replays the compiled enumeration into its own counters
-// and spans — only faster, because the per-problem precomputation and the
-// evaluation memo carry over across calls with the same Problem.Key.
-func (e *Engine) Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	opt = opt.withDefaults()
 	opt.Model = p.model(opt)
 	p.Model = opt.Model
+	if opt.Retry != nil {
+		return e.solveResilient(ctx, p, opt)
+	}
+	return e.search(ctx, p, opt)
+}
+
+// search runs one search of an already validated problem under already
+// validated and defaulted options.
+func (e *Engine) search(ctx context.Context, p Problem, opt Options) (Result, error) {
 	comp, err := e.compiled(p)
 	if err != nil {
 		return Result{}, err

@@ -8,14 +8,12 @@ import (
 	"time"
 
 	"sunstone/internal/anytime"
-	"sunstone/internal/arch"
 	"sunstone/internal/baselines"
 	"sunstone/internal/baselines/innermost"
 	"sunstone/internal/baselines/timeloop"
 	"sunstone/internal/cost"
 	"sunstone/internal/mapping"
 	"sunstone/internal/obs"
-	"sunstone/internal/tensor"
 )
 
 // This file implements the graceful-degradation path: bounded retries of the
@@ -23,8 +21,9 @@ import (
 // chain ending in a guaranteed-feasible construction, and a final mapping
 // audit that no result — primary or fallback — escapes without passing.
 
-// RetryPolicy configures OptimizeResilient. The zero value selects the
-// defaults (DefaultRetryPolicy); negative Retries disables primary retries.
+// RetryPolicy is Options.Retry: how Solve degrades when a search fails. The
+// zero value selects the defaults (DefaultRetryPolicy); negative Retries
+// disables primary retries.
 type RetryPolicy struct {
 	// Retries is how many times the primary Sunstone search is retried after
 	// its first failed attempt, each retry with Backoff-shrunk budgets
@@ -48,10 +47,6 @@ type RetryPolicy struct {
 	// MaxAttempts caps the total attempts — primaries, retries and fallbacks
 	// together — as the hard stop of the whole resilient run (0 = default 32).
 	MaxAttempts int
-	// NoAudit skips the final mapping audit (structural validation, uncached
-	// cost-model evaluation, memo cross-check) before a result is accepted. Only for benchmarking the audit's overhead; the audit is the
-	// resilience guarantee.
-	NoAudit bool
 }
 
 // DefaultRetryPolicy returns the default graceful-degradation policy, spelled
@@ -105,15 +100,16 @@ type Attempt struct {
 // primaryName is the Attempt.Mapper value for the Sunstone search itself.
 const primaryName = "sunstone"
 
-// OptimizeResilient is OptimizeContext hardened for environments where
-// searches can fail — injected chaos faults, poisoned cost models, expired
-// deadlines, panicking dependencies. It never gives up while the policy has
-// attempts left:
+// solveResilient is Solve with Options.Retry set: the search hardened for
+// environments where it can fail — injected chaos faults, poisoned cost
+// models, expired deadlines, panicking dependencies. p and opt arrive
+// validated and defaulted. It never gives up while the policy has attempts
+// left:
 //
-//  1. the primary Sunstone search runs, then up to pol.Retries retries with
+//  1. the primary Sunstone search runs, then up to Retries retries with
 //     Backoff-shrunk budgets;
-//  2. the pol.Fallbacks chain runs in order, the last entry cycling until
-//     pol.MaxAttempts (the default chain ends in innermost-fit, which cannot
+//  2. the Fallbacks chain runs in order, the last entry cycling until
+//     MaxAttempts (the default chain ends in innermost-fit, which cannot
 //     fail on any workload/arch pair that admits a legal mapping);
 //  3. every candidate result passes the final mapping audit — structural
 //     validation, an uncached cost-model evaluation, and a bit-exact
@@ -124,50 +120,42 @@ const primaryName = "sunstone"
 // Err); Result.FallbackUsed names the fallback that produced the mapping
 // ("" = primary). A panic anywhere in an attempt is contained to that
 // attempt. The error return is non-nil only when every attempt failed.
-func (e *Engine) OptimizeResilient(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options, pol RetryPolicy) (Result, error) {
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = opt.withDefaults()
-	pol = pol.withDefaults()
-	ctx, span := obs.StartSpanf(ctx, "resilient %s", w.Name)
+func (e *Engine) solveResilient(ctx context.Context, p Problem, opt Options) (Result, error) {
+	pol := opt.Retry.withDefaults()
+	opt.Retry = nil // each attempt is one plain search
+	ctx, span := obs.StartSpanf(ctx, "resilient %s", p.Workload.Name)
 
 	var attempts []Attempt
 	var errs []error
-	finish := func(res Result, acc Attempt, fallback string) (Result, error) {
-		acc.Err = nil
+	// try runs one attempt and audits what it produced; ok reports whether
+	// the result was accepted, and a rejected attempt is recorded.
+	try := func(mapper string, run func() (Result, error)) (res Result, ok bool) {
+		start := time.Now()
+		res, err := run()
+		acc := Attempt{Mapper: mapper, Stopped: res.Stopped, Elapsed: time.Since(start)}
+		if err == nil {
+			res.Report, err = e.audit(p, res.Mapping)
+		}
+		if err != nil {
+			acc.Err = err
+			attempts = append(attempts, acc)
+			errs = append(errs, fmt.Errorf("attempt %d (%s): %w", len(attempts), mapper, err))
+			return Result{}, false
+		}
 		res.Attempts = append(attempts, acc)
-		res.FallbackUsed = fallback
-		span.Arg("attempts", len(res.Attempts)).Arg("fallback", fallback).End()
-		return res, nil
-	}
-	reject := func(acc Attempt, err error) {
-		acc.Err = err
-		attempts = append(attempts, acc)
-		errs = append(errs, fmt.Errorf("attempt %d (%s): %w", len(attempts), acc.Mapper, err))
+		if mapper != primaryName {
+			res.FallbackUsed = mapper
+		}
+		span.Arg("attempts", len(res.Attempts)).Arg("fallback", res.FallbackUsed).End()
+		return res, true
 	}
 
 	// Phase 1: the primary search, with budget backoff between retries.
 	curOpt := opt
-	for try := 0; try <= pol.Retries && len(attempts) < pol.MaxAttempts; try++ {
-		start := time.Now()
-		res, err := e.attemptPrimary(ctx, w, a, curOpt)
-		acc := Attempt{Mapper: primaryName, Stopped: res.Stopped, Elapsed: time.Since(start)}
-		if err == nil {
-			if pol.NoAudit {
-				return finish(res, acc, "")
-			}
-			rep, aerr := e.audit(w, a, curOpt.Model, res.Mapping)
-			if aerr == nil {
-				res.Report = rep
-				return finish(res, acc, "")
-			}
-			err = aerr
+	for n := 0; n <= pol.Retries && len(attempts) < pol.MaxAttempts; n++ {
+		if res, ok := try(primaryName, func() (Result, error) { return e.attemptPrimary(ctx, p, curOpt) }); ok {
+			return res, nil
 		}
-		reject(acc, err)
 		if ctx.Err() != nil {
 			break // canceled callers get the fallback chain, not more full searches
 		}
@@ -176,26 +164,10 @@ func (e *Engine) OptimizeResilient(ctx context.Context, w *tensor.Workload, a *a
 
 	// Phase 2: the fallback chain; the last entry cycles until MaxAttempts.
 	for fi := 0; len(pol.Fallbacks) > 0 && len(attempts) < pol.MaxAttempts; fi++ {
-		idx := fi / pol.FallbackTries
-		if idx >= len(pol.Fallbacks) {
-			idx = len(pol.Fallbacks) - 1
+		name := pol.Fallbacks[min(fi/pol.FallbackTries, len(pol.Fallbacks)-1)]
+		if res, ok := try(name, func() (Result, error) { return e.attemptFallback(ctx, p, name) }); ok {
+			return res, nil
 		}
-		name := pol.Fallbacks[idx]
-		start := time.Now()
-		res, err := e.attemptFallback(ctx, w, a, opt.Model, name)
-		acc := Attempt{Mapper: name, Stopped: res.Stopped, Elapsed: time.Since(start)}
-		if err == nil {
-			if pol.NoAudit {
-				return finish(res, acc, name)
-			}
-			rep, aerr := e.audit(w, a, opt.Model, res.Mapping)
-			if aerr == nil {
-				res.Report = rep
-				return finish(res, acc, name)
-			}
-			err = aerr
-		}
-		reject(acc, err)
 	}
 
 	span.Arg("attempts", len(attempts)).Arg("fallback", "exhausted").End()
@@ -206,13 +178,13 @@ func (e *Engine) OptimizeResilient(ctx context.Context, w *tensor.Workload, a *a
 // attemptPrimary runs one primary search with panic containment: an injected
 // expansion fault (or any other panic escaping the search driver) becomes a
 // failed attempt instead of crashing the caller.
-func (e *Engine) attemptPrimary(ctx context.Context, w *tensor.Workload, a *arch.Arch, opt Options) (res Result, err error) {
+func (e *Engine) attemptPrimary(ctx context.Context, p Problem, opt Options) (res Result, err error) {
 	defer func() {
 		if pe := anytime.PanicErrorFrom(recover(), "resilient primary search", nil); pe != nil {
 			res, err = Result{Stopped: anytime.FromContext(ctx)}, pe
 		}
 	}()
-	res, err = e.OptimizeContext(ctx, w, a, opt)
+	res, err = e.search(ctx, p, opt)
 	if err == nil && res.Mapping == nil {
 		err = errors.New("search returned no mapping")
 	}
@@ -252,7 +224,7 @@ func fallbackMapper(name string) (baselines.Mapper, bool) {
 
 // attemptFallback runs one degraded-mode mapper from the registry, sharing
 // the Engine's compiled cost sessions, with panic containment.
-func (e *Engine) attemptFallback(ctx context.Context, w *tensor.Workload, a *arch.Arch, model cost.Model, name string) (res Result, err error) {
+func (e *Engine) attemptFallback(ctx context.Context, p Problem, name string) (res Result, err error) {
 	m, ok := fallbackMapper(name)
 	if !ok {
 		return Result{}, fmt.Errorf("unknown fallback mapper %q", name)
@@ -267,7 +239,7 @@ func (e *Engine) attemptFallback(ctx context.Context, w *tensor.Workload, a *arc
 			res, err = Result{Stopped: anytime.FromContext(ctx)}, pe
 		}
 	}()
-	bres := m.MapContext(ctx, w, a)
+	bres := m.MapContext(ctx, p.Workload, p.Arch)
 	res = Result{Mapping: bres.Mapping, Report: bres.Report, Stopped: bres.Stopped, SpaceSize: bres.Evaluated}
 	if bres.Mapping == nil {
 		reason := bres.InvalidReason
@@ -312,18 +284,18 @@ func shrinkOptions(o Options, f float64) Options {
 // caller sees are exactly the audited ones. Any failure — including a panic
 // inside the audit's evaluations — rejects the attempt and the retry loop
 // moves on.
-func (e *Engine) audit(w *tensor.Workload, a *arch.Arch, model cost.Model, m *mapping.Mapping) (rep cost.Report, err error) {
+func (e *Engine) audit(p Problem, m *mapping.Mapping) (rep cost.Report, err error) {
 	if m == nil {
 		return cost.Report{}, errors.New("audit: no mapping produced")
 	}
 	if err := m.Validate(); err != nil {
 		return cost.Report{}, fmt.Errorf("audit: mapping fails validation: %w", err)
 	}
-	sess := e.Session(model, w, a)
+	sess := e.Session(p.Model, p.Workload, p.Arch)
 	if sess == nil {
 		// The Engine declined (an injected compile fault, say); a fresh
 		// session has no chaos hook on construction and always works.
-		sess = model.NewSession(w, a)
+		sess = p.Model.NewSession(p.Workload, p.Arch)
 	}
 	ev := sess.NewEvaluator()
 	defer func() {

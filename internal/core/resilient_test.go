@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,18 +23,17 @@ func mustInjector(t *testing.T, seed int64, rules ...faults.Rule) *faults.Inject
 }
 
 // TestResilientMatchesPlain is the no-fault identity: with injection
-// disabled, OptimizeResilient accepts the primary search's first attempt and
-// its result is bit-identical to the plain Engine path, plus the attempt
-// record.
+// disabled, Solve with Retry set accepts the primary search's first attempt
+// and everything but the attempt record is bit-identical to the Retry-nil
+// solve of the same problem on a fresh Engine.
 func TestResilientMatchesPlain(t *testing.T) {
-	w := conv1D(t, 8, 8, 56, 3)
-	a := arch.Tiny(256)
+	p := Problem{Workload: conv1D(t, 8, 8, 56, 3), Arch: arch.Tiny(256)}
 
-	plain, err := NewEngine(0).Optimize(w, a, Options{})
+	plain, err := NewEngine(0).Solve(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, RetryPolicy{})
+	res, err := NewEngine(0).Solve(context.Background(), p, Options{Retry: &RetryPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +41,55 @@ func TestResilientMatchesPlain(t *testing.T) {
 	if res.Mapping.String() != plain.Mapping.String() {
 		t.Errorf("resilient mapping differs:\nplain:\n%s\nresilient:\n%s", plain.Mapping, res.Mapping)
 	}
-	if res.Report.EDP != plain.Report.EDP || res.Report.EnergyPJ != plain.Report.EnergyPJ || res.Report.Cycles != plain.Report.Cycles {
+	if !reflect.DeepEqual(res.Report, plain.Report) {
 		t.Errorf("resilient report differs: %+v vs %+v", res.Report, plain.Report)
+	}
+	if res.Stats != plain.Stats {
+		t.Errorf("resilient counters differ: %+v vs %+v", res.Stats, plain.Stats)
 	}
 	if res.Stopped != plain.Stopped || res.SpaceSize != plain.SpaceSize {
 		t.Errorf("resilient run shape differs: stopped %v/%v, space %d/%d",
 			res.Stopped, plain.Stopped, res.SpaceSize, plain.SpaceSize)
+	}
+	if plain.Attempts != nil {
+		t.Errorf("plain solve recorded attempts: %+v", plain.Attempts)
 	}
 	if res.FallbackUsed != "" {
 		t.Errorf("FallbackUsed = %q on a clean run", res.FallbackUsed)
 	}
 	if len(res.Attempts) != 1 || res.Attempts[0].Mapper != "sunstone" || res.Attempts[0].Err != nil {
 		t.Errorf("Attempts = %+v, want one clean sunstone attempt", res.Attempts)
+	}
+}
+
+// TestSolveValidatesBeforeRetrying: bad inputs are rejected once, up front,
+// with the same error whether or not Retry is set — the retry loop never
+// runs on them.
+func TestSolveValidatesBeforeRetrying(t *testing.T) {
+	w, a := conv1D(t, 4, 4, 8, 3), arch.Tiny(256)
+	badW := conv1D(t, 4, 4, 8, 3)
+	badW.Dims["K"] = 0
+	for _, tc := range []struct {
+		name string
+		p    Problem
+		opt  Options
+	}{
+		{"nil workload", Problem{Arch: a}, Options{}},
+		{"nil arch", Problem{Workload: w}, Options{}},
+		{"invalid options", Problem{Workload: w, Arch: a}, Options{BeamWidth: -1}},
+		{"invalid workload", Problem{Workload: badW, Arch: a}, Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, plainErr := Solve(context.Background(), tc.p, tc.opt)
+			tc.opt.Retry = &RetryPolicy{}
+			res, err := Solve(context.Background(), tc.p, tc.opt)
+			if plainErr == nil || err == nil || err.Error() != plainErr.Error() {
+				t.Errorf("errors differ: plain %v, with Retry %v", plainErr, err)
+			}
+			if res.Attempts != nil {
+				t.Errorf("rejected input recorded attempts: %+v", res.Attempts)
+			}
+		})
 	}
 }
 
@@ -67,7 +104,7 @@ func TestResilientFallsBackOnCompileFaults(t *testing.T) {
 
 	w := conv1D(t, 8, 8, 56, 3)
 	a := arch.Tiny(256)
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, RetryPolicy{})
+	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{Retry: &RetryPolicy{}})
 	if err != nil {
 		t.Fatalf("resilient run must survive compile faults: %v", err)
 	}
@@ -106,7 +143,7 @@ func TestResilientExhaustsWhenEvaluationIsDead(t *testing.T) {
 	w := conv1D(t, 4, 4, 8, 3)
 	a := arch.Tiny(256)
 	pol := RetryPolicy{Retries: -1, FallbackTries: 1, MaxAttempts: 4}
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, pol)
+	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{Retry: &pol})
 	if err == nil {
 		t.Fatal("a dead cost model cannot yield an audited mapping")
 	}
@@ -136,7 +173,7 @@ func TestResilientAuditCatchesMemoCorruption(t *testing.T) {
 	w := conv1D(t, 4, 4, 8, 3)
 	a := arch.Tiny(256)
 	pol := RetryPolicy{Retries: -1, FallbackTries: 1, MaxAttempts: 3}
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, pol)
+	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{Retry: &pol})
 	if err == nil {
 		t.Fatal("permanently corrupted memo reads must fail the audit")
 	}
@@ -158,7 +195,7 @@ func TestResilientSurvivesExpansionPanics(t *testing.T) {
 
 	w := conv1D(t, 8, 8, 56, 3)
 	a := arch.Tiny(256)
-	res, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, RetryPolicy{})
+	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{Retry: &RetryPolicy{}})
 	if err != nil {
 		t.Fatalf("resilient run must survive expansion panics: %v", err)
 	}
@@ -189,7 +226,7 @@ func TestResilientUnknownFallback(t *testing.T) {
 	w := conv1D(t, 4, 4, 8, 3)
 	a := arch.Tiny(256)
 	pol := RetryPolicy{Retries: -1, Fallbacks: []string{"no-such-mapper"}, FallbackTries: 1, MaxAttempts: 2}
-	_, err := NewEngine(0).OptimizeResilient(context.Background(), w, a, Options{}, pol)
+	_, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{Retry: &pol})
 	if err == nil || !strings.Contains(err.Error(), `unknown fallback mapper "no-such-mapper"`) {
 		t.Fatalf("want unknown-fallback error, got %v", err)
 	}

@@ -75,7 +75,7 @@ func TestOptimizeSoakRandomWorkloads(t *testing.T) {
 			continue
 		}
 		a := archs[ran%len(archs)]
-		res, err := Optimize(w, a, Options{})
+		res, err := solve(w, a, Options{})
 		if err != nil {
 			// Clean failures are acceptable (e.g. nothing fits); panics or
 			// invalid "successes" are not.
@@ -83,7 +83,7 @@ func TestOptimizeSoakRandomWorkloads(t *testing.T) {
 		}
 		ran++
 		if !res.Report.Valid {
-			t.Fatalf("Optimize returned an invalid mapping without error:\n%s\nworkload: %s",
+			t.Fatalf("Solve returned an invalid mapping without error:\n%s\nworkload: %s",
 				res.Mapping, w)
 		}
 		if err := res.Mapping.Validate(); err != nil {

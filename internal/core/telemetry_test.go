@@ -31,7 +31,7 @@ func TestCounterIdentity(t *testing.T) {
 		for _, dir := range []Direction{BottomUp, TopDown} {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, dir), func(t *testing.T) {
 				w := conv2D(t, 1, 16, 16, 14, 14, 3, 3)
-				res, err := Optimize(w, tc.a, Options{Direction: dir})
+				res, err := solve(w, tc.a, Options{Direction: dir})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,7 +58,7 @@ func TestCounterIdentity(t *testing.T) {
 				}
 				// With the analytical layer off, the bound bucket must stay
 				// empty and the identity must still close.
-				off, err := Optimize(w, tc.a, Options{Direction: dir, Analytical: &AnalyticalOptions{}})
+				off, err := solve(w, tc.a, Options{Direction: dir, Analytical: &AnalyticalOptions{}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,12 +90,12 @@ func TestProgressEvents(t *testing.T) {
 		Threads: 4,
 		Progress: func(ev obs.ProgressEvent) {
 			if returned.Load() {
-				t.Error("progress event delivered after OptimizeContext returned")
+				t.Error("progress event delivered after Solve returned")
 			}
 			events = append(events, ev)
 		},
 	}
-	res, err := Optimize(w, arch.Conventional(), opt)
+	res, err := solve(w, arch.Conventional(), opt)
 	returned.Store(true)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestProgressEvents(t *testing.T) {
 
 // TestProgressNoEventsAfterCancel cancels mid-search from inside the
 // callback and verifies the synchronous-delivery guarantee: once
-// OptimizeContext returns, the stream is over.
+// Solve returns, the stream is over.
 func TestProgressNoEventsAfterCancel(t *testing.T) {
 	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -148,14 +148,14 @@ func TestProgressNoEventsAfterCancel(t *testing.T) {
 	opt := Options{
 		Progress: func(ev obs.ProgressEvent) {
 			if returned.Load() {
-				t.Error("progress event delivered after OptimizeContext returned")
+				t.Error("progress event delivered after Solve returned")
 			}
 			if n.Add(1) == 3 {
 				cancel()
 			}
 		},
 	}
-	res, err := OptimizeContext(ctx, w, arch.Simba(), opt)
+	res, err := Solve(ctx, Problem{Workload: w, Arch: arch.Simba()}, opt)
 	returned.Store(true)
 	if err != nil && res.Mapping == nil {
 		t.Fatalf("cancel before any incumbent: err=%v", err)
@@ -179,7 +179,7 @@ func TestProgressCallbackPanic(t *testing.T) {
 			panic("broken progress sink")
 		},
 	}
-	res, err := Optimize(w, arch.Tiny(256), opt)
+	res, err := solve(w, arch.Tiny(256), opt)
 	if err != nil {
 		t.Fatalf("a panicking callback must not fail the search: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestTraceSpansPerPhasePerLevel(t *testing.T) {
 	a := arch.Conventional()
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := OptimizeContext(ctx, w, a, Options{}); err != nil {
+	if _, err := Solve(ctx, Problem{Workload: w, Arch: a}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

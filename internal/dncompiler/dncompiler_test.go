@@ -1,6 +1,7 @@
 package dncompiler
 
 import (
+	"context"
 	"testing"
 
 	"sunstone/internal/arch"
@@ -113,7 +114,7 @@ func TestCompileOptimizedMappingEndToEnd(t *testing.T) {
 	// beats naive streaming.
 	w := workloads.Conv2D("c", 1, 64, 64, 14, 14, 3, 3, 1, 1)
 	a := arch.DianNao()
-	res, err := core.Optimize(w, a, core.Options{})
+	res, err := core.Solve(context.Background(), core.Problem{Workload: w, Arch: a}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func Fig9(cfg Config) (Fig9Result, error) {
 	var instrPJ, reorderPJ float64
 
 	for i, w := range resnetLayers(cfg.Quick, 1) {
-		opt, err := core.Optimize(w, a, cfg.options(core.Options{}))
+		opt, err := core.Solve(cfg.ctx(), core.Problem{Workload: w, Arch: a}, cfg.options(core.Options{}))
 		if err != nil {
 			return res, fmt.Errorf("%s: %v", w.Name, err)
 		}

@@ -60,9 +60,7 @@ func Fusion(cfg Config) []ToolRun {
 			if cfg.Quick {
 				opt.BeamWidth, opt.TilesPerStep, opt.UnrollsPerStep = 4, 8, 1
 			}
-			var fopt core.FusionOptions
-			fopt.Resilience = cfg.Resilience
-			nr, err := eng.SolveNetworkFused(cfg.ctx(), net, a, opt, fopt)
+			nr, err := eng.SolveNetworkFused(cfg.ctx(), net, a, opt, core.FusionOptions{})
 			if err != nil {
 				runs = append(runs, ToolRun{Tool: "Sunstone-fused", Workload: label, Reason: err.Error()})
 				continue

@@ -180,18 +180,23 @@ func (n *Network) HandoffBytes(a *arch.Arch, e Edge) int64 {
 	return (int64(fp)*int64(bits) + 7) / 8
 }
 
-// FromConvShapes builds the conv-chain IR behind the legacy (network,
-// shapes, repeats) signature: one layer per shape at the given batch, a
-// self-edge for every repeated shape whose output feeds itself (K == C),
-// and a cross edge between consecutive shapes whose channels chain
-// (K_i == C_{i+1}) and whose spatial geometry consumes the producer's
-// output directly — a shrunken consumer view (an unmodeled pooling stage,
-// e.g. ResNet's conv1 → conv2_x maxpool) forces a fusion cut instead.
-// A nil repeats slice means one occurrence each; a non-nil slice must match
-// shapes in length.
+// FromConvShapes builds the conv-chain IR of a table of layer shapes: one
+// layer per shape at the given batch, a self-edge for every repeated shape
+// whose output feeds itself (K == C), and a cross edge between consecutive
+// shapes whose channels chain (K_i == C_{i+1}) and whose spatial geometry
+// consumes the producer's output directly — a shrunken consumer view (an
+// unmodeled pooling stage, e.g. ResNet's conv1 → conv2_x maxpool) forces a
+// fusion cut instead. A nil repeats slice means one occurrence each; a
+// non-nil slice must match shapes in length. Every extent, both strides and
+// the batch must be positive.
 func FromConvShapes(name string, shapes []workloads.ConvShape, batch int, repeats []int) (*Network, error) {
 	if repeats != nil && len(repeats) != len(shapes) {
 		return nil, fmt.Errorf("repeats has %d entries for %d shapes", len(repeats), len(shapes))
+	}
+	for _, cs := range shapes {
+		if min(batch, cs.K, cs.C, cs.P, cs.Q, cs.R, cs.S, cs.StrideH, cs.StrideW) <= 0 {
+			return nil, fmt.Errorf("layer %q: batch, K, C, P, Q, R, S and both strides must be positive (batch %d, shape %+v)", cs.Name, batch, cs)
+		}
 	}
 	net := &Network{Name: name}
 	inH := func(cs workloads.ConvShape) (int, int) {

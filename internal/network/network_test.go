@@ -45,6 +45,26 @@ func TestFromConvShapesRepeatsMismatch(t *testing.T) {
 	}
 }
 
+// TestFromConvShapesRejectsNonPositive: a shape the workload constructor
+// would panic on comes back as an error naming the layer.
+func TestFromConvShapesRejectsNonPositive(t *testing.T) {
+	noStride := workloads.ResNet18[1]
+	noStride.StrideW = 0
+	for _, tc := range []struct {
+		shape workloads.ConvShape
+		batch int
+	}{
+		{workloads.ConvShape{Name: "bad"}, 1},
+		{noStride, 1},
+		{workloads.ResNet18[1], 0},
+	} {
+		_, err := FromConvShapes("x", []workloads.ConvShape{tc.shape}, tc.batch, nil)
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.shape.Name+`"`) {
+			t.Errorf("%+v at batch %d: err = %v, want an error naming the layer", tc.shape, tc.batch, err)
+		}
+	}
+}
+
 func TestValidateRejectsBadEdges(t *testing.T) {
 	base := func() *Network {
 		n, err := FromConvShapes("n", workloads.ResNet18[:2], 1, nil)

@@ -4,6 +4,7 @@
 package serde_test
 
 import (
+	"context"
 	"testing"
 
 	"sunstone/internal/arch"
@@ -16,7 +17,7 @@ import (
 func TestMappingRoundTripThroughOptimizer(t *testing.T) {
 	w := workloads.Conv1D("c", 8, 8, 28, 3)
 	a := arch.Tiny(256)
-	res, err := core.Optimize(w, a, core.Options{})
+	res, err := core.Solve(context.Background(), core.Problem{Workload: w, Arch: a}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

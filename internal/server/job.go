@@ -181,30 +181,18 @@ func (r *SubmitRequest) build() (*tensor.Workload, *network.Network, *arch.Arch,
 			return nil, nil, nil, opt, fopt, fmt.Errorf("arch_json: %w", err)
 		}
 	default:
-		a, err = pickArchPreset(r.Arch)
+		a, err = arch.Preset(r.Arch)
 		if err != nil {
 			return nil, nil, nil, opt, fopt, err
 		}
 	}
 
 	if o := r.Options; o != nil {
-		switch strings.ToLower(o.Objective) {
-		case "", "edp":
-		case "energy":
-			opt.Objective = core.MinEnergy
-		case "delay":
-			opt.Objective = core.MinDelay
-		case "ed2p":
-			opt.Objective = core.MinED2P
-		default:
-			return nil, nil, nil, opt, fopt, fmt.Errorf("unknown objective %q (edp|energy|delay|ed2p)", o.Objective)
+		if opt.Objective, err = core.ParseObjective(o.Objective); err != nil {
+			return nil, nil, nil, opt, fopt, err
 		}
-		switch strings.ToLower(o.Direction) {
-		case "", "bottom-up":
-		case "top-down":
-			opt.Direction = core.TopDown
-		default:
-			return nil, nil, nil, opt, fopt, fmt.Errorf("unknown direction %q (bottom-up|top-down)", o.Direction)
+		if opt.Direction, err = core.ParseDirection(o.Direction); err != nil {
+			return nil, nil, nil, opt, fopt, err
 		}
 		if o.BeamWidth < 0 {
 			return nil, nil, nil, opt, fopt, fmt.Errorf("beam_width %d must be non-negative", o.BeamWidth)
@@ -233,7 +221,7 @@ func (r *SubmitRequest) build() (*tensor.Workload, *network.Network, *arch.Arch,
 		return nil, nil, nil, opt, fopt, fmt.Errorf("timeout_ms %d must be non-negative", r.TimeoutMS)
 	}
 	if net != nil && opt.Objective != core.MinEDP {
-		return nil, nil, nil, opt, fopt, errors.New("network jobs pick their fusion cut by edp; set objective edp (or leave it unset)")
+		return nil, nil, nil, opt, fopt, core.ErrFusionObjective
 	}
 	return w, net, a, opt, fopt, nil
 }
@@ -276,9 +264,7 @@ func (n *NetworkSpec) build() (*network.Network, core.FusionOptions, error) {
 			if c.StrideW <= 0 {
 				c.StrideW = 1
 			}
-			if c.K <= 0 || c.C <= 0 || c.P <= 0 || c.Q <= 0 || c.R <= 0 || c.S <= 0 {
-				return nil, fopt, fmt.Errorf("network: layer %d: every one of K, C, P, Q, R, S must be positive", i)
-			}
+			// FromConvShapes rejects a non-positive extent, naming conv<i>.
 			shapes[i] = workloads.ConvShape{
 				Name: fmt.Sprintf("conv%d", i),
 				K:    c.K, C: c.C, P: c.P, Q: c.Q, R: c.R, S: c.S,
@@ -306,21 +292,6 @@ func (n *NetworkSpec) build() (*network.Network, core.FusionOptions, error) {
 		fopt.MaxGroup = 1 // all-singleton cut: the per-layer baseline
 	}
 	return net, fopt, nil
-}
-
-// pickArchPreset resolves an architecture preset name ("" = conventional).
-func pickArchPreset(name string) (*arch.Arch, error) {
-	switch strings.ToLower(name) {
-	case "", "conventional":
-		return arch.Conventional(), nil
-	case "simba":
-		return arch.Simba(), nil
-	case "diannao":
-		return arch.DianNao(), nil
-	case "tiny":
-		return arch.Tiny(256), nil
-	}
-	return nil, fmt.Errorf("unknown arch preset %q (conventional|simba|diannao|tiny)", name)
 }
 
 // JobStatus is the wire view of a job (GET /v1/jobs/{id}, submit responses,

@@ -94,7 +94,7 @@ func TestJournalReadmitsUnfinished(t *testing.T) {
 	// checkpoint, no result.
 	w := workloads.Conv2D("conv", 1, 1, 1, 1, 1, 1, 1, 1, 1)
 	a := arch.Tiny(256)
-	prior, err := core.Optimize(w, a, core.Options{})
+	prior, err := core.Solve(context.Background(), core.Problem{Workload: w, Arch: a}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

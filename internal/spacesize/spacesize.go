@@ -21,6 +21,8 @@
 package spacesize
 
 import (
+	"context"
+
 	"sunstone/internal/arch"
 	"sunstone/internal/core"
 	"sunstone/internal/factor"
@@ -121,7 +123,7 @@ func Table1(w *tensor.Workload, a *arch.Arch) []Estimate {
 	// Sunstone's space needs no estimate: the search is small enough to
 	// run, so its row reports the measured candidate count.
 	sunSize := 1.0
-	if res, err := core.Optimize(w, a, core.Options{}); err == nil {
+	if res, err := core.Solve(context.Background(), core.Problem{Workload: w, Arch: a}, core.Options{}); err == nil {
 		sunSize = float64(res.SpaceSize)
 	}
 

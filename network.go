@@ -17,8 +17,7 @@ import (
 
 // Fusion IR surface (internal/network): the typed Network of Layer nodes
 // with explicit producer→consumer tensor Edges that both network schedulers
-// consume. The legacy (network, shapes, repeats) entry points below are thin
-// adapters that build this IR.
+// consume.
 type (
 	// Network is an ordered chain of layers with the edges along which
 	// fusion is legal.
@@ -42,9 +41,12 @@ var (
 	TransformerChain = network.TransformerChain
 )
 
-// FromConvShapes builds the conv-chain IR behind the legacy (network,
-// shapes, repeats) signature; see internal/network for the edge-construction
-// rules (channel chaining plus the pooling-geometry cut).
+// FromConvShapes builds the conv-chain IR of a layer-shape table (one of the
+// *Layers presets, say) at the given batch; repeats weights shapes that occur
+// several times in a row (e.g. the four conv2_x blocks of ResNet-18), nil
+// meaning once each. See internal/network for the edge-construction rules
+// (channel chaining plus the pooling-geometry cut). A shape with a
+// non-positive extent or stride is an error naming the layer.
 func FromConvShapes(name string, shapes []ConvShape, batch int, repeats []int) (*Network, error) {
 	return network.FromConvShapes(name, shapes, batch, repeats)
 }
@@ -93,8 +95,9 @@ type NetworkSchedule struct {
 	UnfusedEDP float64
 }
 
-// NetworkOptions configures ScheduleNetworkContext: the per-layer optimizer
-// Options plus network-level policy.
+// NetworkOptions configures ScheduleNetwork and ScheduleNetworkFused: the
+// Options every layer's Solve runs under (Retry included) plus the
+// network-level error policy.
 type NetworkOptions struct {
 	Options
 	// ContinueOnError keeps optimizing the remaining layers after one
@@ -104,13 +107,6 @@ type NetworkOptions struct {
 	// sibling layer searches, which then return their best-so-far mappings
 	// with Result.Stopped = StopCanceled.
 	ContinueOnError bool
-	// Resilience, when non-nil, routes every layer through the graceful-
-	// degradation path (Engine.OptimizeResilient): bounded retries with
-	// budget backoff, then the policy's fallback-mapper chain, with every
-	// accepted mapping passing the final audit. Each layer's attempts are
-	// recorded in its Result.Attempts / Result.FallbackUsed. Nil (the
-	// default) is the legacy single-attempt path, bit-identical to before.
-	Resilience *RetryPolicy
 }
 
 // FailureCause classifies why a layer's search failed (LayerError.Cause).
@@ -150,89 +146,15 @@ type LayerError = core.LayerError
 // classification of err itself. A nil error has no cause ("").
 func CauseOf(err error) FailureCause { return core.CauseOf(err) }
 
-// ScheduleNetwork maps every layer of a network onto the architecture,
-// optimizing layers concurrently (each layer's search is independent), and
-// returns per-layer mappings plus network totals. Repeats lets callers
-// weight shapes that occur multiple times (e.g. the four conv2_x blocks of
-// ResNet-18); pass nil for one occurrence each. It is ScheduleNetworkContext
-// with a background context and fail-fast error policy.
-func ScheduleNetwork(network string, shapes []ConvShape, batch int, repeats []int, a *Arch, opt Options) (NetworkSchedule, error) {
-	return ScheduleNetworkContext(context.Background(), network, shapes, batch, repeats, a, NetworkOptions{Options: opt})
-}
-
-// ScheduleNetworkContext is (*Engine).ScheduleNetworkContext on a transient
-// Engine: the layers of one call still share a compilation cache, so a
-// network's repeated shapes (e.g. ResNet-18's conv2_x block) compile once,
-// but nothing is retained across calls. Hold an Engine to reuse compiled
-// artifacts between networks.
-func ScheduleNetworkContext(ctx context.Context, network string, shapes []ConvShape, batch int, repeats []int, a *Arch, opt NetworkOptions) (NetworkSchedule, error) {
-	return NewEngine().ScheduleNetworkContext(ctx, network, shapes, batch, repeats, a, opt)
-}
-
-// ScheduleNetwork maps every layer of a network through the Engine's
-// compilation cache. It is (*Engine).ScheduleNetworkContext with a background
-// context and fail-fast error policy.
-func (e *Engine) ScheduleNetwork(network string, shapes []ConvShape, batch int, repeats []int, a *Arch, opt Options) (NetworkSchedule, error) {
-	return e.ScheduleNetworkContext(context.Background(), network, shapes, batch, repeats, a, NetworkOptions{Options: opt})
-}
-
-// ScheduleNetworkContext maps every layer of a network onto the architecture
-// under ctx. It is a thin adapter over the fusion IR: the (network, shapes,
-// batch, repeats) tuple builds a Network via FromConvShapes, which
-// ScheduleNetworkIR then schedules layer by layer — identical results to the
-// pre-IR pipeline, including the error policy and repeats weighting.
-func (e *Engine) ScheduleNetworkContext(ctx context.Context, network string, shapes []ConvShape, batch int, repeats []int, a *Arch, opt NetworkOptions) (NetworkSchedule, error) {
-	net, prefail, err := convNetworkIR(network, shapes, batch, repeats)
-	if err != nil {
-		return NetworkSchedule{}, err
-	}
-	return e.scheduleNetworkIR(ctx, net, a, opt, prefail)
-}
-
-// convNetworkIR builds the conv-chain IR with the legacy per-layer panic
-// containment: a pathological shape whose workload construction panics
-// (tensor.MustNew) must fail as *that layer's* scheduling error — siblings
-// still run — not abort the whole call. Such shapes are swapped for a
-// trivial placeholder so the IR still carries one layer per shape, and the
-// contained panic is returned as the layer's pre-existing failure.
-func convNetworkIR(name string, shapes []ConvShape, batch int, repeats []int) (*Network, []error, error) {
-	var prefail []error
-	probed := shapes
-	for i := range shapes {
-		err := func(i int) (err error) {
-			defer func() {
-				if pe := anytime.PanicErrorFrom(recover(), "schedule layer "+shapes[i].Name, nil); pe != nil {
-					err = pe
-				}
-			}()
-			shapes[i].Inference(batch)
-			return nil
-		}(i)
-		if err == nil {
-			continue
-		}
-		if prefail == nil {
-			prefail = make([]error, len(shapes))
-			probed = append([]ConvShape(nil), shapes...)
-		}
-		prefail[i] = err
-		probed[i] = ConvShape{Name: shapes[i].Name, K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
-	}
-	net, err := network.FromConvShapes(name, probed, batch, repeats)
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, prefail, nil
-}
-
-// ScheduleNetworkIR maps every layer of an IR network onto the architecture
-// under ctx, one independent search per layer (no fusion), routing every
-// search through the Engine's compilation cache (repeated shapes compile
-// once; an already-warm Engine recompiles nothing). The per-layer searches
-// run concurrently and inherit ctx (plus Options.Timeout, which bounds each
-// layer's search individually), so canceling ctx degrades every in-flight
-// layer to its best-so-far mapping. Each layer contributes one LayerSchedule
-// whose totals are weighted by its Repeats.
+// ScheduleNetwork maps every layer of a network onto the architecture under
+// ctx, one independent Solve per layer (no fusion) through the Engine's
+// compilation cache (repeated shapes compile once; an already-warm Engine
+// recompiles nothing). The per-layer searches run concurrently and inherit
+// ctx (plus Options.Timeout, which bounds each layer's search individually),
+// so canceling ctx degrades every in-flight layer to its best-so-far mapping.
+// Each layer contributes one LayerSchedule whose totals are weighted by its
+// Repeats; with opt.Retry set, each layer's attempts are recorded in its
+// Result.Attempts / Result.FallbackUsed.
 //
 // Error policy: a failed layer never aborts the others mid-flight without
 // trace. By default the first failure cancels the sibling searches
@@ -242,15 +164,7 @@ func convNetworkIR(name string, shapes []ConvShape, batch int, repeats []int) (*
 // returned error is the errors.Join of all per-layer failures, and a panic
 // in one layer's search (e.g. a poisoned cost-model evaluation) is isolated
 // to that layer as an *anytime.PanicError instead of crashing the process.
-func (e *Engine) ScheduleNetworkIR(ctx context.Context, net *Network, a *Arch, opt NetworkOptions) (NetworkSchedule, error) {
-	return e.scheduleNetworkIR(ctx, net, a, opt, nil)
-}
-
-// scheduleNetworkIR is ScheduleNetworkIR plus the legacy adapter's pre-failed
-// layers: a non-nil prefail[i] fails layer i through the ordinary per-layer
-// error path (classification, fail-fast cancellation) without running a
-// search for it.
-func (e *Engine) scheduleNetworkIR(ctx context.Context, net *Network, a *Arch, opt NetworkOptions, prefail []error) (NetworkSchedule, error) {
+func (e *Engine) ScheduleNetwork(ctx context.Context, net *Network, a *Arch, opt NetworkOptions) (NetworkSchedule, error) {
 	if net == nil {
 		return NetworkSchedule{}, errors.New("schedule network: nil network")
 	}
@@ -294,10 +208,6 @@ func (e *Engine) scheduleNetworkIR(ctx context.Context, net *Network, a *Arch, o
 					failLayer(i, l.Name, e)
 				}
 			}()
-			if prefail != nil && prefail[i] != nil {
-				failLayer(i, l.Name, prefail[i])
-				return
-			}
 			// Each layer's search gets its own root span — its own thread
 			// row in the exported trace — because layers run concurrently
 			// and would otherwise render as one overlapped track.
@@ -307,13 +217,7 @@ func (e *Engine) scheduleNetworkIR(ctx context.Context, net *Network, a *Arch, o
 				defer lsp.End()
 				lctx = obs.WithSpan(ctx, lsp)
 			}
-			var res Result
-			var err error
-			if opt.Resilience != nil {
-				res, err = e.core.OptimizeResilient(lctx, l.Workload, a, opt.Options, *opt.Resilience)
-			} else {
-				res, err = e.OptimizeContext(lctx, l.Workload, a, opt.Options)
-			}
+			res, err := e.Solve(lctx, Problem{Workload: l.Workload, Arch: a}, opt.Options)
 			if err != nil {
 				failLayer(i, l.Name, err)
 				return
@@ -337,12 +241,6 @@ func (e *Engine) scheduleNetworkIR(ctx context.Context, net *Network, a *Arch, o
 	return out, errors.Join(errs...)
 }
 
-// ScheduleNetworkFused is (*Engine).ScheduleNetworkFused on a transient
-// Engine.
-func ScheduleNetworkFused(ctx context.Context, net *Network, a *Arch, opt NetworkOptions, fuse FusionOptions) (NetworkSchedule, error) {
-	return NewEngine().ScheduleNetworkFused(ctx, net, a, opt, fuse)
-}
-
 // ScheduleNetworkFused schedules the network with fusion-aware cuts
 // (internal/core's fused solver): contiguous chain segments connected by IR
 // edges may execute as one group whose intermediate tensors stay resident
@@ -353,15 +251,11 @@ func ScheduleNetworkFused(ctx context.Context, net *Network, a *Arch, opt Networ
 //
 // The returned schedule expands layer repeats: Layers holds one entry per
 // executed chain position with Repeats 1, and Groups records the chosen
-// fusion cut over those positions. fuse.Resilience defaults to
-// opt.Resilience, so a caller's existing retry policy covers the fused
-// member searches too. Scheduling is fail-fast on the singleton baseline
+// fusion cut over those positions. opt.Retry covers every member search,
+// singleton and fused. Scheduling is fail-fast on the singleton baseline
 // (its failures are joined per-layer errors); a failed fused member merely
 // discards the groups that needed it.
 func (e *Engine) ScheduleNetworkFused(ctx context.Context, net *Network, a *Arch, opt NetworkOptions, fuse FusionOptions) (NetworkSchedule, error) {
-	if fuse.Resilience == nil {
-		fuse.Resilience = opt.Resilience
-	}
 	res, err := e.core.SolveNetworkFused(ctx, net, a, opt.Options, fuse)
 	if err != nil {
 		return NetworkSchedule{}, err

@@ -21,6 +21,16 @@ func smallNet() []sunstone.ConvShape {
 	}
 }
 
+// scheduleShapes builds the conv-chain IR of a shape table at batch 1 and
+// schedules it layer by layer on a fresh Engine.
+func scheduleShapes(ctx context.Context, name string, shapes []sunstone.ConvShape, repeats []int, a *sunstone.Arch, opt sunstone.NetworkOptions) (sunstone.NetworkSchedule, error) {
+	net, err := sunstone.FromConvShapes(name, shapes, 1, repeats)
+	if err != nil {
+		return sunstone.NetworkSchedule{}, err
+	}
+	return sunstone.NewEngine().ScheduleNetwork(ctx, net, a, opt)
+}
+
 // poisonProbe panics on every evaluation of the targeted layer's workload —
 // injected cost-model failure confined to one layer.
 type poisonProbe struct{ layer string }
@@ -39,7 +49,7 @@ func poisonedOptions(layer string) sunstone.Options {
 
 func TestScheduleNetworkPanicIsolatedToOneLayer(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sched, err := sunstone.ScheduleNetworkContext(context.Background(), "net", smallNet(), 1, nil,
+	sched, err := scheduleShapes(context.Background(), "net", smallNet(), nil,
 		sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("b"), ContinueOnError: true})
 	if err == nil {
 		t.Fatal("poisoned layer must surface as an error")
@@ -76,7 +86,7 @@ func TestScheduleNetworkPanicIsolatedToOneLayer(t *testing.T) {
 }
 
 func TestScheduleNetworkFailFastCancelsSiblings(t *testing.T) {
-	sched, err := sunstone.ScheduleNetworkContext(context.Background(), "net", smallNet(), 1, nil,
+	sched, err := scheduleShapes(context.Background(), "net", smallNet(), nil,
 		sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("a")})
 	if err == nil {
 		t.Fatal("fail-fast schedule with a poisoned layer must error")
@@ -106,7 +116,7 @@ func TestScheduleNetworkAllLayersPoisoned(t *testing.T) {
 	model := cost.Default
 	model.Probe = poisonProbe{layer: "a"}
 	shapes := smallNet()[:1]
-	sched, err := sunstone.ScheduleNetworkContext(context.Background(), "net", shapes, 1, nil,
+	sched, err := scheduleShapes(context.Background(), "net", shapes, nil,
 		sunstone.Tiny(256), sunstone.NetworkOptions{Options: sunstone.Options{Model: model}, ContinueOnError: true})
 	if err == nil || sched.Failed != 1 {
 		t.Fatalf("fully poisoned net: err=%v failed=%d", err, sched.Failed)
@@ -120,7 +130,7 @@ func TestScheduleNetworkContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	sched, err := sunstone.ScheduleNetworkContext(ctx, "net", smallNet(), 1, nil,
+	sched, err := scheduleShapes(ctx, "net", smallNet(), nil,
 		sunstone.Tiny(256), sunstone.NetworkOptions{})
 	if err != nil {
 		t.Fatalf("canceled schedule should degrade, not fail: %v", err)
@@ -142,7 +152,7 @@ func TestOptimizeFacadeTimeout(t *testing.T) {
 	// Big enough that the full search takes well over the timeout (about
 	// 40 ms on a 2.6 GHz core since the dense expansion rewrite).
 	w := sunstone.Conv2D("big", 32, 512, 384, 112, 112, 5, 5, 1, 1)
-	res, err := sunstone.Optimize(w, sunstone.Simba(), sunstone.Options{Timeout: 5 * time.Millisecond})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: sunstone.Simba()}, sunstone.Options{Timeout: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package sunstone
+package sunstone_test
 
 import (
 	"context"
@@ -7,66 +7,68 @@ import (
 	"testing"
 	"time"
 
+	"sunstone"
 	"sunstone/internal/faults"
 )
 
 // TestLayerCauseClassificationEndToEnd drives every FailureCause through the
-// public API: real ScheduleNetworkContext runs whose layers fail for each of
+// public API: real ScheduleNetwork runs whose layers fail for each of
 // the five classified reasons, asserted via CauseOf on the per-layer errors.
 //
 //   - injected: a deterministic compile fault (internal/faults) fails the
 //     layer's problem compilation;
-//   - panic: a structurally invalid layer shape panics inside the layer
-//     goroutine (tensor.MustNew), contained as an *anytime.PanicError;
+//   - panic: a poisoned cost model panics on every evaluation of the layer,
+//     contained per candidate as an *anytime.PanicError;
 //   - deadline: every evaluation is poisoned (so no valid mapping can ever
 //     complete) and a nanosecond timeout expires first;
 //   - sibling-cancel: a tiny poisoned layer fails fast and cancels a larger
 //     sibling before it can complete anything;
 //   - search: the poisoned layer runs to its natural end with nothing valid.
 func TestLayerCauseClassificationEndToEnd(t *testing.T) {
-	a := Tiny(256)
-	tiny := ConvShape{Name: "tiny", K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
-	mid := ConvShape{Name: "mid", K: 8, C: 8, P: 7, Q: 7, R: 3, S: 3, StrideH: 1, StrideW: 1}
-	big := ConvShape{Name: "big", K: 960, C: 720, P: 210, Q: 210, R: 7, S: 7, StrideH: 1, StrideW: 1}
-	bad := ConvShape{Name: "bad"} // zero dims: Inference panics in tensor.MustNew
+	a := sunstone.Tiny(256)
+	tiny := sunstone.ConvShape{Name: "tiny", K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
+	mid := sunstone.ConvShape{Name: "mid", K: 8, C: 8, P: 7, Q: 7, R: 3, S: 3, StrideH: 1, StrideW: 1}
+	big := sunstone.ConvShape{Name: "big", K: 960, C: 720, P: 210, Q: 210, R: 7, S: 7, StrideH: 1, StrideW: 1}
 
 	cases := []struct {
 		name   string
 		spec   string // fault spec armed for the run ("" = none)
-		shapes []ConvShape
-		opt    NetworkOptions
+		shapes []sunstone.ConvShape
+		opt    sunstone.NetworkOptions
 		layer  string // the layer whose cause is asserted
-		want   FailureCause
+		want   sunstone.FailureCause
 	}{
 		{
 			name: "injected", spec: "compile:error:1,seed=1",
-			shapes: []ConvShape{tiny}, layer: "tiny", want: CauseInjected,
+			shapes: []sunstone.ConvShape{tiny}, layer: "tiny", want: sunstone.CauseInjected,
 		},
 		{
 			name:   "panic",
-			shapes: []ConvShape{bad}, layer: "bad", want: CausePanic,
+			shapes: []sunstone.ConvShape{mid},
+			opt:    sunstone.NetworkOptions{Options: poisonedOptions("mid")},
+			layer:  "mid", want: sunstone.CausePanic,
 		},
 		{
 			name: "deadline", spec: "evaluate:panic:1,seed=1",
-			shapes: []ConvShape{mid},
-			opt:    NetworkOptions{Options: Options{Timeout: time.Nanosecond}},
-			layer:  "mid", want: CauseDeadline,
+			shapes: []sunstone.ConvShape{mid},
+			opt:    sunstone.NetworkOptions{Options: sunstone.Options{Timeout: time.Nanosecond}},
+			layer:  "mid", want: sunstone.CauseDeadline,
 		},
 		{
 			// The tiny layer exhausts its poisoned search first (cause:
 			// search) and the fail-fast policy cancels the big sibling,
 			// which cannot have completed anything valid either.
 			name: "sibling-cancel", spec: "evaluate:panic:1,seed=1",
-			shapes: []ConvShape{tiny, big}, layer: "big", want: CauseSiblingCancel,
+			shapes: []sunstone.ConvShape{tiny, big}, layer: "big", want: sunstone.CauseSiblingCancel,
 		},
 		{
 			// An ordinary search failure: invalid options are rejected by
 			// Options.Validate before any search runs — a plain error with
 			// no injected fault, panic, or context signal in its chain.
 			name:   "search",
-			shapes: []ConvShape{tiny},
-			opt:    NetworkOptions{Options: Options{MinUtilization: 2}},
-			layer:  "tiny", want: CauseSearch,
+			shapes: []sunstone.ConvShape{tiny},
+			opt:    sunstone.NetworkOptions{Options: sunstone.Options{MinUtilization: 2}},
+			layer:  "tiny", want: sunstone.CauseSearch,
 		},
 	}
 	for _, tc := range cases {
@@ -78,7 +80,7 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 				}
 				defer faults.Activate(inj)()
 			}
-			sched, err := ScheduleNetworkContext(context.Background(), tc.name, tc.shapes, 1, nil, a, tc.opt)
+			sched, err := scheduleShapes(context.Background(), tc.name, tc.shapes, nil, a, tc.opt)
 			if err == nil {
 				t.Fatalf("schedule succeeded; wanted layer %q to fail with cause %q", tc.layer, tc.want)
 			}
@@ -91,10 +93,10 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 				if l.Err == nil {
 					t.Fatalf("layer %q has no error (schedule error: %v)", tc.layer, err)
 				}
-				if got := CauseOf(l.Err); got != tc.want {
+				if got := sunstone.CauseOf(l.Err); got != tc.want {
 					t.Errorf("layer %q: CauseOf = %q, want %q (err: %v)", tc.layer, got, tc.want, l.Err)
 				}
-				var le *LayerError
+				var le *sunstone.LayerError
 				if !errors.As(l.Err, &le) {
 					t.Errorf("layer %q error is not a *LayerError: %v", tc.layer, l.Err)
 				}
@@ -110,22 +112,22 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 // recorded cause is authoritative even deep in a joined chain, and bare
 // errors fall back to direct classification.
 func TestCauseOf(t *testing.T) {
-	if got := CauseOf(nil); got != "" {
+	if got := sunstone.CauseOf(nil); got != "" {
 		t.Errorf("CauseOf(nil) = %q", got)
 	}
-	le := &LayerError{Layer: "conv1", Cause: CauseDeadline, Err: context.DeadlineExceeded}
-	if got := CauseOf(fmt.Errorf("schedule: %w", le)); got != CauseDeadline {
-		t.Errorf("wrapped LayerError: CauseOf = %q, want %q", got, CauseDeadline)
+	le := &sunstone.LayerError{Layer: "conv1", Cause: sunstone.CauseDeadline, Err: context.DeadlineExceeded}
+	if got := sunstone.CauseOf(fmt.Errorf("schedule: %w", le)); got != sunstone.CauseDeadline {
+		t.Errorf("wrapped LayerError: CauseOf = %q, want %q", got, sunstone.CauseDeadline)
 	}
-	if got := CauseOf(errors.Join(errors.New("other"), le)); got != CauseDeadline {
-		t.Errorf("joined LayerError: CauseOf = %q, want %q", got, CauseDeadline)
+	if got := sunstone.CauseOf(errors.Join(errors.New("other"), le)); got != sunstone.CauseDeadline {
+		t.Errorf("joined LayerError: CauseOf = %q, want %q", got, sunstone.CauseDeadline)
 	}
 	inj := &faults.InjectedError{Site: faults.SiteExpand, Kind: faults.Panic, Seq: 3}
-	if got := CauseOf(fmt.Errorf("bare: %w", inj)); got != CauseInjected {
-		t.Errorf("bare injected: CauseOf = %q, want %q", got, CauseInjected)
+	if got := sunstone.CauseOf(fmt.Errorf("bare: %w", inj)); got != sunstone.CauseInjected {
+		t.Errorf("bare injected: CauseOf = %q, want %q", got, sunstone.CauseInjected)
 	}
-	if got := CauseOf(errors.New("anything else")); got != CauseSearch {
-		t.Errorf("bare error: CauseOf = %q, want %q", got, CauseSearch)
+	if got := sunstone.CauseOf(errors.New("anything else")); got != sunstone.CauseSearch {
+		t.Errorf("bare error: CauseOf = %q, want %q", got, sunstone.CauseSearch)
 	}
 }
 
@@ -133,7 +135,7 @@ func TestCauseOf(t *testing.T) {
 // keeping the layer prefix older tooling greps for) and Unwrap.
 func TestLayerErrorRendering(t *testing.T) {
 	base := errors.New("boom")
-	le := &LayerError{Layer: "conv2_x", Cause: CausePanic, Err: base}
+	le := &sunstone.LayerError{Layer: "conv2_x", Cause: sunstone.CausePanic, Err: base}
 	if got, want := le.Error(), "conv2_x: [panic] boom"; got != want {
 		t.Errorf("Error() = %q, want %q", got, want)
 	}

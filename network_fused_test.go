@@ -27,7 +27,7 @@ func TestFuseSmoke(t *testing.T) {
 	a := sunstone.Tiny(1024)
 	opt := quickNetOpt(sunstone.Options{})
 
-	sched, err := sunstone.ScheduleNetworkFused(context.Background(), net, a, opt, sunstone.FusionOptions{})
+	sched, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net, a, opt, sunstone.FusionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +50,14 @@ func TestFuseSmoke(t *testing.T) {
 
 	// Fusion off: the all-singleton cut is the unfused baseline, and the
 	// plain per-layer IR scheduler agrees with it bit for bit.
-	off, err := sunstone.ScheduleNetworkFused(context.Background(), net, a, opt, sunstone.FusionOptions{MaxGroup: 1})
+	off, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net, a, opt, sunstone.FusionOptions{MaxGroup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.EDP != off.UnfusedEDP {
 		t.Errorf("fusion off: EDP %v != unfused %v", off.EDP, off.UnfusedEDP)
 	}
-	plain, err := sunstone.NewEngine().ScheduleNetworkIR(context.Background(), net, a, quickNetOpt(sunstone.Options{}))
+	plain, err := sunstone.NewEngine().ScheduleNetwork(context.Background(), net, a, quickNetOpt(sunstone.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +68,8 @@ func TestFuseSmoke(t *testing.T) {
 }
 
 // TestScheduleNetworkIRRepeatsWeighting drives the repeats weighting through
-// the IR adapters in both optimization directions: the legacy
-// (shapes, repeats) entry point and the direct IR path must agree bit for
-// bit, and the totals must be the repeats-weighted sums of the per-layer
-// reports.
+// the per-layer scheduler in both optimization directions: the totals must
+// be the repeats-weighted sums of the per-layer reports.
 func TestScheduleNetworkIRRepeatsWeighting(t *testing.T) {
 	shapes := sunstone.ResNet18Layers[:3]
 	repeats := []int{1, 4, 1}
@@ -84,23 +82,9 @@ func TestScheduleNetworkIRRepeatsWeighting(t *testing.T) {
 		{"top-down", sunstone.Options{Direction: sunstone.TopDown, TopDownVisitBudget: 200}},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
-			opt := quickNetOpt(dir.opt)
-			legacy, err := sunstone.ScheduleNetworkContext(context.Background(), "head", shapes, 1, repeats, a, opt)
+			ir, err := scheduleShapes(context.Background(), "head", shapes, repeats, a, quickNetOpt(dir.opt))
 			if err != nil {
 				t.Fatal(err)
-			}
-			net, err := sunstone.FromConvShapes("head", shapes, 1, repeats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ir, err := sunstone.NewEngine().ScheduleNetworkIR(context.Background(), net, a, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if legacy.TotalEnergyPJ != ir.TotalEnergyPJ || legacy.TotalCycles != ir.TotalCycles || legacy.EDP != ir.EDP {
-				t.Errorf("legacy adapter and IR path diverge: (%v, %v, %v) vs (%v, %v, %v)",
-					legacy.TotalEnergyPJ, legacy.TotalCycles, legacy.EDP,
-					ir.TotalEnergyPJ, ir.TotalCycles, ir.EDP)
 			}
 			var wantE, wantC float64
 			for i, l := range ir.Layers {
@@ -146,7 +130,7 @@ func TestScheduleNetworkIRFailFast(t *testing.T) {
 					bigNet.Layers[0],
 				},
 			}
-			sched, err := sunstone.NewEngine().ScheduleNetworkIR(
+			sched, err := sunstone.NewEngine().ScheduleNetwork(
 				context.Background(), net, sunstone.Conventional(),
 				sunstone.NetworkOptions{Options: dir.opt})
 			if err == nil {
@@ -172,7 +156,7 @@ func TestScheduleNetworkIRFailFast(t *testing.T) {
 // headerless array still reads as a layer-per-entry schedule.
 func TestNetworkScheduleSerdeRoundTrip(t *testing.T) {
 	net := sunstone.TransformerChain(16, 16, 64)
-	sched, err := sunstone.ScheduleNetworkFused(context.Background(), net,
+	sched, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net,
 		sunstone.Tiny(1024), quickNetOpt(sunstone.Options{}), sunstone.FusionOptions{})
 	if err != nil {
 		t.Fatal(err)

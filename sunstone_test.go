@@ -1,6 +1,7 @@
 package sunstone_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestPublicAPIQuickstart(t *testing.T) {
 	w := sunstone.Conv2D("layer", 1, 32, 32, 14, 14, 3, 3, 1, 1)
-	res, err := sunstone.Optimize(w, sunstone.Conventional(), sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: sunstone.Conventional()}, sunstone.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestPublicAPICustomWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sunstone.Optimize(w, sunstone.Tiny(64), sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: sunstone.Tiny(64)}, sunstone.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +81,9 @@ func TestLayerTablesExported(t *testing.T) {
 	}
 }
 
-func ExampleOptimize() {
+func ExampleSolve() {
 	w := sunstone.Conv1D("example", 4, 4, 14, 3)
-	res, err := sunstone.Optimize(w, sunstone.Tiny(64), sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: sunstone.Tiny(64)}, sunstone.Options{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -109,7 +110,7 @@ func TestFacadeNamesAndObjectives(t *testing.T) {
 
 func TestFacadeDianNaoPipeline(t *testing.T) {
 	w := sunstone.Conv2D("c", 1, 32, 32, 8, 8, 3, 3, 1, 1)
-	res, err := sunstone.Optimize(w, sunstone.DianNao(), sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: sunstone.DianNao()}, sunstone.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestFacadeDianNaoPipeline(t *testing.T) {
 
 func TestFacadeObjectiveOptimize(t *testing.T) {
 	w := sunstone.Conv2D("c", 1, 16, 16, 8, 8, 3, 3, 1, 1)
-	res, err := sunstone.Optimize(w, sunstone.TinySpatial(512, 1<<16, 4), sunstone.Options{
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: sunstone.TinySpatial(512, 1<<16, 4)}, sunstone.Options{
 		Objective: sunstone.MinEnergy,
 	})
 	if err != nil {
@@ -165,7 +166,7 @@ func TestParseWorkloadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sunstone.Optimize(w, sunstone.Tiny(64), sunstone.Options{})
+	res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: sunstone.Tiny(64)}, sunstone.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +177,8 @@ func TestParseWorkloadFacade(t *testing.T) {
 
 func TestScheduleNetwork(t *testing.T) {
 	shapes := sunstone.ResNet18Layers[:3]
-	sched, err := sunstone.ScheduleNetwork("resnet18-head", shapes, 1, []int{1, 4, 1},
-		sunstone.Conventional(), sunstone.Options{})
+	sched, err := scheduleShapes(context.Background(), "resnet18-head", shapes, []int{1, 4, 1},
+		sunstone.Conventional(), sunstone.NetworkOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +205,10 @@ func TestScheduleNetwork(t *testing.T) {
 }
 
 func TestScheduleNetworkRejectsBadRepeats(t *testing.T) {
-	_, err := sunstone.ScheduleNetwork("x", sunstone.ResNet18Layers[:2], 1, []int{1},
-		sunstone.Conventional(), sunstone.Options{})
-	if err == nil {
+	if _, err := sunstone.FromConvShapes("x", sunstone.ResNet18Layers[:2], 1, []int{1}); err == nil {
 		t.Error("mismatched repeats must error")
+	}
+	if _, err := sunstone.FromConvShapes("x", []sunstone.ConvShape{{Name: "bad"}}, 1, nil); err == nil {
+		t.Error("a zero-extent shape must error, not panic")
 	}
 }
