@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet fmt-check guard build test race fuzz fuzz-smoke bench bench-smoke trace-smoke chaos-smoke server-smoke crash-smoke parallel-smoke seed-smoke fuse-smoke loc
+.PHONY: check vet fmt-check guard build test race fuzz fuzz-smoke bench bench-gate bench-smoke trace-smoke chaos-smoke server-smoke crash-smoke parallel-smoke seed-smoke fuse-smoke loc
 
 # check is the full pre-commit gate: static analysis, formatting, the
 # unified-stepper and one-way-in API guards, build, the whole test suite, the race detector over
@@ -79,6 +79,16 @@ fuse-smoke:
 # is the full pass and a comparison of two of them — see bench/README.md.
 bench:
 	$(GO) run ./bench -quick
+
+# bench-gate is the regression gate: alternating parent/change pairs of every
+# workload against BASE (a git ref), judged by the rule in bench/README.md;
+# fails on any `worse` verdict or failed operation. Ten pairs of four
+# workloads are about half an hour; PAIRS and WORKLOADS narrow it. Advisory in
+# CI, where shared runners are noisy.
+PAIRS ?= 10
+bench-gate:
+	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<git ref> [PAIRS=10] [WORKLOADS='service-mix ...']"; exit 2; }
+	./scripts/bench-pairs.sh $(BASE) $(PAIRS) $(WORKLOADS)
 
 # bench-smoke compiles and runs every benchmark for a single iteration — a
 # fast regression guard that the harness itself still works.

@@ -7,17 +7,17 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"encoding/binary"
+	"math"
 
 	"sunstone/internal/anytime"
-	"sunstone/internal/mapping"
 	"sunstone/internal/tile"
 	"sunstone/internal/unroll"
 )
 
 // expandBottomUnit is the sequencer's per-(state, ordering) expansion unit
-// for the bottom-up direction: it extends partial mapping base at step l
-// under ordering oi — loop ordering for level l+1, tiling of level l,
+// for the bottom-up direction: it extends the partial mapping in row base at
+// step l under ordering oi — loop ordering for level l+1, tiling of level l,
 // spatial unrolling at level 0 (step 0 only) and at level l+1. Every
 // produced candidate is charged as generated, and the visit count handed to
 // the (unbounded) step budget includes both the enumeration effort and the
@@ -27,16 +27,16 @@ import (
 // replayExpansion) so the hot enumeration loops never touch an atomic and a
 // memoized replay charges identical deltas.
 //
-// The unit runs on a pool worker, on that worker's workspace: base is loaded
+// The unit runs on a pool worker, on that worker's workspace: base is copied
 // into the factor matrix once, every stage below mutates rows of it in place
-// and restores them, and a mapping.Mapping is built only for each candidate
-// that comes out the far end. The unit must not touch anything mutable that
-// is shared with sibling units: it reads base (never written after creation)
-// and goes through the compiled problem's read-only tables and
-// internally-synchronized ladder cache. Cancellation is checked on entry and
+// and restores them, and each candidate that comes out the far end is
+// appended to the unit's output as a row (workspace.emit). The unit must not
+// touch anything mutable that is shared with sibling units: it reads base
+// (never written after creation) and goes through the compiled problem's
+// read-only tables and internally-synchronized ladder cache. Cancellation is checked on entry and
 // polled inside the tiling walk, so a stop truncates the candidate set rather
 // than discarding it (the driver then skips memoization).
-func (sc *search) expandBottomUnit(ctx context.Context, ws *workspace, base *mapping.Mapping, l, oi, budget int) unitOut {
+func (sc *search) expandBottomUnit(ctx context.Context, ws *workspace, base []int, l, oi, budget int) unitOut {
 	var out unitOut
 	if anytime.FromContext(ctx) != StopComplete {
 		return out
@@ -50,7 +50,7 @@ func (sc *search) expandBottomUnit(ctx context.Context, ws *workspace, base *map
 	effort := 0
 
 	ws.load(base)
-	p.order[l+1] = plan.complete
+	p.ord[l+1] = oi
 
 	// Step 0 also assigns the unrolling below the first memory level
 	// (e.g. the DianNao NFU between the on-chip buffers and the MACs).
@@ -87,12 +87,12 @@ func (sc *search) expandBottomUnit(ctx context.Context, ws *workspace, base *map
 					}
 				}
 				sc.residualFill(ws, l, plan.inGrow)
-				out.cands = append(out.cands, ws.materialize())
+				ws.emit(&out)
 				copy(trow, ws.saved)
 			}
 		}
 	}
-	out.visited = effort + len(out.cands)
+	out.visited = effort + len(out.keys)
 	return out
 }
 
@@ -101,7 +101,7 @@ func (sc *search) expandBottomUnit(ctx context.Context, ws *workspace, base *map
 // ordering's principle guidance and filter later, so they visit extra nodes
 // for the same final set. The cost is independent of any single ordering, so
 // the driver charges it once per state (folded into the state's first unit).
-func (sc *search) strategyEffort(ctx context.Context, ws *workspace, base *mapping.Mapping, l int) int {
+func (sc *search) strategyEffort(ctx context.Context, ws *workspace, base []int, l int) int {
 	switch sc.opt.Strategy {
 	case TileUnrollOrder:
 		return sc.unguidedTileEffort(ctx, ws, base, l)
@@ -116,7 +116,7 @@ func (sc *search) strategyEffort(ctx context.Context, ws *workspace, base *mappi
 // move identically: every produced candidate plus every enumeration reject
 // counts as generated, rejects additionally to their pruning principle.
 func (sc *search) replayExpansion(e *expandEntry) {
-	sc.ctr.Generated.Add(uint64(len(e.cands) + e.prunedTiling + e.prunedUnrolling))
+	sc.ctr.Generated.Add(uint64(len(e.keys) + e.prunedTiling + e.prunedUnrolling))
 	if e.prunedTiling > 0 {
 		sc.ctr.PrunedTiling.Add(uint64(e.prunedTiling))
 	}
@@ -125,16 +125,25 @@ func (sc *search) replayExpansion(e *expandEntry) {
 	}
 }
 
-// expandKey renders the expansion-memo key for extending base at level lvl:
+// expandKey appends the expansion-memo key for extending base at level lvl:
 // the direction, the option knobs that shape enumeration, the step budget
-// where it can bind (top-down; bottom-up passes 0), and the partial
-// mapping's canonical render. Knobs that only affect scoring or selection —
-// objective, beam, alpha slack, threads — are deliberately absent: they do
-// not change what an expansion produces.
-func (sc *search) expandKey(lvl, budget int, base *mapping.Mapping) string {
+// where it can bind (top-down; bottom-up passes 0), and the base row itself,
+// every field a varint. The row is finer than the canonical render the key
+// used to embed — it also tells apart bases that differ in the order of a
+// level whose loops all still have bound 1, which the expansion copies into
+// its candidates. Knobs that only affect scoring or selection — objective,
+// beam, alpha slack, threads — are deliberately absent: they do not change
+// what an expansion produces.
+func (sc *search) expandKey(b []byte, lvl, budget int, base []int) []byte {
 	o := sc.opt
-	return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%g|%s",
-		o.Direction, o.Strategy, lvl, budget, o.TilesPerStep, o.UnrollsPerStep, o.MinUtilization, base.String())
+	for _, v := range [...]int{int(o.Direction), int(o.Strategy), lvl, budget, o.TilesPerStep, o.UnrollsPerStep} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	b = binary.AppendUvarint(b, math.Float64bits(o.MinUtilization))
+	for _, v := range base {
+		b = binary.AppendUvarint(b, uint64(v+1)) // noOrder is -1
+	}
+	return b
 }
 
 // enumerateTiles runs the tiling tree for level l of the workspace's partial
@@ -267,7 +276,7 @@ func (sc *search) unrollVec(ws *workspace, lvl int, dims *dimList, maxCandidates
 
 // unguidedTileEffort counts the tiling-tree nodes an ordering-last strategy
 // visits: the tree grown along every dimension, no Tiling Principle filter.
-func (sc *search) unguidedTileEffort(ctx context.Context, ws *workspace, base *mapping.Mapping, l int) int {
+func (sc *search) unguidedTileEffort(ctx context.Context, ws *workspace, base []int, l int) int {
 	ws.load(base)
 	_, stats := sc.enumerateTiles(ctx, ws, l, &sc.comp.dims.all)
 	return stats.NodesVisited
@@ -276,7 +285,7 @@ func (sc *search) unguidedTileEffort(ctx context.Context, ws *workspace, base *m
 // unguidedUnrollEffort counts the unrolling candidates an ordering-last
 // strategy enumerates at this step's spatial levels without the Unrolling
 // Principle filter.
-func (sc *search) unguidedUnrollEffort(ws *workspace, base *mapping.Mapping, l int) int {
+func (sc *search) unguidedUnrollEffort(ws *workspace, base []int, l int) int {
 	dt := &sc.comp.dims
 	ws.load(base)
 	n := 0

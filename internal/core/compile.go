@@ -9,7 +9,6 @@ import (
 	"sunstone/internal/cost"
 	"sunstone/internal/factor"
 	"sunstone/internal/faults"
-	"sunstone/internal/mapping"
 	"sunstone/internal/order"
 	"sunstone/internal/tensor"
 )
@@ -38,6 +37,7 @@ type Compiled struct {
 	orderings  []order.Ordering // pruned ordering-trie survivors
 	ostats     order.Stats      // trie effort, replayed into each run's counters
 	dims       dimTable         // integer view of the workload's dimensions and orderings
+	shape      rowShape         // layout of the factor rows the search runs on
 	fit        fitSkeleton      // static structure of the capacity tables
 	ladders    ladderCache      // memoized factor ladders (tile/unroll/fill)
 	expansions expandCache      // memoized level expansions (warm-search replay)
@@ -61,6 +61,7 @@ func Compile(w *tensor.Workload, a *arch.Arch, model cost.Model) (*Compiled, err
 	c.orderings, c.ostats = order.Enumerate(w)
 	c.sess = model.NewSession(w, a)
 	c.dims = buildDimTable(w, c.orderings)
+	c.shape = rowShape{nd: len(w.Order), nl: len(a.Levels)}
 	c.fit = buildFitSkeleton(w, a, &c.dims)
 	c.ladders.m = make(map[ladderKey][]int)
 	c.expansions.m = make(map[string]*expandEntry)
@@ -77,7 +78,7 @@ func (c *Compiled) Arch() *arch.Arch { return c.a }
 // goroutine-safe; callers needing scratch space take their own Evaluator.
 func (c *Compiled) Session() *cost.Session { return c.sess }
 
-// dimTable is the integer view of a workload the dense expansion runs on:
+// dimTable is the integer view of a workload the dense search runs on:
 // dimension i is w.Order[i] everywhere below — in the per-worker factor
 // matrices, the capacity tables and the lists here — so an expansion or a
 // completion never looks a dimension up by name.
@@ -106,9 +107,10 @@ type dimList struct {
 
 // orderingPlan is what an expansion unit needs of one candidate ordering.
 type orderingPlan struct {
-	// complete is the ordering extended to every dimension (Ordering.Complete):
-	// the loop order written into the unit's candidates.
-	complete []tensor.Dim
+	// complete is the ordering extended to every dimension (Ordering.Complete),
+	// by dimension index: the loop order of the unit's candidates, which name
+	// it by the plan's index (see orderTable).
+	complete []int32
 	// grow lists the indexing dimensions of the tensors the ordering fully
 	// reuses — the OP of the Tiling and Unrolling Principles. Empty when the
 	// ordering reuses nothing: no guidance, every dimension allowed.
@@ -163,7 +165,7 @@ func buildDimTable(w *tensor.Workload, orderings []order.Ordering) dimTable {
 	dt.orderings = make([]orderingPlan, len(orderings))
 	for oi := range orderings {
 		o := &orderings[oi]
-		op := orderingPlan{complete: o.Complete(w), inGrow: make([]bool, len(w.Order))}
+		op := orderingPlan{complete: dt.indices(o.Complete(w)), inGrow: make([]bool, len(w.Order))}
 		for _, name := range o.FullyReused {
 			if t := w.Tensor(name); t != nil {
 				for _, d := range t.IndexingDims() {
@@ -175,6 +177,19 @@ func buildDimTable(w *tensor.Workload, orderings []order.Ordering) dimTable {
 		dt.orderings[oi] = op
 	}
 	return dt
+}
+
+// indices resolves a loop order against the workload's dimensions. Names the
+// workload does not declare have no index and are dropped: the cost model and
+// the render ignore them too.
+func (dt *dimTable) indices(order []tensor.Dim) []int32 {
+	var idx []int32
+	for _, d := range order {
+		if i, ok := dt.index[d]; ok {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
 }
 
 // ladderKey identifies one memoized factor ladder: the tiling tree pads
@@ -208,29 +223,42 @@ func (lc *ladderCache) ladder(n, minDiv int) []int {
 }
 
 // expandEntry records one level-expansion's complete outcome: the produced
-// candidates, the visit count charged against the step budget, the
-// enumeration-reject tallies the expansion flushed into the candidate-flow
-// counters, and whether any of its work units exhausted its visit-budget
-// share. A warm search replays all of them, so its counters, space size,
-// budget-hit flag and candidate set are indistinguishable from a cold run's.
-// The stored mappings are shared across searches and MUST be treated as
-// immutable (the search never mutates a produced candidate — every
-// downstream consumer clones).
+// candidates as factor rows in one flat arena (Compiled.shape.stride ints
+// each, enumeration order) with each candidate's dedupe key beside it, the
+// visit count charged against the step budget, the enumeration-reject tallies
+// the expansion flushed into the candidate-flow counters, and whether any of
+// its work units exhausted its visit-budget share. A warm search replays all
+// of them, so its counters, space size, budget-hit flag and candidate set are
+// indistinguishable from a cold run's. A stored entry is shared across
+// searches and immutable: beam states alias its rows read-only, and a worker
+// that extends one copies it into its workspace first.
 type expandEntry struct {
-	cands           []*mapping.Mapping
+	rows            []int
+	keys            []cost.Key
 	visited         int
 	prunedTiling    int
 	prunedUnrolling int
 	truncated       bool
 }
 
-// maxExpandCacheCands bounds the candidate mappings an expansion cache may
-// retain per compiled problem. Expansion results are the bulkiest compiled
-// artifact (full partial mappings, not tables); typical searches produce a
-// few hundred to a few thousand candidates, so the bound is generous for
+// size is what the entry is charged against maxExpandCacheBytes under key:
+// its rows and keys, the key string, and a fixed allowance for the struct,
+// the slice headers and the map slot — so an entry with no candidates (an
+// infeasible base; in a top-down search every distinct budget share is its
+// own key) is not free.
+func (e *expandEntry) size(key string) int {
+	const overhead = 128
+	return len(key) + 8*len(e.rows) + 16*len(e.keys) + overhead
+}
+
+// maxExpandCacheBytes bounds what an expansion cache may retain per compiled
+// problem. Expansion results are the bulkiest compiled artifact; typical
+// searches produce a few hundred to a few thousand candidates, and 2^14
+// candidates of a 7-dimension, 4-level problem (what the bound used to be
+// stated as) are under 8 MiB of rows and keys, so the bound is generous for
 // repeat-heavy serving while capping the worst case. Once full, existing
 // entries keep serving hits but new ones are not stored.
-const maxExpandCacheCands = 1 << 14
+const maxExpandCacheBytes = 16 << 20
 
 // expandCache memoizes the per-(state, level, options) candidate expansions
 // of a compiled problem. Enumeration — the tiling tree with its capacity
@@ -239,19 +267,21 @@ const maxExpandCacheCands = 1 << 14
 // options, so a warm Engine call replays the recorded outcome instead of
 // re-walking the trees.
 type expandCache struct {
-	mu     sync.RWMutex
-	m      map[string]*expandEntry
-	stored int
+	mu      sync.RWMutex
+	m       map[string]*expandEntry
+	bytes   int
+	refused int // puts the byte bound turned away
 }
 
-func (c *expandCache) get(key string) *expandEntry {
+// get looks key up without allocating (the scratch bytes are not retained).
+func (c *expandCache) get(key []byte) *expandEntry {
 	c.mu.RLock()
-	e := c.m[key]
+	e := c.m[string(key)]
 	c.mu.RUnlock()
 	return e
 }
 
-// put stores e unless the key is already present or the candidate bound is
+// put stores e unless the key is already present or the byte bound is
 // reached. Concurrent searches may race to store the same key; the results
 // are identical (the expansion is deterministic), so first-write-wins.
 func (c *expandCache) put(key string, e *expandEntry) {
@@ -260,9 +290,11 @@ func (c *expandCache) put(key string, e *expandEntry) {
 	if _, dup := c.m[key]; dup {
 		return
 	}
-	if c.stored+len(e.cands) > maxExpandCacheCands {
+	size := e.size(key)
+	if c.bytes+size > maxExpandCacheBytes {
+		c.refused++
 		return
 	}
 	c.m[key] = e
-	c.stored += len(e.cands)
+	c.bytes += size
 }

@@ -24,6 +24,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -498,7 +499,7 @@ func optimizeCompiled(ctx context.Context, comp *Compiled, opt Options) (Result,
 }
 
 // search is the per-run evaluation context over a compiled problem: one
-// scratch evaluator and one expansion workspace per worker thread — so the
+// scratch evaluator and one workspace per worker thread — so the
 // steady-state enumeration, completion and scoring paths never contend on
 // scratch space — and the run's
 // telemetry: a counter registry (candidate flow plus per-run memo-cache
@@ -506,14 +507,15 @@ func optimizeCompiled(ctx context.Context, comp *Compiled, opt Options) (Result,
 // session, orderings, fit skeleton, ladder memo) may be shared with other
 // concurrent searches; everything mutable here is per-run.
 type search struct {
-	opt  Options
-	comp *Compiled
-	sess *cost.Session
-	evs  []*cost.Evaluator
-	ws   []*workspace // dense expansion/completion scratch, one per worker like evs
-	reg  *obs.Registry
-	ctr  *obs.SearchCounters
-	prog *progressEmitter
+	opt    Options
+	comp   *Compiled
+	sess   *cost.Session
+	evs    []*cost.Evaluator
+	ws     []*workspace // dense search scratch, one per worker; ws[i].ev == evs[i]
+	orders *orderTable  // what the loop-order indices in this run's rows mean
+	reg    *obs.Registry
+	ctr    *obs.SearchCounters
+	prog   *progressEmitter
 	// best is the shared atomic incumbent score: published lock-free by the
 	// evaluation workers as candidates complete, consumed only at step
 	// barriers to seed the alpha-beta bound (see prune) — deterministic
@@ -523,6 +525,7 @@ type search struct {
 
 func newSearch(comp *Compiled, opt Options) *search {
 	sc := &search{opt: opt, comp: comp, sess: comp.sess, best: newBestScore()}
+	sc.orders = &orderTable{plans: comp.dims.orderings}
 	sc.evs = make([]*cost.Evaluator, opt.Threads)
 	sc.ws = make([]*workspace, opt.Threads)
 	// Cache hits/misses are charged to per-run counters (as well as the
@@ -532,7 +535,7 @@ func newSearch(comp *Compiled, opt Options) *search {
 	for i := range sc.evs {
 		sc.evs[i] = sc.sess.NewEvaluator()
 		sc.evs[i].CountCacheInto(hits, misses)
-		sc.ws[i] = newWorkspace(comp)
+		sc.ws[i] = newWorkspace(comp, sc.orders, sc.evs[i])
 	}
 	sc.reg = obs.NewRegistry()
 	sc.ctr = obs.NewSearchCounters(sc.reg)
@@ -542,43 +545,40 @@ func newSearch(comp *Compiled, opt Options) *search {
 	return sc
 }
 
-// state is one partial mapping plus its completed-cost estimate. Only the
-// fast path's scalars are carried — a full cost.Report is materialized once,
-// for the search's final mapping.
+// cand is one candidate between expansion and scoring: its row (aliasing a
+// memo entry or a polish arena, read-only) and the canonical key dedupe
+// compares (zero for polish moves, which are not deduped).
+type cand struct {
+	row []int
+	key cost.Key
+}
+
+// state is one partial mapping plus its completed-cost estimate, both as
+// rows. Only the fast path's scalars are carried — a full cost.Report is
+// materialized once, for the search's final mapping.
 type state struct {
-	m         *mapping.Mapping
-	completed *mapping.Mapping // the evaluated completion of m (anytime incumbent)
-	score     float64          // objective value of the completed form
+	row       []int   // the partial mapping: what the next step extends
+	completed []int   // its evaluated completion (nil when skipped or poisoned)
+	score     float64 // objective value of the completed form
 	energyPJ  float64
 	cycles    float64
 	valid     bool
-	key       string // deterministic tie-break, rendered lazily on first use
+	key       []byte // deterministic tie-break, rendered lazily on first use
 }
 
-// tieKey renders (and memoizes) the deterministic tie-break key. Rendering
-// is deferred to the sort so the evaluation fan-out never pays for the
-// string and only states in a score tie render one. Ties are not rare on
-// warm serving traffic, though: sortStates is 6 % of service-mix CPU.
-func (s *state) tieKey() string {
-	if s.key == "" {
-		s.key = s.m.String()
-	}
-	return s.key
-}
+// completeFn turns the partial mapping in row into its evaluable completion,
+// left in the calling worker's workspace; each direction supplies its own
+// (see sequencer). It runs on the evaluation fan-out's worker goroutines.
+type completeFn func(ws *workspace, row []int)
 
-// completeFn turns a partial mapping into its evaluable completion, working
-// in the calling worker's workspace; each direction supplies its own (see
-// sequencer). It runs on the evaluation fan-out's worker goroutines.
-type completeFn func(ws *workspace, m *mapping.Mapping) *mapping.Mapping
-
-// completeUp builds m's full (evaluable) completion the bottom-up way:
+// completeUp builds row's full (evaluable) completion the bottom-up way:
 // every intermediate level is greedily filled with whatever remaining
 // factors fit its buffers (a stand-in for the optimization the upper steps
 // will perform — this is what makes the bottom-up completed-cost estimates
 // tight), and the final remainder lands at the unbounded top level.
-func (sc *search) completeUp(ws *workspace, m *mapping.Mapping) *mapping.Mapping {
+func (sc *search) completeUp(ws *workspace, row []int) {
 	dt, p := &sc.comp.dims, &ws.p
-	ws.load(m)
+	ws.load(row)
 	top := p.nl - 1
 	for l := 1; l < top; l++ {
 		ws.fc.reset(p, l, false)
@@ -590,39 +590,44 @@ func (sc *search) completeUp(ws *workspace, m *mapping.Mapping) *mapping.Mapping
 			trow[i] = need
 		}
 	}
-	return ws.materialize()
 }
 
-// evalAll scores the completed forms of the given mappings in parallel and
+// evalAll scores the completed forms of the given candidates in parallel and
 // returns them as states sorted by (score, render) for determinism, plus
 // any panics recovered from poisoned evaluations (capped at
-// maxCandidateErrors). Scoring runs on the fast path through the shared
-// intra-search pool (runParallel): a fixed set of workers — one preallocated
-// scratch Evaluator each, indexed by worker id — pulls indices off an atomic
-// counter, so the fan-out allocates nothing per candidate beyond the
-// completion's Mapping. Each valid score is published to the search's shared
-// atomic incumbent as it lands, so the alpha-beta bound consumed at the next
-// step barrier is the tightest available. Once ctx is done the remaining
-// unevaluated mappings are skipped — they surface as +Inf states the
-// caller's prune discards — so a cancel drains the worker pool within one
-// evaluation per thread.
-func (sc *search) evalAll(ctx context.Context, ms []*mapping.Mapping, cf completeFn) ([]state, []error) {
-	states := make([]state, len(ms))
+// maxCandidateErrors). A nil cf means the candidates are complete as they
+// are. Scoring runs on the row entry point of the cost model through the
+// shared intra-search pool (runParallel): a fixed set of workers — one
+// workspace with its scratch Evaluator each, indexed by worker id — pulls
+// indices off an atomic counter, and the completions land in one arena, so
+// the fan-out allocates nothing per candidate. Each valid score is published
+// to the search's shared atomic incumbent as it lands, so the alpha-beta
+// bound consumed at the next step barrier is the tightest available. Once
+// ctx is done the remaining unevaluated candidates are skipped — they surface
+// as +Inf states the caller's prune discards — so a cancel drains the worker
+// pool within one evaluation per thread.
+func (sc *search) evalAll(ctx context.Context, cands []cand, cf completeFn) ([]state, []error) {
+	states := make([]state, len(cands))
+	var completions []int
+	if cf != nil {
+		completions = make([]int, len(cands)*sc.comp.shape.stride())
+	}
 	var mu sync.Mutex
 	var panics []error
-	runParallel(len(sc.evs), len(ms), func(wk, i int) {
-		sc.evalOne(ctx, wk, ms, states, i, cf, &mu, &panics)
+	runParallel(len(sc.ws), len(cands), func(wk, i int) {
+		sc.evalOne(ctx, sc.ws[wk], cands[i].row, &states[i], i, cf, completions, &mu, &panics)
 	})
-	sortStates(states)
+	sc.sortStates(states)
 	return states, panics
 }
 
-// evalOne scores ms[i] into states[i], containing a cost-model panic to
-// this one candidate (the worker loop survives and keeps draining).
-func (sc *search) evalOne(ctx context.Context, wk int, ms []*mapping.Mapping, states []state, i int, cf completeFn, mu *sync.Mutex, panics *[]error) {
+// evalOne scores candidate i (row) into *out, containing a cost-model panic
+// to this one candidate (the worker loop survives and keeps draining).
+func (sc *search) evalOne(ctx context.Context, ws *workspace, row []int, out *state, i int, cf completeFn, completions []int, mu *sync.Mutex, panics *[]error) {
+	*out = state{row: row, score: math.Inf(1)}
 	defer func() {
-		if e := anytime.PanicErrorFrom(recover(), "evaluate candidate mapping", func() string { return reproMapping(ms[i]) }); e != nil {
-			states[i] = state{m: ms[i], score: math.Inf(1)}
+		if e := anytime.PanicErrorFrom(recover(), "evaluate candidate mapping", func() string { return reproMapping(sc.materialize(row)) }); e != nil {
+			*out = state{row: row, score: math.Inf(1)}
 			mu.Lock()
 			if len(*panics) < maxCandidateErrors {
 				*panics = append(*panics, e)
@@ -632,64 +637,87 @@ func (sc *search) evalOne(ctx context.Context, wk int, ms []*mapping.Mapping, st
 	}()
 	if ctx.Err() != nil {
 		sc.ctr.Skipped.Inc()
-		states[i] = state{m: ms[i], score: math.Inf(1)}
 		return
 	}
 	// Counted before the attempt so a poisoned candidate still counts as
 	// evaluated (its fate is "attempted", not "skipped").
 	sc.ctr.Evaluated.Inc()
-	c := cf(sc.ws[wk], ms[i])
-	edp, energyPJ, cycles, valid := sc.evs[wk].EvaluateEDP(c)
-	states[i] = state{
-		m:         ms[i],
-		completed: c,
+	completed, p := row, sc.comp.shape.view(row)
+	if cf != nil {
+		cf(ws, row)
+		n := len(row)
+		completed, p = completions[i*n:(i+1)*n:(i+1)*n], ws.p
+		copy(completed, p.row)
+	}
+	edp, energyPJ, cycles, valid := ws.ev.EvaluateRows(p.t, p.s, ws.orders.resolve(ws.oidx, &p))
+	*out = state{
+		row:       row,
+		completed: completed,
 		score:     sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid),
 		energyPJ:  energyPJ,
 		cycles:    cycles,
 		valid:     valid,
 	}
 	if valid {
-		sc.best.publish(states[i].score)
+		sc.best.publish(out.score)
 	}
 }
 
-// sortStates orders states by (score, render): identical to the historical
-// ordering, but the render tie-break is computed lazily.
-func sortStates(states []state) {
-	sort.Slice(states, func(i, j int) bool {
-		if states[i].score != states[j].score {
-			return states[i].score < states[j].score
+// sortStates orders states by (score, render). The render — the partial
+// mapping's canonical string, written from its row into one arena — is
+// computed lazily, only for states in a score tie, and never for unscored
+// (+Inf) ones: no caller reads past the scored prefix, so their relative
+// order is unobservable.
+func (sc *search) sortStates(states []state) {
+	var arena []byte
+	var seen []bool
+	tieKey := func(s *state) []byte {
+		if s.key == nil {
+			if seen == nil {
+				seen = make([]bool, sc.comp.shape.nd)
+			}
+			lo := len(arena)
+			arena = sc.renderRow(arena, s.row, seen)
+			s.key = arena[lo:len(arena):len(arena)]
 		}
-		return states[i].tieKey() < states[j].tieKey()
+		return s.key
+	}
+	sort.Slice(states, func(i, j int) bool {
+		a, b := &states[i], &states[j]
+		if a.score != b.score {
+			return a.score < b.score
+		}
+		if math.IsInf(a.score, 1) {
+			return false
+		}
+		return bytes.Compare(tieKey(a), tieKey(b)) < 0
 	})
 }
 
 // dedupe removes duplicate partial mappings (same canonical fast-path key),
-// keeping the first occurrence; mappings outside the key's domain are kept
-// unconditionally. Distinct enumeration paths routinely reproduce the same
-// (ordering, tile, unroll) state, and every duplicate would cost a full
-// completion + evaluation in the fan-out.
-func (sc *search) dedupe(ms []*mapping.Mapping) []*mapping.Mapping {
-	if len(ms) < 2 {
-		return ms
+// keeping the first occurrence. Distinct enumeration paths routinely
+// reproduce the same (ordering, tile, unroll) state, and every duplicate
+// would cost a full completion + evaluation in the fan-out.
+func (sc *search) dedupe(cands []cand) []cand {
+	if len(cands) < 2 {
+		return cands
 	}
-	seen := make(map[cost.Key]struct{}, len(ms))
-	out := ms[:0]
-	for _, m := range ms {
-		if k, ok := sc.evs[0].Key(m); ok {
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
+	seen := make(map[cost.Key]struct{}, len(cands))
+	out := cands[:0]
+	for _, c := range cands {
+		if _, dup := seen[c.key]; dup {
+			continue
 		}
-		out = append(out, m)
+		seen[c.key] = struct{}{}
+		out = append(out, c)
 	}
-	sc.ctr.Deduped.Add(uint64(len(ms) - len(out)))
+	sc.ctr.Deduped.Add(uint64(len(cands) - len(out)))
 	return out
 }
 
 // containedEDP is one memoized scalar evaluation outside the evalAll worker
-// pool, with a cost-model panic converted into +Inf invalid scalars plus a
+// pool — the seeds, which are Mappings before the search starts — with a
+// cost-model panic converted into +Inf invalid scalars plus a
 // *anytime.PanicError.
 func containedEDP(ev *cost.Evaluator, m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool, err error) {
 	defer func() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -113,7 +114,8 @@ func TestFitCheckerMatchesFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := newWorkspace(comp)
+		sc := newSearch(comp, Options{Threads: 1})
+		ws := sc.ws[0]
 		dims, nd, top := pr.w.Order, len(pr.w.Order), len(pr.a.Levels)-1
 		answers := [2]int{}
 		for trial := 0; trial < 300; trial++ {
@@ -128,7 +130,7 @@ func TestFitCheckerMatchesFeasible(t *testing.T) {
 					}
 				}
 			}
-			ws.load(m)
+			ws.load(sc.rowOf(m))
 			check := func(shape string, got, want bool) {
 				t.Helper()
 				if got != want {
@@ -195,11 +197,14 @@ func TestFitCheckerMatchesFeasible(t *testing.T) {
 	}
 }
 
-// TestColdSolveAllocCeiling pins the allocation win of the dense expansion: a
+// TestColdSolveAllocCeiling pins the allocation win of the dense search: a
 // single-threaded cold search of a ResNet-sized conv on the conventional
-// machine made 106,981 allocations before the rewrite (10,893 after). The
-// ceiling is half the old figure, so a regression that puts a map or a string
-// back on the per-node path fails here long before it shows in wall time.
+// machine made 106,981 allocations while candidates were cloned Mappings,
+// 10,713 once expansion ran on integer state, and 2,662 with beam states,
+// completions, dedupe keys, tie-breaks and polish moves on factor rows. The
+// ceiling leaves a fifth of headroom over that, so a regression that puts a
+// map or a string back on a per-candidate path fails here long before it
+// shows in wall time.
 func TestColdSolveAllocCeiling(t *testing.T) {
 	w := conv2D(t, 1, 64, 64, 56, 56, 3, 3)
 	a := arch.Conventional()
@@ -208,8 +213,28 @@ func TestColdSolveAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const parent = 106_981
-	if allocs > parent/2 {
-		t.Errorf("cold solve made %.0f allocations, ceiling %d (half the pre-rewrite %d)", allocs, parent/2, parent)
+	const ceiling = 3_200
+	if allocs > ceiling {
+		t.Errorf("cold solve made %.0f allocations, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestWarmSolveAllocCeiling is the same pin for the job a long-lived Engine
+// mostly runs: the second solve of that conv on one Engine, which replays the
+// memoized expansions and so spends its time between them — 5,260 allocations
+// with Mappings as the currency, 774 on rows. The ceiling is a third of the
+// old figure.
+func TestWarmSolveAllocCeiling(t *testing.T) {
+	p := Problem{Workload: conv2D(t, 1, 64, 64, 56, 56, 3, 3), Arch: arch.Conventional()}
+	eng := NewEngine(0)
+	warm := func() {
+		if _, err := eng.Solve(context.Background(), p, Options{Threads: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm()
+	const parent = 5_260
+	if allocs := testing.AllocsPerRun(5, warm); allocs > parent/3 {
+		t.Errorf("warm solve made %.0f allocations, ceiling %d (a third of the %d before rows)", allocs, parent/3, parent)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"sunstone/internal/arch"
-	"sunstone/internal/mapping"
+	"sunstone/internal/cost"
 	"sunstone/internal/tensor"
 )
 
@@ -88,14 +88,14 @@ func assertParity(t *testing.T, serial, parallel Result) {
 // TestExpandCacheFirstWriteWins pins the expansion memo's concurrency
 // contract: racing writers of one key may each build their own (identical)
 // entry, but exactly one is retained — the first to take the lock — and the
-// candidate budget is charged exactly once. Everyone reads the same pointer
+// byte budget is charged exactly once. Everyone reads the same pointer
 // afterwards.
 func TestExpandCacheFirstWriteWins(t *testing.T) {
 	c := expandCache{m: make(map[string]*expandEntry)}
 	const writers = 16
 	entries := make([]*expandEntry, writers)
 	for i := range entries {
-		entries[i] = &expandEntry{cands: make([]*mapping.Mapping, 3), visited: 7}
+		entries[i] = &expandEntry{rows: make([]int, 30), keys: make([]cost.Key, 3), visited: 7}
 	}
 	var start, done sync.WaitGroup
 	start.Add(1)
@@ -110,7 +110,7 @@ func TestExpandCacheFirstWriteWins(t *testing.T) {
 	start.Done()
 	done.Wait()
 
-	got := c.get("key")
+	got := c.get([]byte("key"))
 	if got == nil {
 		t.Fatal("no entry retained")
 	}
@@ -124,15 +124,15 @@ func TestExpandCacheFirstWriteWins(t *testing.T) {
 	if won < 0 {
 		t.Fatal("retained entry is not one of the written entries")
 	}
-	if again := c.get("key"); again != got {
+	if again := c.get([]byte("key")); again != got {
 		t.Fatalf("get is unstable: %p then %p", got, again)
 	}
-	if c.stored != 3 {
-		t.Fatalf("stored charged %d times the candidate count, want once (3)", c.stored)
+	if want := got.size("key"); c.bytes != want {
+		t.Fatalf("charged %d bytes, want the entry's size once (%d)", c.bytes, want)
 	}
 	// Later writers must not displace the winner.
-	c.put("key", &expandEntry{cands: make([]*mapping.Mapping, 1)})
-	if c.get("key") != got || c.stored != 3 {
+	c.put("key", &expandEntry{rows: make([]int, 10), keys: make([]cost.Key, 1)})
+	if c.get([]byte("key")) != got || c.bytes != got.size("key") {
 		t.Fatal("a later write displaced the first")
 	}
 }

@@ -5,8 +5,6 @@ import (
 
 	"sunstone/internal/anytime"
 	"sunstone/internal/factor"
-	"sunstone/internal/mapping"
-	"sunstone/internal/order"
 )
 
 // polish refines the best mapping found by the level-by-level search with
@@ -31,8 +29,15 @@ import (
 // climb wherever it is and reports the reason. Panicking evaluations are
 // contained per candidate (the move scores invalid) and surfaced to the
 // caller for Result.CandidateErrors.
-func polish(ctx context.Context, sc *search, best *mapping.Mapping, bestScore, bestEnergyPJ, bestCycles float64, orderings []order.Ordering) (*mapping.Mapping, float64, float64, int, []error, StopReason) {
+//
+// Like the beam it runs on rows: a move is a copy of the current row with a
+// few entries edited — a level's loop order re-picked by compiled-ordering
+// index, a prime shifted between factor entries — in one arena per round. It
+// returns the polished row, or nil when no move was accepted; a Mapping is
+// built here only for an accepted move whose progress event is delivered.
+func polish(ctx context.Context, sc *search, best []int, bestScore, bestEnergyPJ, bestCycles float64) ([]int, float64, float64, int, []error, StopReason) {
 	cur := best
+	var accepted []int // cur's own storage once a move is accepted: the arena is rewritten every round
 	curScore, curEnergyPJ, curCycles := bestScore, bestEnergyPJ, bestCycles
 	evals := 0
 	var errs []error
@@ -40,20 +45,27 @@ func polish(ctx context.Context, sc *search, best *mapping.Mapping, bestScore, b
 	// accepted-move chain; typical climbs converge in a handful.
 	const maxRounds = 32
 	poll := &anytime.Poller{Ctx: ctx}
+	stride := len(best)
+	var arena []int
+	var moves []cand
 
 	for round := 0; round < maxRounds; round++ {
 		if poll.Stop() != StopComplete {
 			break
 		}
-		moves := polishMoves(cur, orderings)
-		if len(moves) == 0 {
+		arena = sc.polishMoves(cur, arena[:0])
+		if len(arena) == 0 {
 			break
+		}
+		moves = moves[:0]
+		for lo := 0; lo < len(arena); lo += stride {
+			moves = append(moves, cand{row: arena[lo : lo+stride : lo+stride]})
 		}
 		// Every proposed move is generated and (unless the context ends
 		// mid-batch) evaluated — the same flow accounting as the serial
 		// climb, charged per batch.
 		sc.ctr.Generated.Add(uint64(len(moves)))
-		scored, panics := sc.evalAll(ctx, moves, func(_ *workspace, m *mapping.Mapping) *mapping.Mapping { return m })
+		scored, panics := sc.evalAll(ctx, moves, nil)
 		evals += len(moves)
 		for _, e := range panics {
 			errs = append(errs, e)
@@ -62,52 +74,58 @@ func polish(ctx context.Context, sc *search, best *mapping.Mapping, bestScore, b
 		if !top.valid || top.score >= curScore*(1-1e-12) {
 			break // local optimum (or nothing evaluable): fixpoint reached
 		}
-		cur = top.m
+		accepted = append(accepted[:0], top.row...)
+		cur = accepted
 		curScore, curEnergyPJ, curCycles = top.score, top.energyPJ, top.cycles
-		sc.prog.incumbent("polish", -1, cur, curScore, curEnergyPJ, curCycles)
+		if sc.prog.admit(curScore, curEnergyPJ, curCycles) {
+			sc.prog.report("polish", -1, sc.materialize(cur))
+		}
 	}
-	return cur, curEnergyPJ, curCycles, evals, errs, poll.Stop()
+	return accepted, curEnergyPJ, curCycles, evals, errs, poll.Stop()
 }
 
-// polishMoves generates the full local-move neighborhood of cur in a
-// deterministic order (the canonical dimension and level orders — map
-// iteration order never leaks in). The batch is scored in parallel, so
-// unlike the historical first-improvement sweep, every move is proposed
-// against the same base mapping.
-func polishMoves(cur *mapping.Mapping, orderings []order.Ordering) []*mapping.Mapping {
-	var moves []*mapping.Mapping
+// polishMoves appends to arena the full local-move neighborhood of the
+// complete mapping in row cur, one row per move, in a deterministic order
+// (the canonical dimension and level orders). The batch is scored in
+// parallel, so unlike the historical first-improvement sweep, every move is
+// proposed against the same base mapping.
+func (sc *search) polishMoves(cur []int, arena []int) []int {
+	a, sh := sc.comp.a, sc.comp.shape
+	nd, nl := sh.nd, sh.nl
+	c := sh.view(cur)
+	// move appends a copy of cur and returns its views for editing.
+	move := func() partial {
+		arena = append(arena, cur...)
+		return sh.view(arena[len(arena)-len(cur):])
+	}
 
 	// Ordering moves: re-pick any level's loop order from the trie.
-	for l := 1; l < len(cur.Levels); l++ {
-		for oi := range orderings {
-			cand := cur.Clone()
-			cand.Levels[l].Order = orderings[oi].Complete(cur.Workload)
-			moves = append(moves, cand)
+	for l := 1; l < nl; l++ {
+		for oi := range sc.orders.plans {
+			move().ord[l] = oi
 		}
 	}
 
 	// Factor moves: shift one prime of one dimension between levels.
-	for _, d := range cur.Workload.Order {
-		for src := 0; src < len(cur.Levels); src++ {
-			tSrc := cur.Levels[src].T(d)
+	for i := 0; i < nd; i++ {
+		for src := 0; src < nl; src++ {
+			tSrc := c.t[src*nd+i]
 			if tSrc <= 1 {
 				continue
 			}
 			for _, p := range uniquePrimes(tSrc) {
-				for dst := 0; dst < len(cur.Levels); dst++ {
+				for dst := 0; dst < nl; dst++ {
 					if dst == src {
 						continue
 					}
-					cand := cur.Clone()
-					cand.Levels[src].Temporal[d] = tSrc / p
-					cand.Levels[dst].Temporal[d] = cand.Levels[dst].T(d) * p
-					moves = append(moves, cand)
+					m := move()
+					m.t[src*nd+i] = tSrc / p
+					m.t[dst*nd+i] *= p
 					// Spatial variant: move the prime into dst's fanout.
-					if cur.Arch.Levels[dst].Fanout > 1 {
-						cand2 := cur.Clone()
-						cand2.Levels[src].Temporal[d] = tSrc / p
-						cand2.Levels[dst].Spatial[d] = cand2.Levels[dst].S(d) * p
-						moves = append(moves, cand2)
+					if a.Levels[dst].Fanout > 1 {
+						m := move()
+						m.t[src*nd+i] = tSrc / p
+						m.s[dst*nd+i] *= p
 					}
 				}
 			}
@@ -118,42 +136,42 @@ func polishMoves(cur *mapping.Mapping, orderings []order.Ordering) []*mapping.Ma
 	// with a prime of another dimension taken from a temporal level —
 	// the move a single-prime shift cannot express (e.g. retiring an R3
 	// unroll in favor of P4 across the same fanout).
-	for l := 0; l < len(cur.Levels); l++ {
-		if cur.Arch.Levels[l].Fanout <= 1 {
+	for l := 0; l < nl; l++ {
+		if a.Levels[l].Fanout <= 1 {
 			continue
 		}
-		for _, d1 := range cur.Workload.Order {
-			s1 := cur.Levels[l].S(d1)
+		spatial := c.spatialProduct(l)
+		for d1 := 0; d1 < nd; d1++ {
+			s1 := c.s[l*nd+d1]
 			if s1 <= 1 {
 				continue
 			}
 			for _, p := range uniquePrimes(s1) {
-				for _, d2 := range cur.Workload.Order {
+				for d2 := 0; d2 < nd; d2++ {
 					if d2 == d1 {
 						continue
 					}
-					for src := 0; src < len(cur.Levels); src++ {
-						tSrc := cur.Levels[src].T(d2)
+					for src := 0; src < nl; src++ {
+						tSrc := c.t[src*nd+d2]
 						if tSrc <= 1 {
 							continue
 						}
 						for _, q := range uniquePrimes(tSrc) {
-							if cur.Levels[l].SpatialProduct()/p*q > cur.Arch.Levels[l].Fanout {
+							if spatial/p*q > a.Levels[l].Fanout {
 								continue
 							}
-							cand := cur.Clone()
-							cand.Levels[l].Spatial[d1] = s1 / p
-							cand.Levels[l].Temporal[d1] = cand.Levels[l].T(d1) * p
-							cand.Levels[src].Temporal[d2] = tSrc / q
-							cand.Levels[l].Spatial[d2] = cand.Levels[l].S(d2) * q
-							moves = append(moves, cand)
+							m := move()
+							m.s[l*nd+d1] = s1 / p
+							m.t[l*nd+d1] *= p
+							m.t[src*nd+d2] = tSrc / q
+							m.s[l*nd+d2] *= q
 						}
 					}
 				}
 			}
 		}
 	}
-	return moves
+	return arena
 }
 
 // uniquePrimes returns the distinct prime factors of n.

@@ -10,6 +10,7 @@ import (
 	"sunstone/internal/anytime"
 	"sunstone/internal/arch"
 	"sunstone/internal/baselines"
+	"sunstone/internal/cost"
 	"sunstone/internal/faults"
 	"sunstone/internal/mapping"
 	"sunstone/internal/obs"
@@ -47,16 +48,16 @@ type sequencer struct {
 	// stateEffort charges per-state enumeration overhead not tied to any
 	// single ordering — the non-default strategies' unguided first stages.
 	// Nil when the direction has none.
-	stateEffort func(ctx context.Context, ws *workspace, base *mapping.Mapping, lvl int) int
+	stateEffort func(ctx context.Context, ws *workspace, base []int, lvl int) int
 	// expandUnit generates the candidate extensions of one (state, ordering)
 	// work unit at a level — ordering oi of the compiled set — under the
 	// unit's pre-partitioned visit budget, in the calling worker's workspace.
 	// Unit functions must be pure with respect to the search: they may only
-	// read shared state (the base mapping, the compiled artifacts — whose
+	// read shared state (the base row, the compiled artifacts — whose
 	// caches are internally synchronized) and accumulate their reject
 	// tallies locally in the returned unitOut; the driver flushes them once
 	// per state, so the hot enumeration loops never touch an atomic.
-	expandUnit func(ctx context.Context, ws *workspace, base *mapping.Mapping, lvl, oi, budget int) unitOut
+	expandUnit func(ctx context.Context, ws *workspace, base []int, lvl, oi, budget int) unitOut
 	// completeAt returns the completion used to score level lvl's partial
 	// candidates (bottom-up: greedy fill upward; top-down: remaining extents
 	// into the level below).
@@ -64,11 +65,13 @@ type sequencer struct {
 }
 
 // unitOut is one (state, ordering) expansion unit's result: the produced
-// candidates in deterministic enumeration order, the visit count charged
-// against the unit's budget share, the locally-accumulated enumeration-reject
-// tallies, and whether the unit's budget expired before enumeration finished.
+// candidates in deterministic enumeration order — rows end to end, one dedupe
+// key each (see workspace.emit) — the visit count charged against the unit's
+// budget share, the locally-accumulated enumeration-reject tallies, and
+// whether the unit's budget expired before enumeration finished.
 type unitOut struct {
-	cands           []*mapping.Mapping
+	rows            []int
+	keys            []cost.Key
 	visited         int
 	prunedTiling    int
 	prunedUnrolling int
@@ -123,14 +126,16 @@ type incumbent struct {
 	cycles   float64
 }
 
-// observe folds a scored, completed state into the incumbent, reporting
-// whether it improved the best-so-far.
-func (inc *incumbent) observe(s state) bool {
-	if s.completed != nil && s.valid && (inc.m == nil || s.score < inc.score) {
-		inc.m, inc.score, inc.energyPJ, inc.cycles = s.completed, s.score, s.energyPJ, s.cycles
-		return true
-	}
-	return false
+// beats reports whether a scored complete mapping would improve the
+// best-so-far. Asked before set so that a candidate held as a row becomes a
+// Mapping only when it does.
+func (inc *incumbent) beats(score float64, valid bool) bool {
+	return valid && (inc.m == nil || score < inc.score)
+}
+
+// set installs m as the best-so-far.
+func (inc *incumbent) set(m *mapping.Mapping, score, energyPJ, cycles float64) {
+	inc.m, inc.score, inc.energyPJ, inc.cycles = m, score, energyPJ, cycles
 }
 
 // finish stamps res with the incumbent and the stop reason. When the search
@@ -150,12 +155,11 @@ func (inc *incumbent) finish(sc *search, res Result, reason StopReason) (Result,
 }
 
 // seedIncumbent scores the trivial completion (everything at the top level)
-// so even an immediate cancel returns a valid mapping.
-func seedIncumbent(sc *search, inc *incumbent, res *Result, seed *mapping.Mapping) {
-	trivial := sc.completeUp(sc.ws[0], seed)
-	if trivial == nil {
-		return
-	}
+// so even an immediate cancel returns a valid mapping. It is the first
+// incumbent of every search, so it is built as a Mapping up front.
+func seedIncumbent(sc *search, inc *incumbent, res *Result, seed []int) {
+	sc.completeUp(sc.ws[0], seed)
+	trivial := sc.materialize(sc.ws[0].p.row)
 	sc.ctr.Generated.Inc()
 	sc.ctr.Evaluated.Inc()
 	edp, energyPJ, cycles, valid, err := containedEDP(sc.evs[0], trivial)
@@ -163,13 +167,8 @@ func seedIncumbent(sc *search, inc *incumbent, res *Result, seed *mapping.Mappin
 		res.CandidateErrors = appendCapped(res.CandidateErrors, err)
 		return
 	}
-	if inc.observe(state{
-		completed: trivial,
-		score:     sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid),
-		energyPJ:  energyPJ,
-		cycles:    cycles,
-		valid:     valid,
-	}) {
+	if score := sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid); inc.beats(score, valid) {
+		inc.set(trivial, score, energyPJ, cycles)
 		sc.best.publish(inc.score)
 		sc.prog.incumbent("seed", -1, inc.m, inc.score, inc.energyPJ, inc.cycles)
 	}
@@ -209,13 +208,8 @@ func (sc *search) seedAnalytic(inc *incumbent, res *Result) {
 	if valid {
 		res.SeedEDP = edp
 	}
-	if inc.observe(state{
-		completed: seed,
-		score:     sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid),
-		energyPJ:  energyPJ,
-		cycles:    cycles,
-		valid:     valid,
-	}) {
+	if score := sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid); inc.beats(score, valid) {
+		inc.set(seed, score, energyPJ, cycles)
 		sc.best.publish(inc.score)
 		sc.prog.incumbent("analytic seed", -1, inc.m, inc.score, inc.energyPJ, inc.cycles)
 	}
@@ -246,13 +240,8 @@ func (sc *search) seedWarmStart(inc *incumbent, res *Result) {
 	if valid {
 		res.WarmStartEDP = edp
 	}
-	if inc.observe(state{
-		completed: warm,
-		score:     sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid),
-		energyPJ:  energyPJ,
-		cycles:    cycles,
-		valid:     valid,
-	}) {
+	if score := sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid); inc.beats(score, valid) {
+		inc.set(warm, score, energyPJ, cycles)
 		sc.best.publish(inc.score)
 		sc.prog.incumbent("warm start", -1, inc.m, inc.score, inc.energyPJ, inc.cycles)
 	}
@@ -327,10 +316,10 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 	orderings, ostats := sc.orderingSet(ctx)
 	res := Result{OrderingsConsidered: ostats.Survivors}
 
-	states := []state{{m: mapping.New(sc.comp.w, sc.comp.a)}}
+	states := []state{{row: sc.comp.shape.empty()}}
 
 	var inc incumbent
-	seedIncumbent(sc, &inc, &res, states[0].m)
+	seedIncumbent(sc, &inc, &res, states[0].row)
 	if sc.analytical().Seed {
 		sc.seedAnalytic(&inc, &res)
 	}
@@ -349,12 +338,13 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 	}
 
 	best := states[0]
-	final := best.completed
-	if final == nil || !best.valid {
+	if best.completed == nil || !best.valid {
 		// Evaluation of the winner was skipped or poisoned; fall back to
 		// the incumbent.
 		return inc.finish(sc, res, anytime.FromContext(ctx))
 	}
+	// The winner as a row, and as a Mapping once something has built one.
+	winner, final := best.completed, (*mapping.Mapping)(nil)
 	if an := sc.analytical(); (an.Seed || an.Bounds) && inc.m != nil && inc.score < best.score {
 		// The analytic layer can legitimately leave the final beam behind
 		// the incumbent: the seed may beat everything enumeration found, and
@@ -363,17 +353,20 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 		// enabling the layer can speed the search up but never degrade its
 		// answer. Gated on the layer so the disabled path stays bit-identical
 		// to the historical search.
-		best = state{m: inc.m, completed: inc.m, score: inc.score, energyPJ: inc.energyPJ, cycles: inc.cycles, valid: true}
-		final = inc.m
+		best = state{score: inc.score, energyPJ: inc.energyPJ, cycles: inc.cycles, valid: true}
+		winner, final = nil, inc.m
 	}
 	energyPJ, cycles := best.energyPJ, best.cycles
 	if seq.polish && !sc.opt.NoPolish {
 		_, psp := obs.StartSpan(ctx, "polish")
 		sc.prog.phase(obs.PhaseStarted, "polish", -1)
-		var evals int
-		var reason StopReason
-		var perrs []error
-		final, energyPJ, cycles, evals, perrs, reason = polish(ctx, sc, final, best.score, energyPJ, cycles, orderings)
+		if winner == nil {
+			winner = sc.rowOf(final)
+		}
+		polished, pe, pc, evals, perrs, reason := polish(ctx, sc, winner, best.score, energyPJ, cycles)
+		if polished != nil {
+			winner, final, energyPJ, cycles = polished, nil, pe, pc
+		}
 		for _, e := range perrs {
 			res.CandidateErrors = appendCapped(res.CandidateErrors, e)
 		}
@@ -381,6 +374,9 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 		res.Stopped = reason
 		sc.prog.phase(obs.PhaseFinished, "polish", -1)
 		psp.Arg("evals", evals).End()
+	}
+	if final == nil {
+		final = sc.materialize(winner)
 	}
 	res.Mapping = final
 	res.Report = baselines.FinalReport(sc.evs[0], final, energyPJ*cycles, energyPJ, cycles, true)
@@ -398,7 +394,7 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 // Extracted so the level's span and progress phase close on every early
 // return.
 func (sc *search) runStep(ctx context.Context, seq *sequencer, lvl int, states []state, orderings []order.Ordering, res *Result, inc *incumbent) (next []state, budgetHit, done bool, out Result, err error) {
-	a := states[0].m.Arch
+	a := sc.comp.a
 	lctx, lsp := obs.StartSpanf(ctx, "level %d (%s)", lvl, a.Levels[lvl].Name)
 	defer lsp.End()
 	sc.prog.phasef(obs.PhaseStarted, lvl, "level %d (%s)", lvl, a.Levels[lvl].Name)
@@ -410,10 +406,16 @@ func (sc *search) runStep(ctx context.Context, seq *sequencer, lvl int, states [
 	}
 	_, esp := obs.StartSpan(lctx, "enumerate")
 	entries := sc.expandStep(ctx, seq, lvl, states, orderings)
-	var produced []*mapping.Mapping
-	visitedTotal := 0
+	n, visitedTotal := 0, 0
 	for _, e := range entries {
-		produced = append(produced, e.cands...)
+		n += len(e.keys)
+	}
+	produced := make([]cand, 0, n)
+	stride := sc.comp.shape.stride()
+	for _, e := range entries {
+		for k, key := range e.keys {
+			produced = append(produced, cand{row: e.rows[k*stride : (k+1)*stride : (k+1)*stride], key: key})
+		}
 		res.SpaceSize += e.visited
 		visitedTotal += e.visited
 		budgetHit = budgetHit || e.truncated
@@ -442,7 +444,9 @@ func (sc *search) runStep(ctx context.Context, seq *sequencer, lvl int, states [
 		}
 		return nil, budgetHit, true, *res, errors.Join(append([]error{fmt.Errorf("%s: all candidates at level %d are invalid", sc.opt.Direction, lvl)}, res.CandidateErrors...)...)
 	}
-	if inc.observe(next[0]) {
+	// The step's winner becomes a Mapping only if it improves the incumbent.
+	if w := &next[0]; w.completed != nil && inc.beats(w.score, w.valid) {
+		inc.set(sc.materialize(w.completed), w.score, w.energyPJ, w.cycles)
 		sc.prog.incumbent(fmt.Sprintf("level %d (%s)", lvl, a.Levels[lvl].Name), lvl, inc.m, inc.score, inc.energyPJ, inc.cycles)
 	}
 	if r := anytime.FromContext(ctx); r != StopComplete {
@@ -452,7 +456,7 @@ func (sc *search) runStep(ctx context.Context, seq *sequencer, lvl int, states [
 	return next, budgetHit, false, Result{}, nil
 }
 
-// boundPrune cuts materialized candidates whose admissible analytic lower
+// boundPrune cuts produced candidates whose admissible analytic lower
 // bound (cost.Session.LowerBound, precomputed at compile time) already
 // exceeds the incumbent, before the evaluation fan-out pays for them. The
 // bound is a floor over every valid completion of the candidate, so a cut
@@ -469,7 +473,7 @@ func (sc *search) runStep(ctx context.Context, seq *sequencer, lvl int, states [
 // poison the cache. When the incumbent would cut every candidate, the one
 // with the lowest bound is kept so the beam never empties on a prune that is
 // about effort, not feasibility.
-func (sc *search) boundPrune(ms []*mapping.Mapping, lvl int) []*mapping.Mapping {
+func (sc *search) boundPrune(ms []cand, lvl int) []cand {
 	if !sc.analytical().Bounds || len(ms) < 2 {
 		return ms
 	}
@@ -479,10 +483,10 @@ func (sc *search) boundPrune(ms []*mapping.Mapping, lvl int) []*mapping.Mapping 
 	}
 	out := ms[:0]
 	cut := 0
-	var keep *mapping.Mapping // lowest-bound cut candidate, resurrected if all fall
+	var keep cand // lowest-bound cut candidate, resurrected if all fall
 	keepBound := math.Inf(1)
 	for _, m := range ms {
-		eLB, cLB := sc.sess.LowerBound(sc.maxSpatialAt(m, lvl))
+		eLB, cLB := sc.sess.LowerBound(sc.maxSpatialAt(m.row, lvl))
 		b := sc.opt.Objective.scoreFloor(eLB, cLB)
 		if b > best {
 			cut++
@@ -503,27 +507,22 @@ func (sc *search) boundPrune(ms []*mapping.Mapping, lvl int) []*mapping.Mapping 
 }
 
 // maxSpatialAt bounds the total spatial parallelism any completion of
-// partial candidate m can reach at step lvl: levels the direction has
+// partial candidate row can reach at step lvl: levels the direction has
 // already assigned contribute their actual spatial product (final — later
 // steps never revisit them), unassigned levels contribute their full fanout.
 // Bottom-up at step lvl has unrolled levels 0..lvl+1; top-down at step lvl
 // has assigned lvl..top.
-func (sc *search) maxSpatialAt(m *mapping.Mapping, lvl int) float64 {
+func (sc *search) maxSpatialAt(row []int, lvl int) float64 {
 	a := sc.comp.a
+	p := sc.comp.shape.view(row)
 	ms := 1.0
-	if sc.opt.Direction == TopDown {
-		for l := range a.Levels {
-			if l >= lvl {
-				ms *= float64(m.Levels[l].SpatialProduct())
-			} else {
-				ms *= float64(a.Levels[l].Fanout)
-			}
-		}
-		return ms
-	}
 	for l := range a.Levels {
-		if l <= lvl+1 {
-			ms *= float64(m.Levels[l].SpatialProduct())
+		assigned := l <= lvl+1
+		if sc.opt.Direction == TopDown {
+			assigned = l >= lvl
+		}
+		if assigned {
+			ms *= float64(p.spatialProduct(l))
 		} else {
 			ms *= float64(a.Levels[l].Fanout)
 		}
@@ -552,10 +551,11 @@ func (sc *search) maxSpatialAt(m *mapping.Mapping, lvl int) float64 {
 func (sc *search) expandStep(ctx context.Context, seq *sequencer, lvl int, states []state, orderings []order.Ordering) []*expandEntry {
 	entries := make([]*expandEntry, len(states))
 	fresh := make([]bool, len(states))
-	keys := make([]string, len(states))
+	keys := make([]string, len(states)) // of the fresh states only
 	shares := partitionBudget(seq.stepBudget, len(states))
 	type unitRef struct{ si, oi int }
 	var units []unitRef
+	var keyBuf []byte
 	for si := range states {
 		// Chaos hook: fired on the driver goroutine in beam order so injected
 		// expansion faults keep their deterministic per-site ordinal sequence
@@ -567,11 +567,12 @@ func (sc *search) expandStep(ctx context.Context, seq *sequencer, lvl int, state
 		if seq.budgeted {
 			keyBudget = shares[si]
 		}
-		keys[si] = sc.expandKey(lvl, keyBudget, states[si].m)
-		if e := sc.comp.expansions.get(keys[si]); e != nil {
+		keyBuf = sc.expandKey(keyBuf[:0], lvl, keyBudget, states[si].row)
+		if e := sc.comp.expansions.get(keyBuf); e != nil {
 			entries[si] = e
 			continue
 		}
+		keys[si] = string(keyBuf)
 		fresh[si] = true
 		for oi := range orderings {
 			units = append(units, unitRef{si, oi})
@@ -587,9 +588,9 @@ func (sc *search) expandStep(ctx context.Context, seq *sequencer, lvl int, state
 		outs := make([]unitOut, len(units))
 		runParallel(sc.opt.Threads, len(units), func(wk, u int) {
 			ur := units[u]
-			o := seq.expandUnit(ctx, sc.ws[wk], states[ur.si].m, lvl, ur.oi, oShares[ur.si][ur.oi])
+			o := seq.expandUnit(ctx, sc.ws[wk], states[ur.si].row, lvl, ur.oi, oShares[ur.si][ur.oi])
 			if ur.oi == 0 && seq.stateEffort != nil {
-				o.visited += seq.stateEffort(ctx, sc.ws[wk], states[ur.si].m, lvl)
+				o.visited += seq.stateEffort(ctx, sc.ws[wk], states[ur.si].row, lvl)
 			}
 			outs[u] = o
 		})
@@ -601,7 +602,8 @@ func (sc *search) expandStep(ctx context.Context, seq *sequencer, lvl int, state
 				entries[ur.si] = e
 			}
 			o := &outs[u]
-			e.cands = append(e.cands, o.cands...)
+			e.rows = append(e.rows, o.rows...)
+			e.keys = append(e.keys, o.keys...)
 			e.visited += o.visited
 			e.prunedTiling += o.prunedTiling
 			e.prunedUnrolling += o.prunedUnrolling

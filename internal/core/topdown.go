@@ -15,7 +15,6 @@ import (
 	"context"
 
 	"sunstone/internal/anytime"
-	"sunstone/internal/mapping"
 	"sunstone/internal/tile"
 )
 
@@ -23,13 +22,11 @@ import (
 // whose remaining factors land in the level-lvl tile (lower levels stay 1):
 // per dimension, the extent forced at lvl when every factor above it is
 // assigned — bound / (product above). For lvl < 0 — the final step — the
-// mapping is complete as-is, but a fresh Mapping keeps state.m (the partial
-// the next step would extend) distinct from state.completed (the incumbent)
-// in both directions.
+// mapping is complete as-is.
 func (sc *search) completeDownAt(lvl int) completeFn {
-	return func(ws *workspace, m *mapping.Mapping) *mapping.Mapping {
+	return func(ws *workspace, row []int) {
 		dt, p := &sc.comp.dims, &ws.p
-		ws.load(m)
+		ws.load(row)
 		if lvl >= 0 {
 			trow := p.trow(lvl)
 			for i, bound := range dt.bound {
@@ -38,12 +35,11 @@ func (sc *search) completeDownAt(lvl int) completeFn {
 				}
 			}
 		}
-		return ws.materialize()
 	}
 }
 
 // expandTopUnit is the sequencer's per-(state, ordering) expansion unit for
-// the top-down direction. Every visited node is either a materialized
+// the top-down direction. Every visited node is either an emitted
 // candidate (evaluated downstream) or a tiling reject; unrolling rejects are
 // tallied separately. All tallies are accumulated locally in the returned
 // unitOut and flushed once per beam state by the driver (via
@@ -56,7 +52,7 @@ func (sc *search) completeDownAt(lvl int) completeFn {
 // counter, every unit's share is fixed up front, which is what makes the
 // outcome independent of execution order and thread count. The unit reports
 // truncated when its share expired before the enumeration finished.
-func (sc *search) expandTopUnit(ctx context.Context, ws *workspace, base *mapping.Mapping, m, oi, budget int) unitOut {
+func (sc *search) expandTopUnit(ctx context.Context, ws *workspace, base []int, m, oi, budget int) unitOut {
 	var out unitOut
 	tw := &ws.top
 	tw.m, tw.budget, tw.visited = m, budget, 0
@@ -68,7 +64,7 @@ func (sc *search) expandTopUnit(ctx context.Context, ws *workspace, base *mappin
 	nd := p.nd
 
 	ws.load(base)
-	p.order[m] = dt.orderings[oi].complete
+	p.ord[m] = oi
 
 	ws.high = append(ws.high[:0], p.srow(m)...)
 	if sc.comp.a.Levels[m].Fanout > 1 {
@@ -97,7 +93,7 @@ func (sc *search) expandTopUnit(ctx context.Context, ws *workspace, base *mappin
 		tw.rec(0, &out)
 	}
 	out.visited = tw.visited
-	out.prunedTiling = tw.visited - len(out.cands)
+	out.prunedTiling = tw.visited - len(out.keys)
 	out.truncated = tw.visited >= budget
 	return out
 }
@@ -130,7 +126,7 @@ func (tw *topWalk) rec(i int, out *unitOut) {
 	fit := &tw.ws.comp.fit
 	if i == len(tw.cur) {
 		tw.visited++
-		// Full capacity check before paying for a mapping.
+		// Full capacity check before paying for a candidate.
 		if !fit.levelFits(tw.m-1, tw.ext) {
 			return
 		}
@@ -141,7 +137,7 @@ func (tw *topWalk) rec(i int, out *unitOut) {
 				trow[j] = f
 			}
 		}
-		out.cands = append(out.cands, tw.ws.materialize())
+		tw.ws.emit(out)
 		copy(trow, tw.ws.saved)
 		return
 	}

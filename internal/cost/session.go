@@ -5,7 +5,11 @@
 // reusable scratch so scoring a mapping allocates nothing in steady state.
 // Evaluator.compute is the only implementation of the model's arithmetic:
 // EvaluateEDP returns its scalars, Report renders its accumulators as maps,
-// Flows lists the per-flow word counts it passed to account.
+// Flows lists the per-flow word counts it passed to account. A mapping reaches
+// the scratch through one of two fronts — snapshot reads a mapping.Mapping's
+// maps, snapshotRows copies the factor rows the search runs on — and one
+// canonicalization (canon) behind both, so there is one compute and one key
+// whichever form the caller holds.
 //
 // On top of the scalar path sits a search-wide memoization cache keyed by a
 // canonical 128-bit fingerprint of the mapping (per level: the effective
@@ -519,15 +523,18 @@ type Evaluator struct {
 	// Per-run cache attribution (see CountCacheInto); nil = Session-only.
 	hits, misses *obs.Counter
 
-	// Snapshot of the mapping under evaluation (filled by snapshot()).
-	tb    []int   // nLevels x nDims temporal bounds (the T() view)
-	sf    []int   // nLevels x nDims spatial factors (the S() view)
-	eo    []int32 // nLevels x nDims effective order of bound>1 temporal loops
-	eoLen []int
-	spIdx []int32 // per-level spatial entries with s>1: dim indices...
-	spS   []int64 // ...and factors
-	spOff []int   // level l's entries are spIdx/spS[spOff[l]:spOff[l+1]]
-	seen  []bool
+	// Snapshot of the mapping under evaluation: tb, sf and order are written
+	// by the front (snapshot or snapshotRows), the rest derived by canon.
+	tb     []int     // nLevels x nDims temporal bounds
+	sf     []int     // nLevels x nDims spatial factors
+	order  [][]int32 // per level, the declared loop order as dimension indices
+	ordBuf []int32   // backing of order for the Mapping front
+	eo     []int32   // nLevels x nDims effective order of bound>1 temporal loops
+	eoLen  []int
+	spIdx  []int32 // per-level spatial entries with s>1: dim indices...
+	spS    []int64 // ...and factors
+	spOff  []int   // level l's entries are spIdx/spS[spOff[l]:spOff[l+1]]
+	seen   []bool
 
 	// Evaluation scratch.
 	cum     []int // nLevels x nDims cumulative extents (Extents at each level)
@@ -553,6 +560,8 @@ func (s *Session) NewEvaluator() *Evaluator {
 		s:       s,
 		tb:      make([]int, nl*nd),
 		sf:      make([]int, nl*nd),
+		order:   make([][]int32, nl),
+		ordBuf:  make([]int32, 0, nl*nd),
 		eo:      make([]int32, nl*nd),
 		eoLen:   make([]int, nl),
 		spIdx:   make([]int32, nl*nd),
@@ -579,16 +588,21 @@ func (e *Evaluator) CountCacheInto(hits, misses *obs.Counter) {
 	e.hits, e.misses = hits, misses
 }
 
-// begin opens one evaluation of m: the Probe and the chaos hook fire, then
-// m is captured into the scratch. It reports whether the model can
-// represent m's factors (see snapshot).
-func (e *Evaluator) begin(m *mapping.Mapping) bool {
+// fire opens one evaluation: the Probe sees the mapping, then the chaos hook
+// fires. m may be nil when the model has no Probe.
+func (e *Evaluator) fire(m *mapping.Mapping) {
 	if p := e.s.model.Probe; p != nil {
 		p.BeforeEvaluate(m)
 	}
 	// Chaos hook: an injected evaluation fault panics, contained by the
 	// caller's per-candidate isolation like any poisoned cost model.
 	faults.MustFire(faults.SiteEvaluate)
+}
+
+// begin opens one evaluation of m and captures it into the scratch. It
+// reports whether the model can represent m's factors (see snapshot).
+func (e *Evaluator) begin(m *mapping.Mapping) bool {
+	e.fire(m)
 	return e.snapshot(m)
 }
 
@@ -600,6 +614,29 @@ func (e *Evaluator) EvaluateEDP(m *mapping.Mapping) (edp, energyPJ, cycles float
 	if !e.begin(m) {
 		return inf, inf, inf, false
 	}
+	return e.memoized()
+}
+
+// EvaluateRows is EvaluateEDP for a mapping held as factor rows: t and s are
+// the temporal and spatial factor of dimension i (the workload's canonical
+// order) at level l, at [l*nd+i]; order[l] is level l's declared loop order as
+// dimension indices in [0, nd), possibly partial or with repeats. Same memo,
+// same chaos sites, same scalars as EvaluateEDP on the equivalent Mapping
+// (mapping.FromRows), which is built only for a model that carries a Probe.
+func (e *Evaluator) EvaluateRows(t, s []int, order [][]int32) (edp, energyPJ, cycles float64, valid bool) {
+	var m *mapping.Mapping
+	if e.s.model.Probe != nil {
+		m = mapping.FromRows(e.s.w, e.s.a, t, s, order)
+	}
+	e.fire(m)
+	if !e.snapshotRows(t, s, order) {
+		return inf, inf, inf, false
+	}
+	return e.memoized()
+}
+
+// memoized scores the snapshot through the Session's memo.
+func (e *Evaluator) memoized() (edp, energyPJ, cycles float64, valid bool) {
 	k := e.key()
 	if v, ok := e.lookup(k); ok {
 		// Chaos hook: a corrupt-kind cache-get fault perturbs the memoized
@@ -664,69 +701,100 @@ func (e *Evaluator) Key(m *mapping.Mapping) (k Key, ok bool) {
 	return e.key(), true
 }
 
-// snapshot captures m's T/S bounds, per-level spatial entries, and the
-// effective order of its bound>1 temporal loops into the evaluator scratch.
-// It reports false for the two factor defects mapping.Validate rejects but
-// the T/S view cannot see: a raw factor < 1, and a factor > 1 on a dimension
-// outside the workload.
+// KeyRows is Key for a mapping held as factor rows (see EvaluateRows).
+func (e *Evaluator) KeyRows(t, s []int, order [][]int32) (k Key, ok bool) {
+	if !e.snapshotRows(t, s, order) {
+		return Key{}, false
+	}
+	return e.key(), true
+}
+
+// snapshot is the Mapping front of the scratch: it copies m's factor maps and
+// loop orders into tb/sf/order and canonicalizes. It reports false for the
+// two factor defects mapping.Validate rejects but the T/S view cannot see: a
+// raw factor < 1, and a factor > 1 on a dimension outside the workload. (A
+// factor of 1 out there, and an undeclared name in an Order, are invisible.)
 func (e *Evaluator) snapshot(m *mapping.Mapping) bool {
+	s := e.s
+	nd := len(s.dims)
+	for i := range e.tb {
+		e.tb[i], e.sf[i] = 1, 1
+	}
+	e.ordBuf = e.ordBuf[:0]
+	for l := 0; l < s.nLevels; l++ {
+		lm := &m.Levels[l]
+		if !s.scatter(lm.Temporal, e.tb[l*nd:]) || !s.scatter(lm.Spatial, e.sf[l*nd:]) {
+			return false
+		}
+		lo := len(e.ordBuf)
+		for _, d := range lm.Order {
+			if i, known := s.dimIdx[d]; known {
+				e.ordBuf = append(e.ordBuf, int32(i))
+			}
+		}
+		e.order[l] = e.ordBuf[lo:]
+	}
+	return e.canon()
+}
+
+// scatter writes one level's factor map into its row (preset to 1), reporting
+// false for a factor < 1 anywhere or > 1 on an undeclared dimension.
+func (s *Session) scatter(factors map[tensor.Dim]int, row []int) bool {
+	for d, n := range factors {
+		if n < 1 {
+			return false
+		}
+		if i, known := s.dimIdx[d]; known {
+			row[i] = n
+		} else if n > 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// snapshotRows is the row front of the scratch (see EvaluateRows).
+func (e *Evaluator) snapshotRows(t, s []int, order [][]int32) bool {
+	copy(e.tb, t)
+	copy(e.sf, s)
+	copy(e.order, order)
+	return e.canon()
+}
+
+// canon derives the canonical form compute and key read from tb, sf and
+// order: the per-level spatial entries, and the effective order of the
+// bound>1 temporal loops — declared order first (first mention wins), then
+// the canonical remainder. Bound-1 loops never change a pass count, so
+// dropping them here canonicalizes equal-cost orderings onto one Key (and is
+// why the search's dedupe cannot tell apart two candidates that differ only
+// in the order of a level whose tile is still unassigned). It reports false
+// for a factor < 1.
+func (e *Evaluator) canon() bool {
 	s := e.s
 	nd := len(s.dims)
 	sp := 0
 	for l := 0; l < s.nLevels; l++ {
-		lm := &m.Levels[l]
-		// Count the raw entries > 1; the workload's dimensions must account
-		// for every one of them below.
-		big := 0
-		for _, n := range lm.Temporal {
-			if n < 1 {
-				return false
-			}
-			if n > 1 {
-				big++
-			}
-		}
-		for _, n := range lm.Spatial {
-			if n < 1 {
-				return false
-			}
-			if n > 1 {
-				big++
-			}
-		}
 		base := l * nd
-		for i, d := range s.dims {
-			e.tb[base+i] = lm.T(d)
-			e.sf[base+i] = lm.S(d)
-		}
 		e.spOff[l] = sp
 		for i := 0; i < nd; i++ {
-			if e.tb[base+i] > 1 {
-				big--
+			f := e.sf[base+i]
+			if f < 1 || e.tb[base+i] < 1 {
+				return false
 			}
-			if f := e.sf[base+i]; f > 1 {
-				big--
+			if f > 1 {
 				e.spIdx[sp] = int32(i)
 				e.spS[sp] = int64(f)
 				sp++
 			}
 		}
-		if big != 0 {
-			return false
-		}
-		// Effective order restricted to bound>1 loops: declared order first
-		// (deduped, declared dims only), then the canonical remainder —
-		// bound-1 loops never change a pass count, so dropping them here
-		// canonicalizes equal-cost orderings onto one Key.
 		cnt := 0
-		for _, d := range lm.Order {
-			i, known := s.dimIdx[d]
-			if !known || e.seen[i] {
+		for _, i := range e.order[l] {
+			if e.seen[i] {
 				continue
 			}
 			e.seen[i] = true
-			if e.tb[base+i] > 1 {
-				e.eo[base+cnt] = int32(i)
+			if e.tb[base+int(i)] > 1 {
+				e.eo[base+cnt] = i
 				cnt++
 			}
 		}
@@ -735,11 +803,9 @@ func (e *Evaluator) snapshot(m *mapping.Mapping) bool {
 				e.eo[base+cnt] = int32(i)
 				cnt++
 			}
-		}
-		e.eoLen[l] = cnt
-		for i := 0; i < nd; i++ {
 			e.seen[i] = false
 		}
+		e.eoLen[l] = cnt
 	}
 	e.spOff[s.nLevels] = sp
 	return true

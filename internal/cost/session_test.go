@@ -58,6 +58,60 @@ func randomMappingOn(w *tensor.Workload, a *arch.Arch, rng *rand.Rand) *mapping.
 	return m
 }
 
+// deface turns a sampled mapping into one the search never builds but a file
+// or a caller can: repeated or undeclared names in a loop order, a factor of
+// 0, a factor above 1 on a dimension the workload does not have.
+func deface(m *mapping.Mapping, rng *rand.Rand) {
+	lm := &m.Levels[rng.Intn(len(m.Levels))]
+	d := m.Workload.Order[rng.Intn(len(m.Workload.Order))]
+	switch rng.Intn(5) {
+	case 0:
+		lm.Order = append(append([]tensor.Dim{d}, lm.Order...), d)
+	case 1:
+		lm.Order = append([]tensor.Dim{"Z"}, lm.Order...)
+	case 2:
+		lm.Order = append(lm.Order, "Z", d, "Z")
+	case 3:
+		lm.Temporal[d] = 0
+	case 4:
+		lm.Spatial["Z"] = 2
+	}
+}
+
+// rowsOf puts m into the form the evaluator's row entry points take: raw
+// factors by (level, dimension index), 1 where the map has no entry, and the
+// declared dimensions of each loop order by index, repeats kept. ok is false
+// when m has no row form — a factor other than 1 on an undeclared dimension.
+func rowsOf(s *Session, m *mapping.Mapping) (t, sp []int, order [][]int32, ok bool) {
+	nd := len(s.dims)
+	t, sp = make([]int, s.nLevels*nd), make([]int, s.nLevels*nd)
+	for i := range t {
+		t[i], sp[i] = 1, 1
+	}
+	order = make([][]int32, s.nLevels)
+	for l := range m.Levels {
+		lm := &m.Levels[l]
+		for _, fm := range []struct {
+			factors map[tensor.Dim]int
+			row     []int
+		}{{lm.Temporal, t[l*nd:]}, {lm.Spatial, sp[l*nd:]}} {
+			for d, n := range fm.factors {
+				if i, declared := s.dimIdx[d]; declared {
+					fm.row[i] = n
+				} else if n != 1 {
+					return nil, nil, nil, false
+				}
+			}
+		}
+		for _, d := range lm.Order {
+			if i, declared := s.dimIdx[d]; declared {
+				order[l] = append(order[l], int32(i))
+			}
+		}
+	}
+	return t, sp, order, true
+}
+
 // requireSameScalars asserts bit-for-bit agreement between a Report and one
 // scalar evaluation.
 func requireSameScalars(t *testing.T, label string, rep Report, edp, en, cy float64, valid bool) {
@@ -76,7 +130,9 @@ func requireSameScalars(t *testing.T, label string, rep Report, edp, en, cy floa
 // its message, MACs, the bits of energy, cycles and EDP, the Breakdown and
 // Accesses key sets and values, every Flow field — and requires the
 // memoized path (twice: miss then hit) and the uncached path to return the
-// Report's scalars. ev must be an Evaluator of model.
+// Report's scalars. The row entry points are held to the same numbers and the
+// same Key; which front takes the memo miss alternates with the key, so both
+// fill the cache. ev must be an Evaluator of model.
 func checkEquivalence(t *testing.T, model Model, ev *Evaluator, m *mapping.Mapping) {
 	t.Helper()
 	ref := model.referenceEvaluate(m)
@@ -118,9 +174,23 @@ func checkEquivalence(t *testing.T, model Model, ev *Evaluator, m *mapping.Mappi
 			}
 		}
 	}
-	for pass := 0; pass < 2; pass++ {
-		edp, en, cy, valid := ev.EvaluateEDP(m)
-		requireSameScalars(t, "EvaluateEDP", rep, edp, en, cy, valid)
+	key, keyed := ev.Key(m)
+	rowT, rowS, rowOrder, hasRows := rowsOf(ev.s, m)
+	if hasRows {
+		if k, ok := ev.KeyRows(rowT, rowS, rowOrder); ok != keyed || k != key {
+			t.Fatalf("KeyRows = %v (ok=%v), Key = %v (ok=%v)", k, ok, key, keyed)
+		}
+	} else if keyed {
+		t.Fatalf("Key accepted a mapping with a factor on an undeclared dimension")
+	}
+	for pass := 0; pass < 4; pass++ {
+		if byRows := (uint64(pass)+key.Lo)%2 == 0; byRows && hasRows {
+			edp, en, cy, valid := ev.EvaluateRows(rowT, rowS, rowOrder)
+			requireSameScalars(t, "EvaluateRows", rep, edp, en, cy, valid)
+		} else {
+			edp, en, cy, valid := ev.EvaluateEDP(m)
+			requireSameScalars(t, "EvaluateEDP", rep, edp, en, cy, valid)
+		}
 	}
 	edp, en, cy, valid := ev.EvaluateEDPUncached(m)
 	requireSameScalars(t, "EvaluateEDPUncached", rep, edp, en, cy, valid)
@@ -195,7 +265,9 @@ func TestEvaluateEDPSlidingReuseOff(t *testing.T) {
 // plus the dual-spatial one of core's TestFlowGolden, the only machine with a
 // fanout at both level 0 and level 1 — under all four models of sliding
 // reuse on/off and the output tensor pinned at the outermost on-chip level
-// or not, each held to the reference model by checkEquivalence.
+// or not, a quarter of them defaced (see deface), each held to the reference
+// model by checkEquivalence — through the Mapping front and through the row
+// entry points.
 func TestReportMatchesReference(t *testing.T) {
 	dual := arch.TinySpatial(64, 4096, 8)
 	dual.Name = "dual-spatial"
@@ -222,6 +294,9 @@ func TestReportMatchesReference(t *testing.T) {
 				valid, invalid := 0, 0
 				for i := 0; i < 8000 && (valid < wantValid || invalid < wantInvalid); i++ {
 					m := randomMappingOn(tc.w, tc.a, rng)
+					if i%4 == 0 {
+						deface(m, rng)
+					}
 					count, want := &invalid, wantInvalid
 					if m.Validate() == nil {
 						count, want = &valid, wantValid
@@ -420,5 +495,29 @@ func TestEvaluatorConcurrentScratchReuse(t *testing.T) {
 	hits, misses := sess.CacheStats()
 	if hits == 0 || misses == 0 {
 		t.Errorf("cache stats hits=%d misses=%d: expected both non-zero under overlapping workers", hits, misses)
+	}
+}
+
+// seenProbe records the mapping of the last evaluation it was shown.
+type seenProbe struct{ m *mapping.Mapping }
+
+func (p *seenProbe) BeforeEvaluate(m *mapping.Mapping) { p.m = m }
+
+// TestEvaluateRowsShowsProbeTheMapping: a model with a Probe is shown, for a
+// row evaluation, the Mapping those rows denote — a caller who installed one
+// cannot tell which form the search holds its candidates in.
+func TestEvaluateRowsShowsProbeTheMapping(t *testing.T) {
+	tc := equivalenceCases()[0]
+	probe := &seenProbe{}
+	ev := Model{Probe: probe}.NewSession(tc.w, tc.a).NewEvaluator()
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20; i++ {
+		m := randomMappingOn(tc.w, tc.a, rng)
+		rowT, rowS, rowOrder, _ := rowsOf(ev.s, m)
+		probe.m = nil
+		ev.EvaluateRows(rowT, rowS, rowOrder)
+		if probe.m == nil || probe.m.String() != m.String() || probe.m.Workload != tc.w || probe.m.Arch != tc.a {
+			t.Fatalf("probe saw %v for\n%s", probe.m, m)
+		}
 	}
 }

@@ -32,16 +32,49 @@ type Tensors map[string][]Value
 // axes are mixed-radix digits, and each axis's coordinate is the sum of its
 // strided terms (e.g. 2p+r for a stride-2 convolution input).
 func Index(w *tensor.Workload, t *tensor.Tensor, idx map[tensor.Dim]int) int {
-	full := w.FullExtents()
+	return shapeOf(t, w.FullExtents()).index(idx)
+}
+
+// operand is a tensor with its storage shape: the extent of each axis at the
+// workload's full problem size — the mixed-radix base of Index. An execution
+// derives its operands once (see operands), so addressing an element in the
+// loop body builds nothing.
+type operand struct {
+	t   *tensor.Tensor
+	ext []int
+}
+
+func shapeOf(t *tensor.Tensor, full map[tensor.Dim]int) operand {
+	o := operand{t: t, ext: make([]int, len(t.Axes))}
+	for i, a := range t.Axes {
+		o.ext[i] = a.Extent(full)
+	}
+	return o
+}
+
+func (o operand) index(idx map[tensor.Dim]int) int {
 	flat := 0
-	for _, a := range t.Axes {
+	for i, a := range o.t.Axes {
 		coord := 0
 		for _, term := range a {
 			coord += term.Stride * idx[term.D]
 		}
-		flat = flat*a.Extent(full) + coord
+		flat = flat*o.ext[i] + coord
 	}
 	return flat
+}
+
+// operands shapes the workload's inputs and outputs.
+func operands(w *tensor.Workload) (in, out []operand) {
+	full := w.FullExtents()
+	for _, t := range w.Tensors {
+		if t.Output {
+			out = append(out, shapeOf(t, full))
+		} else {
+			in = append(in, shapeOf(t, full))
+		}
+	}
+	return in, out
 }
 
 // Alloc allocates zeroed storage for every tensor of w at full extents.
@@ -76,11 +109,12 @@ func FillDeterministic(w *tensor.Workload, ts Tensors) {
 // the inputs into each output.
 func Reference(w *tensor.Workload, ts Tensors) {
 	dims := w.Order
+	in, out := operands(w)
 	idx := make(map[tensor.Dim]int, len(dims))
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(dims) {
-			body(w, ts, idx)
+			body(in, out, ts, idx)
 			return
 		}
 		d := dims[i]
@@ -93,13 +127,13 @@ func Reference(w *tensor.Workload, ts Tensors) {
 }
 
 // body performs one loop-body evaluation at idx.
-func body(w *tensor.Workload, ts Tensors, idx map[tensor.Dim]int) {
+func body(in, out []operand, ts Tensors, idx map[tensor.Dim]int) {
 	prod := Value(1)
-	for _, t := range w.Inputs() {
-		prod *= ts[t.Name][Index(w, t, idx)]
+	for _, o := range in {
+		prod *= ts[o.t.Name][o.index(idx)]
 	}
-	for _, t := range w.Outputs() {
-		ts[t.Name][Index(w, t, idx)] += prod
+	for _, o := range out {
+		ts[o.t.Name][o.index(idx)] += prod
 	}
 }
 
@@ -115,6 +149,7 @@ func Mapped(m *mapping.Mapping, ts Tensors) error {
 	}
 	w := m.Workload
 	nest := m.Nest()
+	in, out := operands(w)
 
 	idx := make(map[tensor.Dim]int, len(w.Dims))
 	for d := range w.Dims {
@@ -129,7 +164,7 @@ func Mapped(m *mapping.Mapping, ts Tensors) error {
 					return
 				}
 			}
-			body(w, ts, idx)
+			body(in, out, ts, idx)
 			return
 		}
 		lp := nest[i]

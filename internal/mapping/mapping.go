@@ -20,8 +20,8 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"sunstone/internal/arch"
 	"sunstone/internal/tensor"
@@ -84,6 +84,44 @@ func New(w *tensor.Workload, a *arch.Arch) *Mapping {
 	return m
 }
 
+// FromRows builds the mapping whose factor of dimension w.Order[i] at level l
+// is t[l*nd+i] (temporal) and s[l*nd+i] (spatial), nd = len(w.Order), and
+// whose loop order at level l lists the dimensions order[l] indexes. Factors
+// above 1 become map entries — a missing entry reads as 1. This is how a
+// search that runs on factor rows hands a mapping to the rest of the program.
+func FromRows(w *tensor.Workload, a *arch.Arch, t, s []int, order [][]int32) *Mapping {
+	nd := len(w.Order)
+	m := &Mapping{Workload: w, Arch: a, Levels: make([]LevelMapping, len(a.Levels))}
+	for l := range m.Levels {
+		lm := &m.Levels[l]
+		lm.Temporal = factorMap(w.Order, t[l*nd:(l+1)*nd])
+		lm.Spatial = factorMap(w.Order, s[l*nd:(l+1)*nd])
+		if len(order[l]) > 0 {
+			lm.Order = make([]tensor.Dim, len(order[l]))
+			for k, i := range order[l] {
+				lm.Order[k] = w.Order[i]
+			}
+		}
+	}
+	return m
+}
+
+func factorMap(dims []tensor.Dim, row []int) map[tensor.Dim]int {
+	n := 0
+	for _, f := range row {
+		if f > 1 {
+			n++
+		}
+	}
+	fm := make(map[tensor.Dim]int, n)
+	for i, f := range row {
+		if f > 1 {
+			fm[dims[i]] = f
+		}
+	}
+	return fm
+}
+
 // Clone deep-copies the mapping.
 func (m *Mapping) Clone() *Mapping {
 	c := &Mapping{Workload: m.Workload, Arch: m.Arch, Levels: make([]LevelMapping, len(m.Levels))}
@@ -142,17 +180,15 @@ func (m *Mapping) PaddedMACs() int64 {
 // level lvl: the explicit Order first, then any remaining dimensions in
 // canonical workload order.
 func (m *Mapping) EffectiveOrder(lvl int) []tensor.Dim {
-	lm := &m.Levels[lvl]
-	seen := map[tensor.Dim]bool{}
 	out := make([]tensor.Dim, 0, len(m.Workload.Dims))
-	for _, d := range lm.Order {
-		if _, declared := m.Workload.Dims[d]; declared && !seen[d] {
-			seen[d] = true
+	for _, d := range m.Levels[lvl].Order {
+		if _, declared := m.Workload.Dims[d]; declared && !slices.Contains(out, d) {
 			out = append(out, d)
 		}
 	}
+	declared := len(out)
 	for _, d := range m.Workload.Order {
-		if !seen[d] {
+		if !slices.Contains(out[:declared], d) {
 			out = append(out, d)
 		}
 	}
@@ -177,6 +213,10 @@ func (m *Mapping) FootprintBits(t *tensor.Tensor, lvl int) int64 {
 //  5. factors: every factor is positive, and only workload dimensions carry
 //     a factor above 1.
 func (m *Mapping) Validate() error {
+	// The reduction set is derived at most once, by the first level that
+	// cannot combine partial sums.
+	var reduction []tensor.Dim
+	derived := false
 	for _, d := range m.Workload.Order {
 		if m.Coverage(d) < m.Workload.Dims[d] {
 			return fmt.Errorf("dimension %s: coverage %d < bound %d", d, m.Coverage(d), m.Workload.Dims[d])
@@ -209,7 +249,10 @@ func (m *Mapping) Validate() error {
 			return fmt.Errorf("level %s: spatial product %d exceeds fanout %d", al.Name, sp, al.Fanout)
 		}
 		if !al.AllowSpatialReduction {
-			for _, d := range m.Workload.ReductionDims() {
+			if !derived {
+				reduction, derived = m.Workload.ReductionDims(), true
+			}
+			for _, d := range reduction {
 				if lm.S(d) > 1 {
 					return fmt.Errorf("level %s: reduction dimension %s unrolled spatially but level cannot combine partial sums", al.Name, d)
 				}
@@ -281,36 +324,44 @@ func (m *Mapping) PEUtilization() float64 {
 }
 
 // String renders the mapping level by level, outermost first, in the paper's
-// loop-order notation (e.g. "DRAM: K4 P2 | L1: C4 R3 ...").
+// loop-order notation (e.g. "DRAM: K4 P2 | L1: C4 R3 ..."). The search's
+// tie-break writes the same bytes from factor rows (core's renderRow), so the
+// two must change together.
 func (m *Mapping) String() string {
-	var b strings.Builder
+	var b []byte
+	loop := func(d tensor.Dim, n int) {
+		b = append(b, ' ')
+		b = append(b, d...)
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	var ds []tensor.Dim
 	for lvl := len(m.Levels) - 1; lvl >= 0; lvl-- {
 		lm := &m.Levels[lvl]
-		fmt.Fprintf(&b, "%s:", m.Arch.Levels[lvl].Name)
+		b = append(b, m.Arch.Levels[lvl].Name...)
+		b = append(b, ':')
 		order := m.EffectiveOrder(lvl)
 		for i := len(order) - 1; i >= 0; i-- { // print outermost first
-			d := order[i]
-			if lm.T(d) > 1 {
-				fmt.Fprintf(&b, " %s%d", d, lm.T(d))
+			if n := lm.T(order[i]); n > 1 {
+				loop(order[i], n)
 			}
 		}
 		if sp := lm.SpatialProduct(); sp > 1 {
-			b.WriteString(" [spatial:")
-			var ds []tensor.Dim
+			b = append(b, " [spatial:"...)
+			ds = ds[:0]
 			for d := range lm.Spatial {
 				if lm.S(d) > 1 {
 					ds = append(ds, d)
 				}
 			}
-			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+			slices.Sort(ds)
 			for _, d := range ds {
-				fmt.Fprintf(&b, " %s%d", d, lm.S(d))
+				loop(d, lm.S(d))
 			}
-			b.WriteString("]")
+			b = append(b, ']')
 		}
 		if lvl > 0 {
-			b.WriteString("\n")
+			b = append(b, '\n')
 		}
 	}
-	return b.String()
+	return string(b)
 }
