@@ -25,8 +25,11 @@ fmt-check:
 # guard enforces that what was merged stays merged: no code outside the
 # unified level sequencer may call bottomUp/topDown, and no non-test file
 # outside bench/ may declare one of the deleted solve/schedule wrappers
-# (Optimize*, SolveContext, ScheduleNetworkContext/IR) or a second retry
-# carrier (a struct field named Resilience) next to Options.Retry.
+# (Optimize*, SolveContext, ScheduleNetworkContext/IR), a second retry
+# carrier (a struct field named Resilience) next to Options.Retry, a second
+# network scheduler (ScheduleNetwork), the schedule file codec
+# (Encode/DecodeNetworkSchedule) or a second group struct
+# (GroupSchedule/NetworkGroupJSON) next to core.GroupResult.
 guard:
 	./scripts/guard-stepper.sh
 	./scripts/guard-api.sh
@@ -42,13 +45,16 @@ test:
 # and the concurrent same-key compile-failure tests, the fault-injection
 # registry, the soak corpus, Timeloop's search threads, network scheduling
 # (including the chaos guarantee in short mode), and the shared-Engine
-# concurrency test in the root package — under the race detector. Scoped to
+# concurrency test in the root package — under the race detector, then the
+# fail-fast classification tests fifty times over (sibling-cancel was a
+# flake while the sibling was merely slow). Scoped to
 # the packages that spawn goroutines so the instrumented run stays fast, plus
 # the tile and unroll enumerators, which pool workers call on shared compiled
 # dimension lists and must therefore never write to their inputs.
 race:
 	$(GO) test -race ./internal/core/ ./internal/cost/ ./internal/faults/ ./internal/server/ ./internal/journal/ ./internal/tile/ ./internal/unroll/ ./internal/baselines/timeloop/ ./internal/baselines/innermost/
 	$(GO) test -race -short .
+	$(GO) test -race -count=50 -run 'TestLayerCauseClassificationEndToEnd|TestScheduleNetworkIRFailFast' .
 
 # parallel-smoke pins the determinism contract of intra-search parallelism
 # on the tiny preset: the search result must be bit-identical at 1 and 8
@@ -64,12 +70,11 @@ parallel-smoke:
 seed-smoke:
 	$(GO) test -run 'TestAnalyticalSeedEDPParity|TestAnalyticalOnEqualOrBetter|TestAnalyticalOffDeterministic' -count 1 ./internal/core/
 
-# fuse-smoke pins the fusion-aware network scheduler's acceptance contract:
-# the fused schedule never scores worse EDP than the per-layer baseline
-# solved in the same run, the chosen groups tile the chain, and turning
-# fusion off (max group 1) is bit-identical to the per-layer scheduler —
-# plus the strict-improvement case on the transformer chain in
-# internal/core.
+# fuse-smoke pins the network scheduler's acceptance contract: the fused
+# schedule never scores worse EDP than the per-layer baseline solved in the
+# same run, the chosen groups tile the chain, and the max-group-1 cut is
+# bit-identical to one direct Engine.Solve per layer — plus the
+# strict-improvement case on the transformer chain in internal/core.
 fuse-smoke:
 	$(GO) test -run 'TestFuseSmoke' -count 1 .
 	$(GO) test -run 'TestFusedBeatsUnfused|TestFusedMaxGroupOneIsUnfused' -count 1 ./internal/core/

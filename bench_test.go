@@ -229,9 +229,7 @@ func BenchmarkAnalyticalLayer(b *testing.B) {
 func BenchmarkNetworkFused(b *testing.B) {
 	net := sunstone.TransformerChain(64, 64, 256)
 	a := sunstone.Conventional()
-	opt := sunstone.NetworkOptions{Options: sunstone.Options{
-		BeamWidth: 4, TilesPerStep: 8, UnrollsPerStep: 1,
-	}}
+	opt := sunstone.Options{BeamWidth: 4, TilesPerStep: 8, UnrollsPerStep: 1}
 	for _, arm := range []struct {
 		name     string
 		maxGroup int

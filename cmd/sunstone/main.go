@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -235,7 +236,7 @@ func main() {
 		fatal(err)
 	}
 	if *allLayers {
-		runAllLayers(eng, a, opt)
+		runAllLayers(os.Stdout, eng, a, opt)
 		return
 	}
 	var w *sunstone.Workload
@@ -354,8 +355,10 @@ func main() {
 }
 
 // runAllLayers schedules the whole -net table through eng and prints network
-// totals; repeated shapes compile their problem artifacts once.
-func runAllLayers(eng *sunstone.Engine, a *sunstone.Arch, opt sunstone.Options) {
+// totals to out; repeated shapes compile their problem artifacts once. Without
+// -fuse it is the MaxGroup 1 cut of the same scheduler: one independent
+// search per layer, printed one line per layer with its repeat count.
+func runAllLayers(out io.Writer, eng *sunstone.Engine, a *sunstone.Arch, opt sunstone.Options) {
 	var irNet *sunstone.Network
 	var err error
 	if *net == "transformer" {
@@ -371,21 +374,30 @@ func runAllLayers(eng *sunstone.Engine, a *sunstone.Arch, opt sunstone.Options) 
 			fatal(err)
 		}
 	}
-	nopt := sunstone.NetworkOptions{Options: opt, ContinueOnError: *contErr}
-	ctx, flushTrace := searchContext()
-	var sched sunstone.NetworkSchedule
+	fopt := sunstone.FusionOptions{MaxGroup: 1, ContinueOnError: *contErr}
 	if *fuse {
 		if opt.Objective != sunstone.MinEDP {
 			fatal(core.ErrFusionObjective)
 		}
-		sched, err = eng.ScheduleNetworkFused(ctx, irNet, a, nopt, sunstone.FusionOptions{MaxGroup: *maxGroup})
-	} else {
-		sched, err = eng.ScheduleNetwork(ctx, irNet, a, nopt)
+		fopt.MaxGroup = *maxGroup
 	}
-	fmt.Printf("%-12s %-3s %-12s %-12s %s\n", "layer", "x", "EDP", "energy pJ", "cycles")
-	for _, l := range sched.Layers {
+	ctx, flushTrace := searchContext()
+	sched, err := eng.ScheduleNetworkFused(ctx, irNet, a, opt, fopt)
+	fmt.Fprintf(out, "%-12s %-3s %-12s %-12s %s\n", "layer", "x", "EDP", "energy pJ", "cycles")
+	// A schedule holds one entry per chain position. Unfused, a layer's
+	// occurrences share one result and print as one line with their count;
+	// fused, each occurrence may have been mapped under a different residency.
+	pos := irNet.Positions()
+	for i, l := range sched.Layers {
+		count := 1
+		if !*fuse {
+			if pos[i].Occ > 0 {
+				continue
+			}
+			count = irNet.Layers[pos[i].Layer].Repeats
+		}
 		if l.Err != nil {
-			fmt.Printf("%-12s FAILED: %v\n", l.Layer, l.Err)
+			fmt.Fprintf(out, "%-12s FAILED: %v\n", l.Layer, l.Err)
 			continue
 		}
 		note := ""
@@ -397,28 +409,28 @@ func runAllLayers(eng *sunstone.Engine, a *sunstone.Arch, opt sunstone.Options) 
 		} else if len(l.Result.Attempts) > 1 {
 			note += fmt.Sprintf("  [%d attempts]", len(l.Result.Attempts))
 		}
-		fmt.Printf("%-12s %-3d %-12.3e %-12.3e %.0f%s\n",
-			l.Layer, l.Repeats, l.Result.Report.EDP, l.Result.Report.EnergyPJ, l.Result.Report.Cycles, note)
+		fmt.Fprintf(out, "%-12s %-3d %-12.3e %-12.3e %.0f%s\n",
+			l.Layer, count, l.Result.Report.EDP, l.Result.Report.EnergyPJ, l.Result.Report.Cycles, note)
 	}
-	if sched.Fused {
-		fmt.Printf("\nfusion cut (%d groups):\n", len(sched.Groups))
+	if *fuse && sched.Failed == 0 {
+		fmt.Fprintf(out, "\nfusion cut (%d groups):\n", len(sched.Groups))
 		for _, g := range sched.Groups {
 			kind := "unfused"
 			if g.End-g.Start > 1 {
 				kind = "fused @" + a.Levels[g.PinLevel].Name
 			}
-			fmt.Printf("  [%2d,%2d) %-10s %-40s %.3e pJ  %.3e cycles\n",
+			fmt.Fprintf(out, "  [%2d,%2d) %-10s %-40s %.3e pJ  %.3e cycles\n",
 				g.Start, g.End, kind, strings.Join(g.Layers, "+"), g.EnergyPJ, g.Cycles)
 		}
-		fmt.Printf("unfused EDP %.4e -> fused EDP %.4e (%.2fx better)\n",
+		fmt.Fprintf(out, "unfused EDP %.4e -> fused EDP %.4e (%.2fx better)\n",
 			sched.UnfusedEDP, sched.EDP, sched.UnfusedEDP/sched.EDP)
 	}
-	fmt.Printf("\nnetwork totals: %.4e pJ, %.3e cycles, EDP %.4e (scheduled in %v",
+	fmt.Fprintf(out, "\nnetwork totals: %.4e pJ, %.3e cycles, EDP %.4e (scheduled in %v",
 		sched.TotalEnergyPJ, sched.TotalCycles, sched.EDP, sched.Elapsed.Round(1e6))
 	if sched.Failed > 0 {
-		fmt.Printf("; %d layer(s) failed, totals cover the rest", sched.Failed)
+		fmt.Fprintf(out, "; %d layer(s) failed, totals cover the rest", sched.Failed)
 	}
-	fmt.Println(")")
+	fmt.Fprintln(out, ")")
 	flushTrace()
 	if err != nil {
 		fatal(err)

@@ -76,6 +76,12 @@ func main() {
 }
 
 func run() error {
+	// The handler goes in before anything else: a SIGTERM that lands while
+	// the journal replays or the listeners come up waits in the channel and
+	// drains the daemon the moment it is serving, instead of killing it.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	if *faultSpec != "" {
 		inj, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
@@ -144,8 +150,6 @@ func run() error {
 		go func() { serveErr <- debugSrv.Serve(dln) }()
 	}
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		log.Printf("caught %s, draining (grace for in-flight jobs; second signal forces exit)", s)

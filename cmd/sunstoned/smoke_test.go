@@ -211,3 +211,47 @@ func readTerminalEvent(r io.Reader) (sunstone.JobEvent, bool) {
 	}
 	return sunstone.JobEvent{}, false
 }
+
+// TestSignalDuringStartupDrains: the signal handler is installed before the
+// daemon opens anything, so a SIGTERM sent the instant "listening on"
+// appears — while the debug listener is still coming up — is a drain, not
+// the default action: both drain log lines appear and the exit status is 0.
+func TestSignalDuringStartupDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the daemon; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "sunstoned")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for round := 0; round < 5; round++ {
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0")
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var log strings.Builder
+		signaled := false
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			log.WriteString(sc.Text() + "\n")
+			if !signaled && strings.Contains(sc.Text(), "listening on ") {
+				signaled = true
+				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("round %d: daemon died on a startup SIGTERM instead of draining: %v\n%s", round, err, log.String())
+		}
+		for _, want := range []string{", draining", "drained: "} {
+			if !strings.Contains(log.String(), want) {
+				t.Fatalf("round %d: log has no %q line:\n%s", round, want, log.String())
+			}
+		}
+	}
+}

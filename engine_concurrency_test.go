@@ -84,11 +84,11 @@ func TestEngineScheduleNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := eng.ScheduleNetwork(context.Background(), net, sunstone.Conventional(), sunstone.NetworkOptions{})
+	sched, err := eng.ScheduleNetworkFused(context.Background(), net, sunstone.Conventional(), sunstone.Options{}, perLayer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sched.Layers) != 2 {
+	if len(sched.Layers) != 3 { // conv1, conv2_x twice
 		t.Fatalf("layers = %d", len(sched.Layers))
 	}
 	for _, l := range sched.Layers {
@@ -102,7 +102,7 @@ func TestEngineScheduleNetwork(t *testing.T) {
 	}
 
 	// Rescheduling the same network on the same Engine is fully warm.
-	if _, err := eng.ScheduleNetwork(context.Background(), net, sunstone.Conventional(), sunstone.NetworkOptions{}); err != nil {
+	if _, err := eng.ScheduleNetworkFused(context.Background(), net, sunstone.Conventional(), sunstone.Options{}, perLayer); err != nil {
 		t.Fatal(err)
 	}
 	if s2 := eng.Stats(); s2.Compiles != s.Compiles {

@@ -25,18 +25,27 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched, err := sunstone.NewEngine().ScheduleNetwork(context.Background(), net, a, sunstone.NetworkOptions{})
+	// MaxGroup 1 is the per-layer schedule: one independent search per layer,
+	// no fusion cuts.
+	sched, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net, a,
+		sunstone.NetworkOptions{}, sunstone.FusionOptions{MaxGroup: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("%-10s %-3s %-12s %-12s %-10s %-8s %s\n",
 		"layer", "x", "EDP", "energy pJ", "cycles", "search", "mapping (DRAM level)")
-	for _, l := range sched.Layers {
+	// The schedule holds one entry per executed position; a repeated layer's
+	// occurrences share one result, so print its first with the count.
+	for i, p := range net.Positions() {
+		if p.Occ > 0 {
+			continue
+		}
+		l := sched.Layers[i]
 		rep := l.Result.Report
 		firstLine, _, _ := strings.Cut(l.Result.Mapping.String(), "\n")
 		fmt.Printf("%-10s %-3d %-12.3e %-12.3e %-10.0f %-8v %s\n",
-			l.Layer, l.Repeats, rep.EDP, rep.EnergyPJ, rep.Cycles,
+			l.Layer, net.Layers[p.Layer].Repeats, rep.EDP, rep.EnergyPJ, rep.Cycles,
 			l.Result.Elapsed.Round(time.Millisecond), firstLine)
 	}
 	fmt.Printf("\nnetwork totals (repeats applied): %.4e pJ, %.3e cycles, EDP %.4e\n",

@@ -1,5 +1,6 @@
-// Fused network scheduling: a fusion-cut enumerator over the network IR's
-// position chain. Contiguous segments connected by producer→consumer edges
+// Network scheduling: every layer of the network IR solved once under the
+// plain model, then a fusion-cut enumerator over the IR's position chain.
+// Contiguous segments connected by producer→consumer edges
 // may execute as one fused group whose intermediate tensors stay resident in
 // an on-chip buffer (cost.Residency) instead of round-tripping DRAM; the
 // scheduler enumerates every candidate group up to a bounded length, solves
@@ -8,7 +9,9 @@
 // an exact Pareto dynamic program over prefix (energy, cycles) sums — EDP is
 // not additive across segments, but energy and cycles are, and the frontier
 // of their sums contains the EDP optimum. The all-singleton cut is always a
-// candidate, so the fused schedule never scores worse than the unfused one.
+// candidate, so the fused schedule never scores worse than the unfused one —
+// and with MaxGroup 1 it is the only candidate: the per-layer schedule is
+// that cut, not a second scheduler.
 package core
 
 import (
@@ -18,6 +21,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sunstone/internal/anytime"
@@ -31,8 +35,15 @@ import (
 // search Options.
 type FusionOptions struct {
 	// MaxGroup bounds the chain positions per fused group (0 = default 4).
-	// MaxGroup 1 disables fusion: the result is the all-singleton schedule.
+	// MaxGroup 1 disables fusion: the result is the all-singleton schedule,
+	// one independent Solve per layer.
 	MaxGroup int
+	// ContinueOnError lets every layer's search run to its own conclusion
+	// after one fails. The default (false) is errgroup-style fail-fast: the
+	// first failure cancels the sibling layer searches, which return their
+	// best-so-far mappings (Result.Stopped = StopCanceled) or, with nothing
+	// completed yet, fail as CauseSiblingCancel.
+	ContinueOnError bool
 }
 
 // ErrFusionObjective is how the callers that take an objective from outside
@@ -45,35 +56,53 @@ var ErrFusionObjective = errors.New("network jobs pick their fusion cut by edp; 
 // capacities well before the search space does.
 const defaultMaxGroup = 4
 
-// GroupResult is one segment of a fused network schedule.
+// LayerResult is one chain position's outcome within a network schedule.
+type LayerResult struct {
+	Layer  string
+	Result Result
+	// Err is this position's failure (a *LayerError), nil for a mapped one.
+	// Failed positions carry no mapping and are excluded from the totals.
+	Err error
+}
+
+// GroupResult is one segment of a network schedule: the chain positions
+// [Start, End) whose intermediate tensors stayed resident on-chip at
+// PinLevel; its members' results are NetworkResult.Layers[Start:End]. The
+// JSON form is the wire form (server.JobStatus.Groups).
 type GroupResult struct {
-	// Start/End span the segment's positions [Start, End) in the network's
-	// repeat-expanded chain.
-	Start, End int
 	// Layers names the member occurrences in chain order.
-	Layers []string
+	Layers []string `json:"layers"`
+	// Start/End span the segment's positions in the network's
+	// repeat-expanded chain.
+	Start int `json:"start"`
+	End   int `json:"end"`
 	// PinLevel is the storage level the segment's intermediate tensors stay
 	// resident at; -1 for an unfused singleton.
-	PinLevel int
-	// Members holds each member's search result in chain order. Fused
-	// members were solved under the residency cost model on the
-	// capacity-reserved architecture.
-	Members []Result
-	// EnergyPJ/Cycles are the segment totals over Members.
-	EnergyPJ, Cycles float64
+	PinLevel int `json:"pin_level"`
+	// EnergyPJ/Cycles are the segment totals over its members.
+	EnergyPJ float64 `json:"energy_pj"`
+	Cycles   float64 `json:"cycles"`
 }
 
 // NetworkResult is the outcome of SolveNetworkFused.
 type NetworkResult struct {
 	Network string
+	// Layers holds one entry per executed chain position (repeats
+	// expanded), in chain order. Members of a fused group were solved under
+	// the residency cost model on the capacity-reserved architecture.
+	Layers []LayerResult
 	// Groups is the chosen fusion cut in chain order; singleton groups are
-	// unfused layer occurrences.
+	// unfused layer occurrences. Nil when a layer failed: no cut is chosen
+	// over a chain with holes.
 	Groups []GroupResult
-	// Totals of the chosen cut; EDP = TotalEnergyPJ × TotalCycles.
+	// Totals of the chosen cut; EDP = TotalEnergyPJ × TotalCycles. When
+	// Failed is non-zero they cover only the positions that succeeded.
 	TotalEnergyPJ, TotalCycles, EDP float64
-	// Unfused* are the all-singleton baseline totals from the same run —
-	// what the per-layer pipeline scores on the expanded chain.
+	// Unfused* are the all-singleton totals from the same run: every layer
+	// mapped on its own, summed over the expanded chain.
 	UnfusedEnergyPJ, UnfusedCycles, UnfusedEDP float64
+	// Failed counts the positions whose layer returned an error.
+	Failed int
 	// Sweep counters: candidate groups enumerated, cut by the composed
 	// admissible bound, infeasible (no capacity for the resident footprint,
 	// or a failed member search), and fully scored.
@@ -114,22 +143,35 @@ type groupSpec struct {
 	energy, cycles float64
 }
 
-// SolveNetworkFused schedules the network with fusion-aware cuts: it solves
-// the all-singleton baseline, enumerates every contiguous fusible group of
-// at most MaxGroup positions, solves each group's members under cross-layer
-// buffer residency (cost.Residency) on a derived architecture whose pinned
-// buffer has the resident footprint carved out, and selects the cut
-// minimizing total EDP by an exact Pareto DP over prefix (energy, cycles).
+// SolveNetworkFused is the network scheduler: it solves every distinct layer
+// once under the plain model (one Engine.Solve each, concurrently, through
+// the compile cache), enumerates every contiguous fusible group of at most
+// MaxGroup positions, solves each group's members under cross-layer buffer
+// residency (cost.Residency) on a derived architecture whose pinned buffer
+// has the resident footprint carved out, and selects the cut minimizing
+// total EDP by an exact Pareto DP over prefix (energy, cycles). With
+// MaxGroup 1 there is nothing to enumerate and the result is the per-layer
+// schedule.
 //
-// Every member search — singleton baseline and fused — is one Engine.Solve
-// under opt, so opt.Retry hardens each of them individually.
+// Every member search — singleton and fused — is one Engine.Solve under
+// opt, so opt.Retry hardens each of them individually and a panic in one
+// (a poisoned cost model, say) is contained as that member's
+// *anytime.PanicError.
+//
+// Error contract: a failed layer is a *LayerError with its classified cause
+// on each of its positions' Err. By default the first failure cancels the
+// sibling layer searches (which degrade to best-so-far, or fail as
+// CauseSiblingCancel with nothing completed); with fopt.ContinueOnError all
+// layers run to their own conclusion. Either way the partial schedule —
+// every position, totals over the ones that succeeded, Failed counting the
+// rest, no Groups — is returned together with the errors.Join of the layer
+// errors. The group sweep runs only over a clean chain; a failed fused
+// member merely discards the groups that needed it.
 //
 // The anytime contract threads through every member search: canceling ctx
 // degrades in-flight members to their best-so-far mappings, stops the group
 // sweep, and still returns a complete schedule (the all-singleton cut at
-// worst), with Stopped recording the reason. A failed singleton search is a
-// hard error (the baseline is the DP's safety net); a failed fused member
-// only discards its groups.
+// worst), with Stopped recording the reason.
 func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a *arch.Arch, opt Options, fopt FusionOptions) (NetworkResult, error) {
 	if err := opt.Validate(); err != nil {
 		return NetworkResult{}, err
@@ -161,21 +203,49 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 	pos := net.Positions()
 	res := NetworkResult{Network: net.Name}
 
-	// Phase 1: the all-singleton baseline — each distinct layer solved once
-	// under the plain model. It is both the DP's fallback and the dominance
-	// reference for group pruning.
+	// Phase 1: each distinct layer solved once under the plain model. It is
+	// the whole schedule at MaxGroup 1, and otherwise both the DP's fallback
+	// and the dominance reference for group pruning. siblingFailed is set
+	// before the fail-fast cancel fires (and the cancel happens-before any
+	// sibling observes it), so a layer whose search died because of that
+	// cancellation classifies as sibling-cancel.
 	singles := make([]Result, len(net.Layers))
 	singleErrs := make([]error, len(net.Layers))
+	lctx, failFast := context.WithCancel(ctx)
+	defer failFast()
+	var siblingFailed atomic.Bool
 	parallelDo(len(net.Layers), func(i int) {
 		l := &net.Layers[i]
-		r, err := e.solveMember(ctx, Problem{Workload: l.Workload, Arch: a}, opt)
-		singles[i] = r
+		r, err := e.solveMember(lctx, Problem{Workload: l.Workload, Arch: a}, opt)
 		if err != nil {
-			singleErrs[i] = &LayerError{Layer: l.Name, Cause: ClassifyFailure(err, false), Err: err}
+			singleErrs[i] = &LayerError{Layer: l.Name, Cause: ClassifyFailure(err, siblingFailed.Load()), Err: err}
+			if !fopt.ContinueOnError {
+				siblingFailed.Store(true)
+				failFast()
+			}
+			return
 		}
+		singles[i] = r
 	})
-	if err := errors.Join(singleErrs...); err != nil {
-		return NetworkResult{}, err
+
+	// The unfused schedule: every position's own layer result, totals summed
+	// left to right (the order the DP's singleton path uses).
+	res.Layers = make([]LayerResult, len(pos))
+	for i, p := range pos {
+		res.Layers[i] = LayerResult{Layer: net.Layers[p.Layer].Name, Result: singles[p.Layer], Err: singleErrs[p.Layer]}
+		if singleErrs[p.Layer] != nil {
+			res.Failed++
+			continue
+		}
+		res.UnfusedEnergyPJ += singles[p.Layer].Report.EnergyPJ
+		res.UnfusedCycles += singles[p.Layer].Report.Cycles
+	}
+	res.UnfusedEDP = res.UnfusedEnergyPJ * res.UnfusedCycles
+	if res.Failed > 0 {
+		res.TotalEnergyPJ, res.TotalCycles, res.EDP = res.UnfusedEnergyPJ, res.UnfusedCycles, res.UnfusedEDP
+		res.Stopped = stopOf(ctx, res.Layers)
+		res.Elapsed = time.Since(start)
+		return res, errors.Join(singleErrs...)
 	}
 
 	// Phase 2: fusible boundaries, then candidate groups. boundary[i]
@@ -384,15 +454,6 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 		states[i] = front
 	}
 
-	// Unfused baseline totals, summed in the same left-to-right order the
-	// DP's singleton path uses.
-	for _, p := range pos {
-		r := &singles[p.Layer].Report
-		res.UnfusedEnergyPJ += r.EnergyPJ
-		res.UnfusedCycles += r.Cycles
-	}
-	res.UnfusedEDP = res.UnfusedEnergyPJ * res.UnfusedCycles
-
 	final := states[len(pos)]
 	best := 0
 	for ix := 1; ix < len(final); ix++ {
@@ -413,15 +474,10 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 	at := 0
 	for _, st := range segs {
 		if st.g == nil {
-			l := pos[at].Layer
-			r := singles[l]
+			r := &res.Layers[at]
 			res.Groups = append(res.Groups, GroupResult{
-				Start: at, End: at + 1,
-				Layers:   []string{net.Layers[l].Name},
-				PinLevel: -1,
-				Members:  []Result{r},
-				EnergyPJ: r.Report.EnergyPJ,
-				Cycles:   r.Report.Cycles,
+				Layers: []string{r.Layer}, Start: at, End: at + 1, PinLevel: -1,
+				EnergyPJ: r.Result.Report.EnergyPJ, Cycles: r.Result.Report.Cycles,
 			})
 			at++
 			continue
@@ -429,8 +485,8 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 		g := st.g
 		gr := GroupResult{Start: g.s, End: g.e, PinLevel: g.pin, EnergyPJ: g.energy, Cycles: g.cycles}
 		for i, j := range g.members {
-			gr.Layers = append(gr.Layers, net.Layers[pos[g.s+i].Layer].Name)
-			gr.Members = append(gr.Members, j.res)
+			gr.Layers = append(gr.Layers, res.Layers[g.s+i].Layer)
+			res.Layers[g.s+i].Result = j.res
 		}
 		res.Groups = append(res.Groups, gr)
 		at = g.e
@@ -440,27 +496,23 @@ func (e *Engine) SolveNetworkFused(ctx context.Context, net *network.Network, a 
 		res.TotalCycles += g.Cycles
 	}
 	res.EDP = res.TotalEnergyPJ * res.TotalCycles
-
-	res.Stopped = StopComplete
-	if err := ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			res.Stopped = StopDeadline
-		} else {
-			res.Stopped = StopCanceled
-		}
-	} else {
-	scan:
-		for _, g := range res.Groups {
-			for _, m := range g.Members {
-				if m.Stopped != StopComplete {
-					res.Stopped = m.Stopped
-					break scan
-				}
-			}
-		}
-	}
+	res.Stopped = stopOf(ctx, res.Layers)
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// stopOf aggregates a schedule's stop reason: ctx's own end if it has one,
+// else the first mapped position that did not run to completion.
+func stopOf(ctx context.Context, layers []LayerResult) StopReason {
+	if r := anytime.FromContext(ctx); r != StopComplete {
+		return r
+	}
+	for i := range layers {
+		if l := &layers[i]; l.Err == nil && l.Result.Stopped != StopComplete {
+			return l.Result.Stopped
+		}
+	}
+	return StopComplete
 }
 
 // solveMember runs one member search with panic containment, so a poisoned

@@ -31,8 +31,8 @@ func checkCut(t *testing.T, net *network.Network, res NetworkResult) {
 		if g.Start != at || g.End <= g.Start {
 			t.Fatalf("groups do not tile the chain: got span [%d,%d) at position %d", g.Start, g.End, at)
 		}
-		if len(g.Members) != g.End-g.Start || len(g.Layers) != g.End-g.Start {
-			t.Fatalf("group [%d,%d): %d members, %d layer names", g.Start, g.End, len(g.Members), len(g.Layers))
+		if g.End > len(res.Layers) || len(g.Layers) != g.End-g.Start {
+			t.Fatalf("group [%d,%d): %d layer names over %d positions", g.Start, g.End, len(g.Layers), len(res.Layers))
 		}
 		if g.End-g.Start == 1 && g.PinLevel != -1 {
 			t.Errorf("singleton group [%d,%d) has pin level %d", g.Start, g.End, g.PinLevel)
@@ -40,17 +40,17 @@ func checkCut(t *testing.T, net *network.Network, res NetworkResult) {
 		if g.End-g.Start > 1 && g.PinLevel < 0 {
 			t.Errorf("fused group [%d,%d) has no pin level", g.Start, g.End)
 		}
-		for _, m := range g.Members {
-			if m.Mapping == nil || !m.Report.Valid {
-				t.Fatalf("group [%d,%d) carries an invalid member result", g.Start, g.End)
+		for i, m := range res.Layers[g.Start:g.End] {
+			if m.Err != nil || m.Result.Mapping == nil || !m.Result.Report.Valid || m.Layer != g.Layers[i] {
+				t.Fatalf("group [%d,%d) carries an invalid member result: %+v", g.Start, g.End, m)
 			}
 		}
 		e += g.EnergyPJ
 		c += g.Cycles
 		at = g.End
 	}
-	if want := len(net.Positions()); at != want {
-		t.Fatalf("groups cover %d positions, want %d", at, want)
+	if want := len(net.Positions()); at != want || len(res.Layers) != want || res.Failed != 0 {
+		t.Fatalf("groups cover %d positions, %d layers (%d failed), want %d", at, len(res.Layers), res.Failed, want)
 	}
 	if e != res.TotalEnergyPJ || c != res.TotalCycles {
 		t.Errorf("totals diverge from groups: (%v, %v) vs (%v, %v)", e, c, res.TotalEnergyPJ, res.TotalCycles)

@@ -2,11 +2,10 @@
 // built on: a Network is an ordered chain of typed Layer nodes with explicit
 // producer→consumer tensor Edges, replacing the stringly (network name,
 // shapes, repeats) tuple the per-layer pipeline used to pass around. The IR
-// is what both schedulers consume — the unfused per-layer scheduler walks
-// Layers independently, and the fusion-aware scheduler additionally walks
-// Edges to enumerate contiguous fusion groups whose intermediate tensors
-// stay resident on-chip (see internal/core's fused solver and
-// cost.Residency).
+// is what the network scheduler consumes — it maps each of Layers
+// independently, then walks Edges to enumerate contiguous fusion groups
+// whose intermediate tensors stay resident on-chip (see internal/core's
+// SolveNetworkFused and cost.Residency).
 //
 // An Edge carries the inter-layer tile-compatibility constraint: the
 // producer's output tensor and the consumer's input tensor name the same
@@ -30,9 +29,8 @@ type Layer struct {
 	Name     string
 	Workload *tensor.Workload
 	// Repeats counts consecutive occurrences of this layer (ResNet-18's
-	// conv2_x block appears four times in a row). Values below 1 are kept
-	// verbatim for the legacy weighting semantics of the unfused adapter
-	// but are rejected by Validate, which the fused scheduler requires.
+	// conv2_x block appears four times in a row). Validate rejects values
+	// below 1.
 	Repeats int
 }
 

@@ -14,7 +14,7 @@ import (
 // format (the JSON consumed by chrome://tracing and ui.perfetto.dev).
 // One Trace spans a whole invocation — a CLI run, a network schedule —
 // and is safe for concurrent use: each root span gets its own Chrome
-// "thread" row, so the per-layer searches of ScheduleNetwork render as
+// "thread" row, so the concurrent jobs of a sunstoned trace render as
 // parallel tracks.
 type Trace struct {
 	start   time.Time
@@ -182,7 +182,7 @@ func TraceOf(ctx context.Context) *Trace {
 // WithSpan returns a context whose current span is sp, so StartSpan below it
 // creates children of sp. Used when a span must live on its own trace thread
 // row (Trace.StartRoot) yet still parent the work under a derived context —
-// e.g. ScheduleNetwork giving each concurrent layer its own row. A nil sp
+// e.g. sunstoned giving each concurrent job its own row. A nil sp
 // returns ctx unchanged.
 func WithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {

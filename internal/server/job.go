@@ -317,7 +317,9 @@ type JobStatus struct {
 	// canceled | budget) once terminal.
 	Stopped string `json:"stopped,omitempty"`
 	// Attempts counts the resilient path's tries; FallbackUsed names the
-	// fallback mapper that produced the mapping ("" = primary search).
+	// fallback mapper that produced the mapping ("" = primary search). A
+	// network job reports the sum over its members and the first member
+	// fallback in chain order.
 	Attempts     int    `json:"attempts,omitempty"`
 	FallbackUsed string `json:"fallback_used,omitempty"`
 	// Mapping is the serde-encoded best mapping (sunstone/v1 JSON).
@@ -327,10 +329,10 @@ type JobStatus struct {
 	// submission's knob; UnfusedEDP is the all-singleton baseline solved
 	// in the same run; Groups is the chosen fusion cut, one entry per
 	// group in chain order (singletons report pin_level -1).
-	Network    string                   `json:"network,omitempty"`
-	Fused      bool                     `json:"fused,omitempty"`
-	UnfusedEDP float64                  `json:"unfused_edp,omitempty"`
-	Groups     []serde.NetworkGroupJSON `json:"groups,omitempty"`
+	Network    string             `json:"network,omitempty"`
+	Fused      bool               `json:"fused,omitempty"`
+	UnfusedEDP float64            `json:"unfused_edp,omitempty"`
+	Groups     []core.GroupResult `json:"groups,omitempty"`
 
 	Error string            `json:"error,omitempty"`
 	Cause core.FailureCause `json:"cause,omitempty"`
@@ -509,23 +511,24 @@ func (j *job) status() JobStatus {
 			st.EnergyPJ = j.res.Report.EnergyPJ
 			st.Cycles = j.res.Report.Cycles
 		}
-		if j.nres != nil {
-			st.EDP = j.nres.EDP
-			st.EnergyPJ = j.nres.TotalEnergyPJ
-			st.Cycles = j.nres.TotalCycles
-			st.UnfusedEDP = j.nres.UnfusedEDP
-			st.Stopped = j.nres.Stopped.String()
-			for _, g := range j.nres.Groups {
-				st.Groups = append(st.Groups, serde.NetworkGroupJSON{
-					Layers: g.Layers, Start: g.Start, End: g.End,
-					PinLevel: g.PinLevel, EnergyPJ: g.EnergyPJ, Cycles: g.Cycles,
-				})
-			}
-		} else {
-			st.Stopped = j.res.Stopped.String()
-		}
+		st.Stopped = j.res.Stopped.String()
 		st.Attempts = len(j.res.Attempts)
 		st.FallbackUsed = j.res.FallbackUsed
+		if nr := j.nres; nr != nil {
+			st.EDP = nr.EDP
+			st.EnergyPJ = nr.TotalEnergyPJ
+			st.Cycles = nr.TotalCycles
+			st.UnfusedEDP = nr.UnfusedEDP
+			st.Stopped = nr.Stopped.String()
+			st.Groups = nr.Groups
+			for i := range nr.Layers {
+				r := &nr.Layers[i].Result
+				st.Attempts += len(r.Attempts)
+				if st.FallbackUsed == "" {
+					st.FallbackUsed = r.FallbackUsed
+				}
+			}
+		}
 		st.Mapping = j.mapping
 		if j.err != nil {
 			st.Error = j.err.Error()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"sunstone/internal/faults"
 )
 
 // tinyChain is a two-layer network submission whose member searches finish
@@ -67,6 +69,30 @@ func TestNetworkJobUnfusedBaseline(t *testing.T) {
 		if g.End-g.Start != 1 || g.PinLevel != -1 {
 			t.Errorf("unfused job produced a fused group: %+v", g)
 		}
+	}
+}
+
+// TestNetworkJobReportsMemberAttempts: a network job's attempts and
+// fallback_used are its members' — with every compile failing, each of the
+// two layers burns its primary attempts and lands on the first fallback.
+// (They used to read the single-job result, which a network job never
+// fills: attempts 0 and no fallback whatever the members did.)
+func TestNetworkJobReportsMemberAttempts(t *testing.T) {
+	inj, err := faults.NewInjector(7, faults.Rule{Site: faults.SiteCompile, Kind: faults.Error, Rate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faults.Activate(inj)()
+	s := newTestServer(t, Config{Workers: 1})
+	fin := waitTerminal(t, s, submit(t, s, fmt.Sprintf(tinyChain, false)).ID)
+	if fin.State != JobDone {
+		t.Fatalf("state = %q (error %q)", fin.State, fin.Error)
+	}
+	if fin.FallbackUsed != "timeloop-random-lite" {
+		t.Errorf("fallback_used = %q, want the members' timeloop-random-lite", fin.FallbackUsed)
+	}
+	if fin.Attempts < 4 {
+		t.Errorf("attempts = %d, want both layers' failed primaries plus their fallbacks", fin.Attempts)
 	}
 }
 

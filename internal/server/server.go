@@ -799,10 +799,8 @@ func (s *Server) runJob(j *job) {
 				j.mu.Lock()
 				j.nres = &nr
 				j.mu.Unlock()
-				for _, g := range nr.Groups {
-					for _, m := range g.Members {
-						s.metrics.addSearch(m.Stats)
-					}
+				for i := range nr.Layers {
+					s.metrics.addSearch(nr.Layers[i].Result.Stats)
 				}
 			}
 			return

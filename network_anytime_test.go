@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,14 +22,21 @@ func smallNet() []sunstone.ConvShape {
 	}
 }
 
+// The per-layer schedule is the MaxGroup 1 cut of the one network scheduler:
+// fail-fast by default, or running every layer to its own conclusion.
+var (
+	perLayer          = sunstone.FusionOptions{MaxGroup: 1}
+	perLayerKeepGoing = sunstone.FusionOptions{MaxGroup: 1, ContinueOnError: true}
+)
+
 // scheduleShapes builds the conv-chain IR of a shape table at batch 1 and
-// schedules it layer by layer on a fresh Engine.
-func scheduleShapes(ctx context.Context, name string, shapes []sunstone.ConvShape, repeats []int, a *sunstone.Arch, opt sunstone.NetworkOptions) (sunstone.NetworkSchedule, error) {
+// schedules it on a fresh Engine.
+func scheduleShapes(ctx context.Context, name string, shapes []sunstone.ConvShape, repeats []int, a *sunstone.Arch, opt sunstone.Options, fuse sunstone.FusionOptions) (sunstone.NetworkSchedule, error) {
 	net, err := sunstone.FromConvShapes(name, shapes, 1, repeats)
 	if err != nil {
 		return sunstone.NetworkSchedule{}, err
 	}
-	return sunstone.NewEngine().ScheduleNetwork(ctx, net, a, opt)
+	return sunstone.NewEngine().ScheduleNetworkFused(ctx, net, a, opt, fuse)
 }
 
 // poisonProbe panics on every evaluation of the targeted layer's workload —
@@ -47,10 +55,39 @@ func poisonedOptions(layer string) sunstone.Options {
 	return sunstone.Options{Model: model}
 }
 
+// failFastProbe makes the fail-fast policy observable without a race on
+// search speed: every evaluation of the bad layer panics, closing failed on
+// the first; every evaluation of the sibling waits for failed, then panics
+// too. The sibling can complete nothing valid, and cannot begin to fail on
+// its own before the bad layer's search is already failing — so what ends
+// its (much longer) search is the cancellation.
+type failFastProbe struct {
+	bad, sibling string
+	failed       chan struct{}
+	once         sync.Once
+}
+
+func (p *failFastProbe) BeforeEvaluate(m *mapping.Mapping) {
+	switch m.Workload.Name {
+	case p.bad:
+		p.once.Do(func() { close(p.failed) })
+		panic("injected fault in layer " + p.bad)
+	case p.sibling:
+		<-p.failed
+		panic("layer " + p.sibling + " evaluated after its sibling failed")
+	}
+}
+
+func failFastModel(bad, sibling string) cost.Model {
+	model := cost.Default
+	model.Probe = &failFastProbe{bad: bad, sibling: sibling, failed: make(chan struct{})}
+	return model
+}
+
 func TestScheduleNetworkPanicIsolatedToOneLayer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	sched, err := scheduleShapes(context.Background(), "net", smallNet(), nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("b"), ContinueOnError: true})
+		sunstone.Tiny(256), poisonedOptions("b"), perLayerKeepGoing)
 	if err == nil {
 		t.Fatal("poisoned layer must surface as an error")
 	}
@@ -87,7 +124,7 @@ func TestScheduleNetworkPanicIsolatedToOneLayer(t *testing.T) {
 
 func TestScheduleNetworkFailFastCancelsSiblings(t *testing.T) {
 	sched, err := scheduleShapes(context.Background(), "net", smallNet(), nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("a")})
+		sunstone.Tiny(256), poisonedOptions("a"), perLayer)
 	if err == nil {
 		t.Fatal("fail-fast schedule with a poisoned layer must error")
 	}
@@ -117,7 +154,7 @@ func TestScheduleNetworkAllLayersPoisoned(t *testing.T) {
 	model.Probe = poisonProbe{layer: "a"}
 	shapes := smallNet()[:1]
 	sched, err := scheduleShapes(context.Background(), "net", shapes, nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Options: sunstone.Options{Model: model}, ContinueOnError: true})
+		sunstone.Tiny(256), sunstone.Options{Model: model}, perLayerKeepGoing)
 	if err == nil || sched.Failed != 1 {
 		t.Fatalf("fully poisoned net: err=%v failed=%d", err, sched.Failed)
 	}
@@ -131,7 +168,7 @@ func TestScheduleNetworkContextCanceled(t *testing.T) {
 	cancel()
 	start := time.Now()
 	sched, err := scheduleShapes(ctx, "net", smallNet(), nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{})
+		sunstone.Tiny(256), sunstone.Options{}, perLayer)
 	if err != nil {
 		t.Fatalf("canceled schedule should degrade, not fail: %v", err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // TestLayerCauseClassificationEndToEnd drives every FailureCause through the
-// public API: real ScheduleNetwork runs whose layers fail for each of
+// public API: real per-layer network schedules whose layers fail for each of
 // the five classified reasons, asserted via CauseOf on the per-layer errors.
 //
 //   - injected: a deterministic compile fault (internal/faults) fails the
@@ -22,10 +22,12 @@ import (
 //   - deadline: every evaluation is poisoned (so no valid mapping can ever
 //     complete) and a nanosecond timeout expires first;
 //   - sibling-cancel: a tiny poisoned layer fails fast and cancels a larger
-//     sibling before it can complete anything;
-//   - search: the poisoned layer runs to its natural end with nothing valid.
+//     sibling that was held back until then (failFastModel), so it cannot
+//     have completed anything;
+//   - search: an L1 too small for any tile — the search runs to its natural
+//     end with no feasible candidate, and no fault, panic or signal in the
+//     error chain.
 func TestLayerCauseClassificationEndToEnd(t *testing.T) {
-	a := sunstone.Tiny(256)
 	tiny := sunstone.ConvShape{Name: "tiny", K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
 	mid := sunstone.ConvShape{Name: "mid", K: 8, C: 8, P: 7, Q: 7, R: 3, S: 3, StrideH: 1, StrideW: 1}
 	big := sunstone.ConvShape{Name: "big", K: 960, C: 720, P: 210, Q: 210, R: 7, S: 7, StrideH: 1, StrideW: 1}
@@ -34,7 +36,8 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 		name   string
 		spec   string // fault spec armed for the run ("" = none)
 		shapes []sunstone.ConvShape
-		opt    sunstone.NetworkOptions
+		opt    sunstone.Options
+		l1     int    // Tiny's L1 words (0 = 256)
 		layer  string // the layer whose cause is asserted
 		want   sunstone.FailureCause
 	}{
@@ -45,30 +48,27 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 		{
 			name:   "panic",
 			shapes: []sunstone.ConvShape{mid},
-			opt:    sunstone.NetworkOptions{Options: poisonedOptions("mid")},
+			opt:    poisonedOptions("mid"),
 			layer:  "mid", want: sunstone.CausePanic,
 		},
 		{
 			name: "deadline", spec: "evaluate:panic:1,seed=1",
 			shapes: []sunstone.ConvShape{mid},
-			opt:    sunstone.NetworkOptions{Options: sunstone.Options{Timeout: time.Nanosecond}},
+			opt:    sunstone.Options{Timeout: time.Nanosecond},
 			layer:  "mid", want: sunstone.CauseDeadline,
 		},
 		{
-			// The tiny layer exhausts its poisoned search first (cause:
-			// search) and the fail-fast policy cancels the big sibling,
-			// which cannot have completed anything valid either.
-			name: "sibling-cancel", spec: "evaluate:panic:1,seed=1",
-			shapes: []sunstone.ConvShape{tiny, big}, layer: "big", want: sunstone.CauseSiblingCancel,
+			// The tiny layer's poisoned search fails (cause: panic) and the
+			// fail-fast policy cancels the big sibling mid-search.
+			name:   "sibling-cancel",
+			shapes: []sunstone.ConvShape{tiny, big},
+			opt:    sunstone.Options{Model: failFastModel("tiny", "big")},
+			layer:  "big", want: sunstone.CauseSiblingCancel,
 		},
 		{
-			// An ordinary search failure: invalid options are rejected by
-			// Options.Validate before any search runs — a plain error with
-			// no injected fault, panic, or context signal in its chain.
 			name:   "search",
-			shapes: []sunstone.ConvShape{tiny},
-			opt:    sunstone.NetworkOptions{Options: sunstone.Options{MinUtilization: 2}},
-			layer:  "tiny", want: sunstone.CauseSearch,
+			shapes: []sunstone.ConvShape{mid}, l1: 2,
+			layer: "mid", want: sunstone.CauseSearch,
 		},
 	}
 	for _, tc := range cases {
@@ -80,7 +80,11 @@ func TestLayerCauseClassificationEndToEnd(t *testing.T) {
 				}
 				defer faults.Activate(inj)()
 			}
-			sched, err := scheduleShapes(context.Background(), tc.name, tc.shapes, nil, a, tc.opt)
+			a := sunstone.Tiny(256)
+			if tc.l1 > 0 {
+				a = sunstone.Tiny(tc.l1)
+			}
+			sched, err := scheduleShapes(context.Background(), tc.name, tc.shapes, nil, a, tc.opt, perLayer)
 			if err == nil {
 				t.Fatalf("schedule succeeded; wanted layer %q to fail with cause %q", tc.layer, tc.want)
 			}

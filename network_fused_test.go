@@ -2,6 +2,7 @@ package sunstone_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,18 +11,19 @@ import (
 
 // quickNetOpt keeps the multi-search network tests fast without changing
 // what they exercise.
-func quickNetOpt(dir sunstone.Options) sunstone.NetworkOptions {
+func quickNetOpt(dir sunstone.Options) sunstone.Options {
 	dir.BeamWidth = 4
 	dir.TilesPerStep = 8
 	dir.UnrollsPerStep = 1
 	dir.Threads = 2
-	return sunstone.NetworkOptions{Options: dir}
+	return dir
 }
 
-// TestFuseSmoke is the fusion pipeline's end-to-end guarantee on a tiny
+// TestFuseSmoke is the network scheduler's end-to-end guarantee on a tiny
 // network: the fused schedule never scores worse EDP than the unfused
 // baseline solved in the same run, the chosen groups tile the chain, and
-// turning fusion off (MaxGroup 1) reproduces the unfused totals exactly.
+// turning fusion off (MaxGroup 1) is, bit for bit, one Engine.Solve per
+// layer.
 func TestFuseSmoke(t *testing.T) {
 	net := sunstone.TransformerChain(16, 16, 64)
 	a := sunstone.Tiny(1024)
@@ -30,9 +32,6 @@ func TestFuseSmoke(t *testing.T) {
 	sched, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net, a, opt, sunstone.FusionOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sched.Fused {
-		t.Fatal("fused scheduler returned an unfused schedule")
 	}
 	if sched.EDP > sched.UnfusedEDP {
 		t.Errorf("fused EDP %v worse than unfused %v", sched.EDP, sched.UnfusedEDP)
@@ -48,28 +47,39 @@ func TestFuseSmoke(t *testing.T) {
 		t.Fatalf("schedule covers %d positions in groups, %d layers, want %d", at, len(sched.Layers), want)
 	}
 
-	// Fusion off: the all-singleton cut is the unfused baseline, and the
-	// plain per-layer IR scheduler agrees with it bit for bit.
-	off, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net, a, opt, sunstone.FusionOptions{MaxGroup: 1})
+	// Fusion off: the all-singleton cut is the unfused baseline, and each of
+	// its entries is what a direct Engine.Solve of that layer returns.
+	off, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net, a, opt, perLayer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.EDP != off.UnfusedEDP {
-		t.Errorf("fusion off: EDP %v != unfused %v", off.EDP, off.UnfusedEDP)
+	if off.EDP != off.UnfusedEDP || off.UnfusedEDP != sched.UnfusedEDP {
+		t.Errorf("fusion off: EDP %v, unfused %v, the fused run's unfused %v", off.EDP, off.UnfusedEDP, sched.UnfusedEDP)
 	}
-	plain, err := sunstone.NewEngine().ScheduleNetwork(context.Background(), net, a, quickNetOpt(sunstone.Options{}))
-	if err != nil {
-		t.Fatal(err)
+	eng := sunstone.NewEngine()
+	var energy, cycles float64
+	for i, p := range net.Positions() {
+		res, err := eng.Solve(context.Background(), sunstone.Problem{Workload: net.Layers[p.Layer].Workload, Arch: a}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := off.Layers[i].Result.Report; got.EnergyPJ != res.Report.EnergyPJ || got.Cycles != res.Report.Cycles ||
+			off.Layers[i].Result.Mapping.String() != res.Mapping.String() {
+			t.Errorf("position %d (%s): the MaxGroup 1 cut diverges from a direct Solve", i, off.Layers[i].Layer)
+		}
+		energy += res.Report.EnergyPJ
+		cycles += res.Report.Cycles
 	}
-	if plain.TotalEnergyPJ != off.TotalEnergyPJ || plain.TotalCycles != off.TotalCycles {
-		t.Errorf("fusion-off totals (%v, %v) diverge from the per-layer scheduler (%v, %v)",
-			off.TotalEnergyPJ, off.TotalCycles, plain.TotalEnergyPJ, plain.TotalCycles)
+	if energy != off.TotalEnergyPJ || cycles != off.TotalCycles {
+		t.Errorf("fusion-off totals (%v, %v) diverge from per-layer Solve calls (%v, %v)",
+			off.TotalEnergyPJ, off.TotalCycles, energy, cycles)
 	}
 }
 
 // TestScheduleNetworkIRRepeatsWeighting drives the repeats weighting through
-// the per-layer scheduler in both optimization directions: the totals must
-// be the repeats-weighted sums of the per-layer reports.
+// the per-layer cut in both optimization directions: the schedule expands a
+// layer's repeats into positions sharing its one result, so its totals must
+// equal the repeats-weighted sums of the per-layer reports.
 func TestScheduleNetworkIRRepeatsWeighting(t *testing.T) {
 	shapes := sunstone.ResNet18Layers[:3]
 	repeats := []int{1, 4, 1}
@@ -82,19 +92,28 @@ func TestScheduleNetworkIRRepeatsWeighting(t *testing.T) {
 		{"top-down", sunstone.Options{Direction: sunstone.TopDown, TopDownVisitBudget: 200}},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
-			ir, err := scheduleShapes(context.Background(), "head", shapes, repeats, a, quickNetOpt(dir.opt))
+			ir, err := scheduleShapes(context.Background(), "head", shapes, repeats, a, quickNetOpt(dir.opt), perLayer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantE, wantC float64
-			for i, l := range ir.Layers {
-				if l.Repeats != repeats[i] {
-					t.Errorf("layer %d repeats = %d, want %d", i, l.Repeats, repeats[i])
-				}
-				wantE += l.Result.Report.EnergyPJ * float64(l.Repeats)
-				wantC += l.Result.Report.Cycles * float64(l.Repeats)
+			if len(ir.Layers) != 6 {
+				t.Fatalf("%d positions, want 1+4+1", len(ir.Layers))
 			}
-			if ir.TotalEnergyPJ != wantE || ir.TotalCycles != wantC {
+			var wantE, wantC float64
+			at := 0
+			for i, rep := range repeats {
+				l := ir.Layers[at]
+				for _, occ := range ir.Layers[at : at+rep] {
+					if occ.Layer != shapes[i].Name || occ.Result.Mapping != l.Result.Mapping {
+						t.Errorf("position of %s holds %s, or not its layer's one result", shapes[i].Name, occ.Layer)
+					}
+				}
+				wantE += l.Result.Report.EnergyPJ * float64(rep)
+				wantC += l.Result.Report.Cycles * float64(rep)
+				at += rep
+			}
+			// Equal up to the last bits of summing x four times against 4x.
+			if math.Abs(ir.TotalEnergyPJ-wantE) > 1e-12*wantE || math.Abs(ir.TotalCycles-wantC) > 1e-12*wantC {
 				t.Errorf("totals not repeats-weighted: (%v, %v), want (%v, %v)",
 					ir.TotalEnergyPJ, ir.TotalCycles, wantE, wantC)
 			}
@@ -103,18 +122,12 @@ func TestScheduleNetworkIRRepeatsWeighting(t *testing.T) {
 }
 
 // TestScheduleNetworkIRFailFast drives the fail-fast policy through the IR
-// path in both optimization directions: an unsolvable layer fails, and its
-// failure cancels the sibling search, which classifies as sibling-cancel.
+// path in both optimization directions: a poisoned layer fails, and its
+// failure cancels the sibling search — held back until then, and unable to
+// complete anything valid — which classifies as sibling-cancel.
 func TestScheduleNetworkIRFailFast(t *testing.T) {
-	// MinUtilization 2 is unsatisfiable: the tiny layer fails immediately
-	// while the big sibling is still searching under valid options... but
-	// options are shared. Instead: a layer whose nil workload errors at
-	// once, against a big sibling that needs real search time.
+	bad := sunstone.ConvShape{Name: "bad", K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
 	big := sunstone.ResNet18Layers[1] // conv2_x, 56x56x64: a long search
-	bigNet, err := sunstone.FromConvShapes("pair", []sunstone.ConvShape{big}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, dir := range []struct {
 		name string
 		opt  sunstone.Options
@@ -123,102 +136,86 @@ func TestScheduleNetworkIRFailFast(t *testing.T) {
 		{"top-down", sunstone.Options{Direction: sunstone.TopDown}},
 	} {
 		t.Run(dir.name, func(t *testing.T) {
-			net := &sunstone.Network{
-				Name: "pair",
-				Layers: []sunstone.Layer{
-					{Name: "bad", Workload: nil, Repeats: 1}, // fails instantly
-					bigNet.Layers[0],
-				},
+			opt := dir.opt
+			opt.Model = failFastModel("bad", big.Name)
+			sched, err := scheduleShapes(context.Background(), "pair", []sunstone.ConvShape{bad, big}, nil,
+				sunstone.Conventional(), opt, perLayer)
+			if err == nil || !strings.Contains(err.Error(), "bad: ") {
+				t.Fatalf("expected the bad layer to fail the schedule, got %v", err)
 			}
-			sched, err := sunstone.NewEngine().ScheduleNetwork(
-				context.Background(), net, sunstone.Conventional(),
-				sunstone.NetworkOptions{Options: dir.opt})
-			if err == nil {
-				t.Fatal("expected the bad layer to fail the schedule")
-			}
-			if len(sched.Layers) != 2 || sched.Layers[0].Err == nil {
+			if len(sched.Layers) != 2 || sunstone.CauseOf(sched.Layers[0].Err) != sunstone.CausePanic {
 				t.Fatalf("bad layer missing its error: %+v", sched.Layers)
 			}
-			if sched.Failed == 0 {
-				t.Error("Failed counter not incremented")
+			if sched.Failed != 2 || sched.Groups != nil {
+				t.Errorf("Failed = %d with %d groups, want both layers failed and no cut", sched.Failed, len(sched.Groups))
 			}
-			if cause := sunstone.CauseOf(sched.Layers[1].Err); sched.Layers[1].Err != nil &&
-				cause != sunstone.CauseSiblingCancel {
-				t.Errorf("sibling classified as %q, want %q", cause, sunstone.CauseSiblingCancel)
+			if cause := sunstone.CauseOf(sched.Layers[1].Err); cause != sunstone.CauseSiblingCancel {
+				t.Errorf("sibling classified as %q, want %q (err: %v)", cause, sunstone.CauseSiblingCancel, sched.Layers[1].Err)
 			}
 		})
 	}
 }
 
-// TestNetworkScheduleSerdeRoundTrip: a fused schedule's summary — totals,
-// per-layer entries, group structure, failure messages — survives an
-// encode/decode round trip under the stamped format, and the legacy
-// headerless array still reads as a layer-per-entry schedule.
-func TestNetworkScheduleSerdeRoundTrip(t *testing.T) {
+// TestFusedFailFastReturnsPartialSchedule: the error contract does not depend
+// on MaxGroup. With fusion on and one poisoned layer, fail-fast returns every
+// position plus a joined error naming the layer, the canceled sibling
+// classifies as sibling-cancel, and no group is swept over the broken chain.
+func TestFusedFailFastReturnsPartialSchedule(t *testing.T) {
+	bad := sunstone.ConvShape{Name: "bad", K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
+	big := sunstone.ResNet18Layers[1]
+	sched, err := scheduleShapes(context.Background(), "pair", []sunstone.ConvShape{bad, big}, []int{1, 2},
+		sunstone.Conventional(), sunstone.Options{Model: failFastModel("bad", big.Name)}, sunstone.FusionOptions{})
+	if err == nil || !strings.Contains(err.Error(), "bad: [panic]") || !strings.Contains(err.Error(), big.Name+": [sibling-cancel]") {
+		t.Fatalf("joined error should name both layers with their causes, got %v", err)
+	}
+	if len(sched.Layers) != 3 || sched.Failed != 3 || sched.Groups != nil || sched.GroupsConsidered != 0 {
+		t.Fatalf("partial schedule: %d positions, %d failed, %d groups, %d considered; want 3, 3, none, 0",
+			len(sched.Layers), sched.Failed, len(sched.Groups), sched.GroupsConsidered)
+	}
+	for i, want := range []sunstone.FailureCause{sunstone.CausePanic, sunstone.CauseSiblingCancel, sunstone.CauseSiblingCancel} {
+		if got := sunstone.CauseOf(sched.Layers[i].Err); got != want {
+			t.Errorf("position %d (%s): cause %q, want %q", i, sched.Layers[i].Layer, got, want)
+		}
+	}
+	if sched.EDP != 0 {
+		t.Errorf("EDP %v over a schedule with no survivor", sched.EDP)
+	}
+}
+
+// TestFusedContinueOnErrorKeepsSurvivors: with ContinueOnError the other
+// singletons run to completion, the totals cover them, Failed counts the
+// rest, and the group sweep — which the clean chain does run — is skipped.
+func TestFusedContinueOnErrorKeepsSurvivors(t *testing.T) {
 	net := sunstone.TransformerChain(16, 16, 64)
-	sched, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net,
-		sunstone.Tiny(1024), quickNetOpt(sunstone.Options{}), sunstone.FusionOptions{})
-	if err != nil {
-		t.Fatal(err)
+	a := sunstone.Tiny(1024)
+	clean, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net, a, quickNetOpt(sunstone.Options{}), sunstone.FusionOptions{})
+	if err != nil || clean.GroupsConsidered == 0 {
+		t.Fatalf("clean chain: err %v, %d groups considered", err, clean.GroupsConsidered)
 	}
-	data, err := sunstone.EncodeNetworkSchedule(&sched)
-	if err != nil {
-		t.Fatal(err)
+	sched, err := sunstone.NewEngine().ScheduleNetworkFused(context.Background(), net, a,
+		quickNetOpt(poisonedOptions("attn_out")), sunstone.FusionOptions{ContinueOnError: true})
+	if err == nil || !strings.Contains(err.Error(), "attn_out: [panic]") {
+		t.Fatalf("poisoned layer must surface in the joined error, got %v", err)
 	}
-	if !strings.Contains(string(data), `"format": "sunstone/v1"`) {
-		t.Error("encoded schedule missing the format stamp")
+	if sched.Failed != 1 || sched.Groups != nil || sched.GroupsConsidered != 0 {
+		t.Fatalf("Failed = %d, %d groups, %d considered; want 1, none, 0", sched.Failed, len(sched.Groups), sched.GroupsConsidered)
 	}
-	back, err := sunstone.DecodeNetworkSchedule(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Network != sched.Network || back.Fused != sched.Fused ||
-		back.TotalEnergyPJ != sched.TotalEnergyPJ || back.TotalCycles != sched.TotalCycles ||
-		back.EDP != sched.EDP || back.UnfusedEDP != sched.UnfusedEDP {
-		t.Errorf("summary did not round-trip:\nenc %+v\ndec %+v", sched, back)
-	}
-	if len(back.Groups) != len(sched.Groups) {
-		t.Fatalf("groups: %d != %d", len(back.Groups), len(sched.Groups))
-	}
-	for i, g := range sched.Groups {
-		b := back.Groups[i]
-		if b.Start != g.Start || b.End != g.End || b.PinLevel != g.PinLevel ||
-			b.EnergyPJ != g.EnergyPJ || b.Cycles != g.Cycles || len(b.Layers) != len(g.Layers) {
-			t.Errorf("group %d did not round-trip: %+v vs %+v", i, b, g)
+	var energy, cycles float64
+	for _, l := range sched.Layers {
+		if l.Layer == "attn_out" {
+			if l.Err == nil || l.Result.Mapping != nil {
+				t.Errorf("poisoned layer: err %v, mapping %v", l.Err, l.Result.Mapping)
+			}
+			continue
 		}
-	}
-	if len(back.Layers) != len(sched.Layers) {
-		t.Fatalf("layers: %d != %d", len(back.Layers), len(sched.Layers))
-	}
-	for i, l := range sched.Layers {
-		b := back.Layers[i]
-		if b.Layer != l.Layer || b.Result.Report.EnergyPJ != l.Result.Report.EnergyPJ ||
-			b.Result.Report.Cycles != l.Result.Report.Cycles {
-			t.Errorf("layer %d did not round-trip: %+v vs %+v", i, b, l)
+		if l.Err != nil || l.Result.Stopped != sunstone.StopComplete {
+			t.Errorf("survivor %s: err %v, stopped %v", l.Layer, l.Err, l.Result.Stopped)
 		}
+		energy += l.Result.Report.EnergyPJ
+		cycles += l.Result.Report.Cycles
 	}
-
-	// Headerless legacy form: a bare array of layer entries.
-	legacy := []byte(`[
-		{"layer": "conv1", "repeats": 2, "energy_pj": 10, "cycles": 5, "edp": 50},
-		{"layer": "conv2", "error": "search: no feasible candidate"}
-	]`)
-	ls, err := sunstone.DecodeNetworkSchedule(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.Fused || len(ls.Groups) != 0 {
-		t.Error("headerless schedule must stay layer-per-entry (unfused)")
-	}
-	if len(ls.Layers) != 2 || ls.Layers[0].Repeats != 2 || ls.Layers[1].Err == nil {
-		t.Errorf("headerless layers mis-decoded: %+v", ls.Layers)
-	}
-	if ls.TotalEnergyPJ != 20 || ls.TotalCycles != 10 || ls.EDP != 200 || ls.Failed != 1 {
-		t.Errorf("headerless totals: %+v", ls)
-	}
-
-	// Unknown stamps are rejected.
-	if _, err := sunstone.DecodeNetworkSchedule([]byte(`{"format": "sunstone/v9", "network": "x"}`)); err == nil {
-		t.Error("unknown format accepted")
+	if sched.TotalEnergyPJ != energy || sched.TotalCycles != cycles || sched.EDP != energy*cycles || sched.EDP != sched.UnfusedEDP {
+		t.Errorf("totals (%v, %v, EDP %v) do not cover exactly the survivors (%v, %v)",
+			sched.TotalEnergyPJ, sched.TotalCycles, sched.EDP, energy, cycles)
 	}
 }

@@ -22,7 +22,7 @@ func TestScheduleNetworkClassifiesInjectedFailures(t *testing.T) {
 	defer restore()
 
 	sched, err := scheduleShapes(context.Background(), "net", smallNet(), nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{ContinueOnError: true})
+		sunstone.Tiny(256), sunstone.Options{}, perLayerKeepGoing)
 	if err == nil || sched.Failed != len(sched.Layers) {
 		t.Fatalf("every layer must fail on a dead compiler: err=%v failed=%d", err, sched.Failed)
 	}
@@ -41,7 +41,7 @@ func TestScheduleNetworkClassifiesInjectedFailures(t *testing.T) {
 // injected chaos fault) classifies as CausePanic.
 func TestScheduleNetworkClassifiesPanicFailures(t *testing.T) {
 	sched, err := scheduleShapes(context.Background(), "net", smallNet(), nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Options: poisonedOptions("b"), ContinueOnError: true})
+		sunstone.Tiny(256), poisonedOptions("b"), perLayerKeepGoing)
 	if err == nil {
 		t.Fatal("poisoned layer must surface as an error")
 	}
@@ -70,7 +70,7 @@ func TestScheduleNetworkResilientSurvivesInjectedFailures(t *testing.T) {
 	defer restore()
 
 	sched, err := scheduleShapes(context.Background(), "net", smallNet(), nil,
-		sunstone.Tiny(256), sunstone.NetworkOptions{Options: sunstone.Options{Retry: &sunstone.RetryPolicy{}}})
+		sunstone.Tiny(256), sunstone.Options{Retry: &sunstone.RetryPolicy{}}, perLayer)
 	if err != nil {
 		t.Fatalf("resilient schedule must survive compile faults: %v", err)
 	}

@@ -1,12 +1,16 @@
 #!/bin/sh
 # guard-api.sh — keep the solve/schedule entry points collapsed.
 #
-# PR 14 reduced 25 exported solve/schedule functions to 7 (Solve and
-# Engine.Solve in the root package and internal/core, Engine.ScheduleNetwork
-# and Engine.ScheduleNetworkFused in the root package, Engine.SolveNetworkFused
-# in internal/core) and made retrying an option, Options.Retry, instead of a
-# parallel entry point. This guard fails the build if a deleted wrapper or a
-# second retry carrier reappears in any non-test Go file outside bench/.
+# PR 14 reduced 25 exported solve/schedule functions to 7 and made retrying
+# an option, Options.Retry, instead of a parallel entry point; PR 16 made that
+# 6 (Solve and Engine.Solve in the root package and internal/core,
+# Engine.ScheduleNetworkFused in the root package over
+# Engine.SolveNetworkFused in internal/core): the per-layer schedule is the
+# MaxGroup 1 cut of the one network scheduler, and a schedule has one shape
+# (core.NetworkResult; JobStatus is its wire form). This guard fails the build
+# if a deleted wrapper, a second retry carrier, a second network scheduler, a
+# second schedule shape or the schedule file format reappears in any non-test
+# Go file outside bench/.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -17,7 +21,23 @@ files=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*')
 # shellcheck disable=SC2086
 if grep -nE '^func (\([^)]*\) )?(Optimize|OptimizeContext|OptimizeResilient|SolveContext|ScheduleNetworkContext|ScheduleNetworkIR)\(' $files; then
 	echo "guard-api: the positional/context/resilient wrappers are gone;" >&2
-	echo "call Solve(ctx, Problem, Options) or Engine.ScheduleNetwork(ctx, *Network, ...)" >&2
+	echo "call Solve(ctx, Problem, Options) or Engine.ScheduleNetworkFused(ctx, *Network, ...)" >&2
+	status=1
+fi
+
+# A second network scheduler, or the schedule file format nobody read.
+# shellcheck disable=SC2086
+if grep -nE '^func (\([^)]*\) )?(ScheduleNetwork|EncodeNetworkSchedule|DecodeNetworkSchedule)\(' $files; then
+	echo "guard-api: one network scheduler, one wire form; the per-layer schedule is" >&2
+	echo "ScheduleNetworkFused with FusionOptions{MaxGroup: 1}, and clients read JobStatus" >&2
+	status=1
+fi
+
+# A second struct for one fused segment: core.GroupResult is the type, and
+# GroupSchedule stays an alias of it.
+# shellcheck disable=SC2086
+if grep -nE '^(type )?[[:space:]]*(GroupSchedule|NetworkGroupJSON)[[:space:]]+struct' $files; then
+	echo "guard-api: a group has one struct, core.GroupResult (JSON-tagged)" >&2
 	status=1
 fi
 

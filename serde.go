@@ -1,8 +1,6 @@
 package sunstone
 
 import (
-	"errors"
-
 	"sunstone/internal/arch"
 	"sunstone/internal/mapping"
 	"sunstone/internal/serde"
@@ -28,82 +26,6 @@ func EncodeMapping(m *Mapping) ([]byte, error) { return serde.EncodeMapping(m) }
 // validates the result.
 func DecodeMapping(data []byte, w *Workload, a *Arch) (*Mapping, error) {
 	return serde.DecodeMapping(data, w, a)
-}
-
-// EncodeNetworkSchedule serializes a network schedule's summary — per-layer
-// totals, failure messages, and for fused schedules the chosen group
-// structure — as indented JSON stamped with the current format. Mappings are
-// not embedded; encode each layer's Result.Mapping individually with
-// EncodeMapping when the full mapping matters.
-func EncodeNetworkSchedule(s *NetworkSchedule) ([]byte, error) {
-	out := serde.NetworkScheduleJSON{
-		Network:       s.Network,
-		Fused:         s.Fused,
-		TotalEnergyPJ: s.TotalEnergyPJ,
-		TotalCycles:   s.TotalCycles,
-		EDP:           s.EDP,
-		UnfusedEDP:    s.UnfusedEDP,
-		Failed:        s.Failed,
-	}
-	for i := range s.Layers {
-		l := &s.Layers[i]
-		lj := serde.NetworkLayerJSON{Layer: l.Layer, Repeats: l.Repeats}
-		if l.Err != nil {
-			lj.Error = l.Err.Error()
-		} else {
-			lj.EnergyPJ = l.Result.Report.EnergyPJ
-			lj.Cycles = l.Result.Report.Cycles
-			lj.EDP = l.Result.Report.EDP
-		}
-		out.Layers = append(out.Layers, lj)
-	}
-	for _, g := range s.Groups {
-		out.Groups = append(out.Groups, serde.NetworkGroupJSON{
-			Layers: g.Layers, Start: g.Start, End: g.End,
-			PinLevel: g.PinLevel, EnergyPJ: g.EnergyPJ, Cycles: g.Cycles,
-		})
-	}
-	return serde.EncodeNetworkSchedule(&out)
-}
-
-// DecodeNetworkSchedule parses a network-schedule summary: a stamped
-// sunstone/v1 object (fused group structure included) or the legacy
-// headerless layer-per-entry array, which decodes as an unfused schedule.
-// Decoded layers carry only the recorded totals in their Report — the
-// mappings themselves are not round-tripped — and failed layers come back
-// with their recorded error message.
-func DecodeNetworkSchedule(data []byte) (*NetworkSchedule, error) {
-	in, err := serde.DecodeNetworkSchedule(data)
-	if err != nil {
-		return nil, err
-	}
-	s := &NetworkSchedule{
-		Network:       in.Network,
-		Fused:         in.Fused,
-		TotalEnergyPJ: in.TotalEnergyPJ,
-		TotalCycles:   in.TotalCycles,
-		EDP:           in.EDP,
-		UnfusedEDP:    in.UnfusedEDP,
-		Failed:        in.Failed,
-	}
-	for _, lj := range in.Layers {
-		l := LayerSchedule{Layer: lj.Layer, Repeats: lj.Repeats}
-		if lj.Error != "" {
-			l.Err = errors.New(lj.Error)
-		} else {
-			l.Result.Report.EnergyPJ = lj.EnergyPJ
-			l.Result.Report.Cycles = lj.Cycles
-			l.Result.Report.EDP = lj.EDP
-		}
-		s.Layers = append(s.Layers, l)
-	}
-	for _, gj := range in.Groups {
-		s.Groups = append(s.Groups, GroupSchedule{
-			Layers: gj.Layers, Start: gj.Start, End: gj.End,
-			PinLevel: gj.PinLevel, EnergyPJ: gj.EnergyPJ, Cycles: gj.Cycles,
-		})
-	}
-	return s, nil
 }
 
 // Interface-compliance and alias sanity (compile-time).

@@ -27,15 +27,15 @@
 //
 // Problem bundles everything that identifies one scheduling problem —
 // workload, architecture, and (optionally) a non-default cost model — and
-// Options everything about how to search it. There are four entry points:
+// Options everything about how to search it. There are three entry points:
 //
 //	Solve(ctx, Problem, Options)                  one search on a transient Engine
 //	(*Engine).Solve(ctx, Problem, Options)        the same, over the Engine's compile cache
-//	(*Engine).ScheduleNetwork(ctx, *Network, …)   one Solve per layer of a network IR
-//	(*Engine).ScheduleNetworkFused(ctx, …)        the same with fusion-aware cuts
+//	(*Engine).ScheduleNetworkFused(ctx, …)        one Solve per layer of a network IR, then
+//	                                              fusion-aware cuts (MaxGroup 1: none)
 //
 // Retrying is an option, not another function: Options.Retry hardens any of
-// the four with bounded retries, a fallback-mapper chain and a final audit.
+// the three with bounded retries, a fallback-mapper chain and a final audit.
 //
 // # Anytime optimization: cancellation, deadlines, graceful degradation
 //
@@ -60,15 +60,15 @@
 // would have found.
 //
 // Panic isolation: every parallel evaluation worker (the core fan-out, each
-// baseline mapper's search threads, and each layer of ScheduleNetwork)
+// baseline mapper's search threads, and each member of ScheduleNetworkFused)
 // converts a panicking cost-model evaluation into a per-candidate error
 // carrying the offending mapping serialized for reproduction (see
 // Result.CandidateErrors), so one poisoned candidate degrades a single
-// evaluation instead of killing the process. ScheduleNetwork extends
+// evaluation instead of killing the process. ScheduleNetworkFused extends
 // the same contract across layers: fail-fast sibling cancellation by
-// default, or NetworkOptions.ContinueOnError to collect every per-layer
-// error (joined with errors.Join) while still returning the layers that
-// succeeded. The baseline mappers implement the same deadline contract via
+// default, or FusionOptions.ContinueOnError to run every layer to its own
+// conclusion; either way the per-layer errors come back joined
+// (errors.Join) together with the layers that succeeded. The baseline mappers implement the same deadline contract via
 // BaselineMapper.MapContext, so head-to-head time-bounded comparisons are
 // fair. See DESIGN.md ("Anytime search") for the full taxonomy.
 package sunstone
@@ -266,7 +266,7 @@ const (
 // Trace collects hierarchical timed spans of a search for export in the
 // Chrome trace-event JSON format (chrome://tracing, ui.perfetto.dev).
 // Install one on a context with WithTrace, run any entry point under it
-// (Solve, ScheduleNetwork, BaselineMapper.MapContext), then render it with
+// (Solve, ScheduleNetworkFused, BaselineMapper.MapContext), then render it with
 // its WriteJSON method.
 type Trace = obs.Trace
 

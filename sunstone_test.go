@@ -177,27 +177,32 @@ func TestParseWorkloadFacade(t *testing.T) {
 
 func TestScheduleNetwork(t *testing.T) {
 	shapes := sunstone.ResNet18Layers[:3]
-	sched, err := scheduleShapes(context.Background(), "resnet18-head", shapes, []int{1, 4, 1},
-		sunstone.Conventional(), sunstone.NetworkOptions{})
+	repeats := []int{1, 4, 1}
+	sched, err := scheduleShapes(context.Background(), "resnet18-head", shapes, repeats,
+		sunstone.Conventional(), sunstone.Options{}, perLayer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sched.Layers) != 3 {
-		t.Fatalf("layers = %d", len(sched.Layers))
+	// One entry per executed position: repeats expand, and a layer's
+	// occurrences share its one result.
+	if len(sched.Layers) != 6 || len(sched.Groups) != 6 {
+		t.Fatalf("layers = %d, groups = %d, want 6 positions", len(sched.Layers), len(sched.Groups))
 	}
-	// Totals respect repeats: the weighted sum of layer results.
 	var wantE float64
-	for _, l := range sched.Layers {
+	for i, l := range sched.Layers {
 		if !l.Result.Report.Valid {
 			t.Fatalf("%s invalid", l.Layer)
 		}
-		wantE += l.Result.Report.EnergyPJ * float64(l.Repeats)
+		if i > 0 && l.Layer == sched.Layers[i-1].Layer && l.Result.Mapping != sched.Layers[i-1].Result.Mapping {
+			t.Errorf("position %d (%s) was mapped again instead of sharing its layer's result", i, l.Layer)
+		}
+		wantE += l.Result.Report.EnergyPJ
 	}
 	if sched.TotalEnergyPJ != wantE {
 		t.Errorf("total energy %.3e, want %.3e", sched.TotalEnergyPJ, wantE)
 	}
-	if sched.EDP != sched.TotalEnergyPJ*sched.TotalCycles {
-		t.Error("network EDP should be total energy x total cycles")
+	if sched.EDP != sched.TotalEnergyPJ*sched.TotalCycles || sched.EDP != sched.UnfusedEDP {
+		t.Error("network EDP should be total energy x total cycles, and the per-layer cut the unfused one")
 	}
 	if len(sunstone.ResNet18Repeats()) != len(sunstone.ResNet18Layers) {
 		t.Error("ResNet18Repeats must align with the layer table")
