@@ -28,8 +28,11 @@ fmt-check:
 # (Optimize*, SolveContext, ScheduleNetworkContext/IR), a second retry
 # carrier (a struct field named Resilience) next to Options.Retry, a second
 # network scheduler (ScheduleNetwork), the schedule file codec
-# (Encode/DecodeNetworkSchedule) or a second group struct
-# (GroupSchedule/NetworkGroupJSON) next to core.GroupResult.
+# (Encode/DecodeNetworkSchedule), a second group struct
+# (GroupSchedule/NetworkGroupJSON) next to core.GroupResult, a second dense
+# capacity table (fitSkeleton/capPlan) next to cost.Session.LevelFits or a
+# baseline's uninterruptible Map, and none but internal/core/compile.go may
+# call analytic.Seed.
 guard:
 	./scripts/guard-stepper.sh
 	./scripts/guard-api.sh

@@ -328,7 +328,7 @@ func BenchmarkEvaluateEDPUncached(b *testing.B) {
 
 // BenchmarkEngineReuse quantifies what a long-lived Engine buys: the cold
 // case pays the full per-problem compilation (ordering trie, ladder tables,
-// fit skeleton, cost-session tables) and searches with an empty evaluation
+// cost-session tables, analytic seed) and searches with an empty evaluation
 // memo on every iteration; the warm case reuses one Engine's compiled
 // artifacts and warmed memo across iterations. The warm/cold ns/op ratio is
 // the Engine-reuse speedup.

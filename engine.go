@@ -10,11 +10,11 @@ import (
 
 // Engine is a long-lived, goroutine-safe optimizer front end that caches the
 // expensive per-(workload, architecture, cost model) compilation artifacts —
-// the pruned ordering trie, the factor/divisor ladder tables, the fit-check
-// capacity skeleton, and the fast-path cost session with its search-wide
-// evaluation memo — across calls. The first Solve for a problem shape
-// compiles it; every later call on the same shape (same Engine) reuses the
-// compiled artifacts and the warmed evaluation cache, which is the common
+// the pruned ordering trie, the factor/divisor ladder tables, the analytic
+// seed, and the fast-path cost session with its capacity table and
+// search-wide evaluation memo — across calls. The first Solve for a problem
+// shape compiles it; every later call on the same shape (same Engine) reuses
+// the compiled artifacts and the warmed evaluation cache, which is the common
 // case when scheduling a network whose layers repeat or when sweeping options
 // over one layer.
 //

@@ -51,13 +51,10 @@ type Result struct {
 	Elapsed   time.Duration
 }
 
-// Mapper is a dataflow optimizer under comparison. Map is the legacy
-// uninterruptible entry point; MapContext is the anytime form every
-// implementation must provide — Map(w, a) must equal
-// MapContext(context.Background(), w, a).
+// Mapper is a dataflow optimizer under comparison. MapContext is its one
+// entry point, in the anytime form described above.
 type Mapper interface {
 	Name() string
-	Map(w *tensor.Workload, a *arch.Arch) Result
 	MapContext(ctx context.Context, w *tensor.Workload, a *arch.Arch) Result
 }
 

@@ -1,6 +1,7 @@
 package cosa
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 
 func TestOneShotAndFast(t *testing.T) {
 	w := workloads.ResNet18[2].Inference(16)
-	res := New().Map(w, arch.Simba())
+	res := New().MapContext(context.Background(), w, arch.Simba())
 	// One factor allocation, a constant handful of permutation variants
 	// (the MIP's permutation variables) — no search.
 	if res.Evaluated > 20 {
@@ -29,7 +30,7 @@ func TestInvalidMappingsOnSimba(t *testing.T) {
 	// invalid because the linear relaxation drops capacity non-linearities.
 	invalid := 0
 	for _, cs := range workloads.ResNet18 {
-		res := New().Map(cs.Inference(16), arch.Simba())
+		res := New().MapContext(context.Background(), cs.Inference(16), arch.Simba())
 		if !res.Valid {
 			invalid++
 			if res.InvalidReason == "" {
@@ -47,7 +48,7 @@ func TestValidOnGenerousArch(t *testing.T) {
 	// With a roomy single-level memory the relaxation artifacts cannot
 	// overflow anything.
 	w := workloads.Conv1D("c", 8, 8, 28, 3)
-	res := New().Map(w, arch.Tiny(1<<20))
+	res := New().MapContext(context.Background(), w, arch.Tiny(1<<20))
 	if !res.Valid {
 		t.Fatalf("expected valid mapping on a huge L1: %s", res.InvalidReason)
 	}
@@ -61,7 +62,7 @@ func TestCoverageAlwaysComplete(t *testing.T) {
 	// CoSA's invalidity is tile overflow, not missing loops.
 	for _, cs := range workloads.ResNet18[:4] {
 		w := cs.Inference(16)
-		res := New().Map(w, arch.Simba())
+		res := New().MapContext(context.Background(), w, arch.Simba())
 		for d, bound := range w.Dims {
 			if res.Mapping.Coverage(d) < bound {
 				t.Errorf("%s: dim %s coverage %d < %d", cs.Name, d, res.Mapping.Coverage(d), bound)
@@ -72,8 +73,8 @@ func TestCoverageAlwaysComplete(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	w := workloads.ResNet18[1].Inference(16)
-	r1 := New().Map(w, arch.Simba())
-	r2 := New().Map(w, arch.Simba())
+	r1 := New().MapContext(context.Background(), w, arch.Simba())
+	r2 := New().MapContext(context.Background(), w, arch.Simba())
 	if r1.Mapping.String() != r2.Mapping.String() {
 		t.Error("CoSA must be deterministic")
 	}

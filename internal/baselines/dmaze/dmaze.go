@@ -72,11 +72,6 @@ func (m *Mapper) UseSessions(src baselines.SessionSource) { m.Sessions = src }
 // Name implements baselines.Mapper.
 func (m *Mapper) Name() string { return m.Cfg.Name }
 
-// Map implements baselines.Mapper.
-func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
-	return m.MapContext(context.Background(), w, a)
-}
-
 // MapContext implements baselines.Mapper with the anytime contract: the
 // directed enumeration polls ctx between tiling candidates and, on a
 // deadline or cancel, returns the best thresholded mapping found so far

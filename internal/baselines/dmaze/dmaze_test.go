@@ -1,6 +1,7 @@
 package dmaze
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func TestFindsValidMappingOnConventional(t *testing.T) {
 	w := workloads.ResNet18[2].Inference(16) // conv3_1, symmetric
-	res := New(Fast()).Map(w, arch.Conventional())
+	res := New(Fast()).MapContext(context.Background(), w, arch.Conventional())
 	if !res.Valid {
 		t.Fatalf("expected valid mapping: %s", res.InvalidReason)
 	}
@@ -25,7 +26,7 @@ func TestFindsValidMappingOnConventional(t *testing.T) {
 
 func TestRejectsAsymmetricConvolution(t *testing.T) {
 	w := workloads.InceptionV3[6].Inference(16) // 1x7_deep
-	res := New(Fast()).Map(w, arch.Conventional())
+	res := New(Fast()).MapContext(context.Background(), w, arch.Conventional())
 	if res.Valid {
 		t.Fatal("asymmetric convolution must be rejected")
 	}
@@ -36,7 +37,7 @@ func TestRejectsAsymmetricConvolution(t *testing.T) {
 
 func TestRejectsMultiSpatialArch(t *testing.T) {
 	w := workloads.ResNet18[2].Inference(16)
-	res := New(Fast()).Map(w, arch.Simba())
+	res := New(Fast()).MapContext(context.Background(), w, arch.Simba())
 	if res.Valid {
 		t.Fatal("Simba-like architectures are not supported by dMazeRunner")
 	}
@@ -49,7 +50,7 @@ func TestUtilizationThresholdFailure(t *testing.T) {
 	// A tiny layer whose entire footprint is far below 80% of L1: no tile
 	// can meet the threshold (the Fig. 7 failure on light early layers).
 	w := workloads.Conv2D("tiny", 1, 2, 2, 2, 2, 1, 1, 1, 1)
-	res := New(Fast()).Map(w, arch.Conventional())
+	res := New(Fast()).MapContext(context.Background(), w, arch.Conventional())
 	if res.Valid {
 		t.Fatal("threshold should be unsatisfiable on a tiny layer")
 	}

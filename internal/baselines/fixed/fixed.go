@@ -95,17 +95,17 @@ func (m *Mapper) stationaryTensor(w *tensor.Workload) *tensor.Tensor {
 // context carries a trace (see baselines.Instrument).
 func (m *Mapper) MapContext(ctx context.Context, w *tensor.Workload, a *arch.Arch) baselines.Result {
 	return baselines.Instrument(ctx, m.Name(), func(ctx context.Context) baselines.Result {
-		return baselines.RunContext(ctx, m.Name(), func() baselines.Result { return m.Map(w, a) })
+		return baselines.RunContext(ctx, m.Name(), func() baselines.Result { return m.build(w, a) })
 	})
 }
 
-// Map implements baselines.Mapper: the stationary operand's non-indexing
-// dims are pinned innermost at every level (so it stays resident), tiles are
-// grown mechanically (largest fitting, no search over grow sets), and the
-// spatial fanout is filled with the stationary operand's indexing dims
-// (each PE holds a different stationary slice, the hallmark of these
-// dataflows).
-func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
+// build is the one-shot construction MapContext runs: the stationary
+// operand's non-indexing dims are pinned innermost at every level (so it
+// stays resident), tiles are grown mechanically (largest fitting, no search
+// over grow sets), and the spatial fanout is filled with the stationary
+// operand's indexing dims (each PE holds a different stationary slice, the
+// hallmark of these dataflows).
+func (m *Mapper) build(w *tensor.Workload, a *arch.Arch) baselines.Result {
 	start := time.Now()
 	res := baselines.Result{}
 	if mapsearch.SpatialLevels(a) > 1 {

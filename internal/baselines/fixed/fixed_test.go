@@ -13,7 +13,7 @@ func TestAllStylesProduceValidMappings(t *testing.T) {
 	w := workloads.ResNet18[2].Inference(4)
 	a := arch.Conventional()
 	for _, s := range []Style{WeightStationary, OutputStationary, InputStationary} {
-		res := New(s).Map(w, a)
+		res := New(s).MapContext(context.Background(), w, a)
 		if !res.Valid {
 			t.Errorf("%s: %s", s, res.InvalidReason)
 			continue
@@ -31,7 +31,7 @@ func TestStationaryOperandIsResident(t *testing.T) {
 	// Output-stationary: the reduction dims (non-indexing for the output)
 	// must be the innermost loops at every level above L1.
 	w := workloads.ResNet18[2].Inference(4)
-	res := New(OutputStationary).Map(w, arch.Conventional())
+	res := New(OutputStationary).MapContext(context.Background(), w, arch.Conventional())
 	if !res.Valid {
 		t.Fatal(res.InvalidReason)
 	}
@@ -56,7 +56,7 @@ func TestSearchedBeatsFixed(t *testing.T) {
 	}
 	worst := 1.0
 	for _, s := range []Style{WeightStationary, OutputStationary, InputStationary} {
-		res := New(s).Map(w, a)
+		res := New(s).MapContext(context.Background(), w, a)
 		if !res.Valid {
 			continue
 		}
@@ -79,7 +79,7 @@ func TestGenericWorkloadFallbacks(t *testing.T) {
 	// back to structural choices and still work.
 	w := workloads.MTTKRP("m", 64, 32, 32, 16)
 	for _, s := range []Style{WeightStationary, OutputStationary, InputStationary} {
-		res := New(s).Map(w, arch.Conventional())
+		res := New(s).MapContext(context.Background(), w, arch.Conventional())
 		if !res.Valid {
 			t.Errorf("%s on MTTKRP: %s", s, res.InvalidReason)
 		}
@@ -88,7 +88,7 @@ func TestGenericWorkloadFallbacks(t *testing.T) {
 
 func TestRejectsMultiSpatial(t *testing.T) {
 	w := workloads.ResNet18[2].Inference(4)
-	if res := New(WeightStationary).Map(w, arch.Simba()); res.Valid {
+	if res := New(WeightStationary).MapContext(context.Background(), w, arch.Simba()); res.Valid {
 		t.Error("fixed dataflows are single-spatial-level")
 	}
 }

@@ -55,11 +55,6 @@ func (m *Mapper) UseSessions(src baselines.SessionSource) { m.Sessions = src }
 // Name implements baselines.Mapper.
 func (m *Mapper) Name() string { return "innermost-fit" }
 
-// Map implements baselines.Mapper.
-func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
-	return m.MapContext(context.Background(), w, a)
-}
-
 // MapContext implements baselines.Mapper. Unlike every other mapper it does
 // not honor cancellation: its whole point is to return a legal mapping
 // unconditionally, and construction is non-iterative arithmetic, so there is

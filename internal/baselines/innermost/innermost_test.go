@@ -35,7 +35,7 @@ func TestAlwaysValid(t *testing.T) {
 	for an, a := range archs {
 		for _, ln := range []string{"conv1", "conv2_x", "conv5_x"} {
 			w := conv(t, ln)
-			res := m.Map(w, a)
+			res := m.MapContext(context.Background(), w, a)
 			if res.Mapping == nil {
 				t.Fatalf("%s/%s: no mapping", an, ln)
 			}
@@ -55,7 +55,7 @@ func TestAlwaysValid(t *testing.T) {
 func TestGrowthBeatsTrivial(t *testing.T) {
 	w := conv(t, "conv2_x")
 	a := arch.Tiny(256)
-	grown := New().Map(w, a)
+	grown := New().MapContext(context.Background(), w, a)
 	if grown.Mapping == nil || !grown.Valid {
 		t.Fatal("mapper failed on a clean stack")
 	}

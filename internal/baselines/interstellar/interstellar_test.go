@@ -1,6 +1,7 @@
 package interstellar
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 func TestFindsValidMapping(t *testing.T) {
 	w := workloads.ResNet18[2].Inference(16)
-	res := New().Map(w, arch.Conventional())
+	res := New().MapContext(context.Background(), w, arch.Conventional())
 	if !res.Valid {
 		t.Fatalf("expected valid mapping: %s", res.InvalidReason)
 	}
@@ -23,7 +24,7 @@ func TestPrefersCKUnrolling(t *testing.T) {
 	// With C=64 and K=128 covering the 1024-PE grid, only C and K may be
 	// unrolled (no fallback needed).
 	w := workloads.Conv2D("c", 16, 128, 64, 28, 28, 3, 3, 1, 1)
-	res := New().Map(w, arch.Conventional())
+	res := New().MapContext(context.Background(), w, arch.Conventional())
 	if !res.Valid {
 		t.Fatalf("expected valid mapping: %s", res.InvalidReason)
 	}
@@ -39,7 +40,7 @@ func TestFallbackWhenCKCannotFill(t *testing.T) {
 	// C=3, K=8: CK covers at most 24 of 1024 PEs; the fallback must engage
 	// and other dims appear in the unrolling.
 	w := workloads.Conv2D("stem", 16, 8, 3, 56, 56, 3, 3, 1, 1)
-	res := New().Map(w, arch.Conventional())
+	res := New().MapContext(context.Background(), w, arch.Conventional())
 	if !res.Valid {
 		t.Fatalf("fallback should produce a mapping: %s", res.InvalidReason)
 	}
@@ -56,7 +57,7 @@ func TestFallbackWhenCKCannotFill(t *testing.T) {
 
 func TestRejectsWorkloadWithoutCK(t *testing.T) {
 	w := workloads.MTTKRP("m", 64, 32, 32, 32)
-	res := New().Map(w, arch.Conventional())
+	res := New().MapContext(context.Background(), w, arch.Conventional())
 	if res.Valid {
 		t.Fatal("MTTKRP has no C/K dims; the preset cannot apply")
 	}
@@ -67,7 +68,7 @@ func TestRejectsWorkloadWithoutCK(t *testing.T) {
 
 func TestRejectsMultiSpatialArch(t *testing.T) {
 	w := workloads.ResNet18[2].Inference(16)
-	res := New().Map(w, arch.Simba())
+	res := New().MapContext(context.Background(), w, arch.Simba())
 	if res.Valid {
 		t.Fatal("Interstellar does not support multi-spatial-level architectures")
 	}

@@ -62,12 +62,12 @@ func (m *Mapper) Name() string { return "Marvel" }
 // context carries a trace (see baselines.Instrument).
 func (m *Mapper) MapContext(ctx context.Context, w *tensor.Workload, a *arch.Arch) baselines.Result {
 	return baselines.Instrument(ctx, m.Name(), func(ctx context.Context) baselines.Result {
-		return baselines.RunContext(ctx, m.Name(), func() baselines.Result { return m.Map(w, a) })
+		return baselines.RunContext(ctx, m.Name(), func() baselines.Result { return m.build(w, a) })
 	})
 }
 
-// Map implements baselines.Mapper.
-func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
+// build is the one-shot construction MapContext runs.
+func (m *Mapper) build(w *tensor.Workload, a *arch.Arch) baselines.Result {
 	start := time.Now()
 	res := baselines.Result{}
 	if mapsearch.SpatialLevels(a) > 1 {

@@ -12,7 +12,7 @@ import (
 
 func TestFindsValidMapping(t *testing.T) {
 	w := workloads.ResNet18[2].Inference(4)
-	res := New().Map(w, arch.Conventional())
+	res := New().MapContext(context.Background(), w, arch.Conventional())
 	if !res.Valid {
 		t.Fatalf("expected valid mapping: %s", res.InvalidReason)
 	}
@@ -30,7 +30,7 @@ func TestDecouplingCostsQuality(t *testing.T) {
 	// before the on-chip step is a structural handicap.
 	w := workloads.ResNet18[1].Inference(4)
 	a := arch.Conventional()
-	mv := New().Map(w, a)
+	mv := New().MapContext(context.Background(), w, a)
 	if !mv.Valid {
 		t.Fatalf("marvel invalid: %s", mv.InvalidReason)
 	}
@@ -50,7 +50,7 @@ func TestDecouplingCostsQuality(t *testing.T) {
 
 func TestRejectsMultiSpatial(t *testing.T) {
 	w := workloads.ResNet18[2].Inference(4)
-	res := New().Map(w, arch.Simba())
+	res := New().MapContext(context.Background(), w, arch.Simba())
 	if res.Valid || !strings.Contains(res.InvalidReason, "spatial levels") {
 		t.Errorf("Marvel should reject Simba: %+v", res.InvalidReason)
 	}
@@ -58,7 +58,7 @@ func TestRejectsMultiSpatial(t *testing.T) {
 
 func TestWorksOnNonConv(t *testing.T) {
 	w := workloads.MTTKRP("m", 64, 32, 32, 16)
-	res := New().Map(w, arch.Conventional())
+	res := New().MapContext(context.Background(), w, arch.Conventional())
 	if !res.Valid {
 		t.Fatalf("Marvel should handle MTTKRP-shaped workloads: %s", res.InvalidReason)
 	}

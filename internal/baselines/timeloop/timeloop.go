@@ -83,11 +83,6 @@ func (m *Mapper) UseSessions(src baselines.SessionSource) { m.Sessions = src }
 // Name implements baselines.Mapper.
 func (m *Mapper) Name() string { return m.Cfg.Name }
 
-// Map implements baselines.Mapper.
-func (m *Mapper) Map(w *tensor.Workload, a *arch.Arch) baselines.Result {
-	return m.MapContext(context.Background(), w, a)
-}
-
 // MapContext implements baselines.Mapper with the anytime contract: every
 // search thread polls ctx alongside the tool's own MaxTime budget (every 256
 // samples), so a deadline or cancel stops the whole search within one

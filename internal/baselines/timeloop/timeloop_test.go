@@ -1,6 +1,7 @@
 package timeloop
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func quickCfg(seed int64) Config {
 func TestFindsValidMapping(t *testing.T) {
 	w := workloads.Conv1D("c", 8, 8, 28, 3)
 	a := arch.TinySpatial(256, 1<<16, 4)
-	res := New(quickCfg(1)).Map(w, a)
+	res := New(quickCfg(1)).MapContext(context.Background(), w, a)
 	if !res.Valid {
 		t.Fatalf("expected a valid mapping: %s", res.InvalidReason)
 	}
@@ -32,8 +33,8 @@ func TestFindsValidMapping(t *testing.T) {
 func TestDeterministicWithSeed(t *testing.T) {
 	w := workloads.Conv1D("c", 8, 8, 28, 3)
 	a := arch.Tiny(256)
-	r1 := New(quickCfg(42)).Map(w, a)
-	r2 := New(quickCfg(42)).Map(w, a)
+	r1 := New(quickCfg(42)).MapContext(context.Background(), w, a)
+	r2 := New(quickCfg(42)).MapContext(context.Background(), w, a)
 	if r1.Report.EDP != r2.Report.EDP {
 		t.Errorf("same seed must reproduce: %v vs %v", r1.Report.EDP, r2.Report.EDP)
 	}
@@ -42,8 +43,8 @@ func TestDeterministicWithSeed(t *testing.T) {
 func TestSlowBeatsOrMatchesFast(t *testing.T) {
 	w := workloads.Conv1D("c", 16, 16, 56, 3)
 	a := arch.TinySpatial(512, 1<<16, 16)
-	fast := New(Config{Name: "f", TO: 500, VC: 10, Threads: 4, MaxTime: 120 * time.Second, Seed: 7}).Map(w, a)
-	slow := New(Config{Name: "s", TO: 2000, VC: 300, Threads: 4, MaxTime: 120 * time.Second, Seed: 7}).Map(w, a)
+	fast := New(Config{Name: "f", TO: 500, VC: 10, Threads: 4, MaxTime: 120 * time.Second, Seed: 7}).MapContext(context.Background(), w, a)
+	slow := New(Config{Name: "s", TO: 2000, VC: 300, Threads: 4, MaxTime: 120 * time.Second, Seed: 7}).MapContext(context.Background(), w, a)
 	if !fast.Valid || !slow.Valid {
 		t.Fatal("both configs should find mappings")
 	}
@@ -58,7 +59,7 @@ func TestSlowBeatsOrMatchesFast(t *testing.T) {
 func TestImpossibleArchReportsInvalid(t *testing.T) {
 	w := workloads.Conv1D("c", 8, 8, 28, 3)
 	a := arch.Tiny(2) // cannot even hold one word of each tensor
-	res := New(quickCfg(1)).Map(w, a)
+	res := New(quickCfg(1)).MapContext(context.Background(), w, a)
 	if res.Valid {
 		t.Fatal("no valid mapping exists; result must say so")
 	}
@@ -85,7 +86,7 @@ func TestNameAndWorksOnSimba(t *testing.T) {
 	// Timeloop supports multi-spatial-level architectures (the only
 	// baseline besides CoSA that does, per Section V-B3).
 	w := workloads.Conv2D("c", 1, 16, 16, 8, 8, 3, 3, 1, 1)
-	res := m.Map(w, arch.Simba())
+	res := m.MapContext(context.Background(), w, arch.Simba())
 	if !res.Valid {
 		t.Fatalf("TL should find some mapping on Simba: %s", res.InvalidReason)
 	}

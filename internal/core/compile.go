@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"sunstone/internal/analytic"
 	"sunstone/internal/arch"
 	"sunstone/internal/cost"
 	"sunstone/internal/factor"
@@ -15,32 +16,35 @@ import (
 
 // Compiled is the per-(workload, arch, model) artifact bundle: everything a
 // search needs that depends only on the problem, not on the run. Building it
-// costs one ordering-trie enumeration, one cost-session plan, the dimension
-// table and fit-check capacity skeleton the dense expansion runs on, and an
-// empty factor-ladder memo — work that today's
-// serving-shaped callers (network scheduling, figure sweeps, -compare) would
-// otherwise repeat on every Solve call for the same problem.
+// costs one ordering-trie enumeration, one cost-session plan (which holds the
+// capacity table the dense expansion probes), the dimension table, the
+// closed-form analytic seed, and an empty factor-ladder memo — work that
+// today's serving-shaped callers (network scheduling, figure sweeps,
+// -compare) would otherwise repeat on every Solve call for the same problem.
 //
 // A Compiled is immutable after Compile returns and safe for any number of
-// concurrent searches: the ordering set, dimension table and fit skeleton are
-// read-only, and
-// the cost session and ladder cache guard their memo tables internally. The
-// session's evaluation memo is search-wide on a per-call compile and
-// engine-wide when the Compiled comes from an Engine — warm calls start with
-// the cache already populated.
+// concurrent searches: the ordering set, dimension table and seed row are
+// read-only, and the cost session and ladder cache guard their memo tables
+// internally. The session's evaluation memo is search-wide on a per-call
+// compile and engine-wide when the Compiled comes from an Engine — warm calls
+// start with the cache already populated.
 type Compiled struct {
 	w     *tensor.Workload
 	a     *arch.Arch
 	model cost.Model
 
-	sess       *cost.Session    // fast-path plan tables + shared eval memo
-	orderings  []order.Ordering // pruned ordering-trie survivors
-	ostats     order.Stats      // trie effort, replayed into each run's counters
-	dims       dimTable         // integer view of the workload's dimensions and orderings
-	shape      rowShape         // layout of the factor rows the search runs on
-	fit        fitSkeleton      // static structure of the capacity tables
-	ladders    ladderCache      // memoized factor ladders (tile/unroll/fill)
-	expansions expandCache      // memoized level expansions (warm-search replay)
+	sess      *cost.Session    // fast-path plan tables, capacity table + shared eval memo
+	orderings []order.Ordering // pruned ordering-trie survivors
+	ostats    order.Stats      // trie effort, replayed into each run's counters
+	dims      dimTable         // integer view of the workload's dimensions and orderings
+	shape     rowShape         // layout of the factor rows the search runs on
+	// seed is analytic.Seed's mapping as a row (its loop orders close
+	// dims.orders), or seedErr why there is none. Every search that seeds
+	// counts and evaluates it; none rebuilds it.
+	seed       []int
+	seedErr    error
+	ladders    ladderCache // memoized factor ladders (tile/unroll/fill)
+	expansions expandCache // memoized level expansions (warm-search replay)
 }
 
 // Compile validates the problem and builds its artifact bundle.
@@ -62,7 +66,14 @@ func Compile(w *tensor.Workload, a *arch.Arch, model cost.Model) (*Compiled, err
 	c.sess = model.NewSession(w, a)
 	c.dims = buildDimTable(w, c.orderings)
 	c.shape = rowShape{nd: len(w.Order), nl: len(a.Levels)}
-	c.fit = buildFitSkeleton(w, a, &c.dims)
+	// The seed is a pure function of what is compiled here. A problem it
+	// cannot seed still compiles: the searches record the error and run
+	// unseeded.
+	if seed, err := analytic.Seed(w, a, c.orderings); err != nil {
+		c.seedErr = err
+	} else {
+		c.seed = c.rowOf(&c.dims.orders, seed)
+	}
 	c.ladders.m = make(map[ladderKey][]int)
 	c.expansions.m = make(map[string]*expandEntry)
 	return c, nil
@@ -95,6 +106,11 @@ type dimTable struct {
 	all dimList
 	// orderings is index-aligned with Compiled.orderings.
 	orderings []orderingPlan
+	// orders is the compiled order table. Entry oi < len(orderings) is
+	// ordering oi extended to every dimension (Ordering.Complete): the loop
+	// order of its expansion units' candidates, which name it by that index.
+	// The entries after them are the analytic seed's.
+	orders orderTable
 }
 
 // dimList is a name-sorted list of dimensions in the three parallel forms the
@@ -107,10 +123,6 @@ type dimList struct {
 
 // orderingPlan is what an expansion unit needs of one candidate ordering.
 type orderingPlan struct {
-	// complete is the ordering extended to every dimension (Ordering.Complete),
-	// by dimension index: the loop order of the unit's candidates, which name
-	// it by the plan's index (see orderTable).
-	complete []int32
 	// grow lists the indexing dimensions of the tensors the ordering fully
 	// reuses — the OP of the Tiling and Unrolling Principles. Empty when the
 	// ordering reuses nothing: no guidance, every dimension allowed.
@@ -165,7 +177,8 @@ func buildDimTable(w *tensor.Workload, orderings []order.Ordering) dimTable {
 	dt.orderings = make([]orderingPlan, len(orderings))
 	for oi := range orderings {
 		o := &orderings[oi]
-		op := orderingPlan{complete: dt.indices(o.Complete(w)), inGrow: make([]bool, len(w.Order))}
+		dt.orders = append(dt.orders, dt.indices(o.Complete(w)))
+		op := orderingPlan{inGrow: make([]bool, len(w.Order))}
 		for _, name := range o.FullyReused {
 			if t := w.Tensor(name); t != nil {
 				for _, d := range t.IndexingDims() {

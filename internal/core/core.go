@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -504,7 +505,7 @@ func optimizeCompiled(ctx context.Context, comp *Compiled, opt Options) (Result,
 // scratch space — and the run's
 // telemetry: a counter registry (candidate flow plus per-run memo-cache
 // attribution) and the progress emitter. The compiled artifacts (cost
-// session, orderings, fit skeleton, ladder memo) may be shared with other
+// session, orderings, seed row, ladder memo) may be shared with other
 // concurrent searches; everything mutable here is per-run.
 type search struct {
 	opt    Options
@@ -525,22 +526,22 @@ type search struct {
 
 func newSearch(comp *Compiled, opt Options) *search {
 	sc := &search{opt: opt, comp: comp, sess: comp.sess, best: newBestScore()}
-	sc.orders = &orderTable{plans: comp.dims.orderings}
+	// Clipped, so that registering a warm start's orders copies the table
+	// instead of writing into the compiled one's spare capacity.
+	orders := slices.Clip(comp.dims.orders)
+	sc.orders = &orders
 	sc.evs = make([]*cost.Evaluator, opt.Threads)
 	sc.ws = make([]*workspace, opt.Threads)
+	sc.reg = obs.NewRegistry()
+	sc.ctr = obs.NewSearchCounters(sc.reg)
 	// Cache hits/misses are charged to per-run counters (as well as the
 	// session's lifetime tally) so Result.Stats partitions per call even
 	// when an Engine shares one session across many searches.
-	hits, misses := &obs.Counter{}, &obs.Counter{}
 	for i := range sc.evs {
 		sc.evs[i] = sc.sess.NewEvaluator()
-		sc.evs[i].CountCacheInto(hits, misses)
+		sc.evs[i].CountCacheInto(sc.ctr.EvalCacheHits, sc.ctr.EvalCacheMisses)
 		sc.ws[i] = newWorkspace(comp, sc.orders, sc.evs[i])
 	}
-	sc.reg = obs.NewRegistry()
-	sc.ctr = obs.NewSearchCounters(sc.reg)
-	sc.reg.Register(obs.CtrCacheHits, hits)
-	sc.reg.Register(obs.CtrCacheMisses, misses)
 	sc.prog = newProgressEmitter(opt.Progress, sc.ctr)
 	return sc
 }
@@ -715,18 +716,19 @@ func (sc *search) dedupe(cands []cand) []cand {
 	return out
 }
 
-// containedEDP is one memoized scalar evaluation outside the evalAll worker
-// pool — the seeds, which are Mappings before the search starts — with a
-// cost-model panic converted into +Inf invalid scalars plus a
-// *anytime.PanicError.
-func containedEDP(ev *cost.Evaluator, m *mapping.Mapping) (edp, energyPJ, cycles float64, valid bool, err error) {
+// containedRows is one memoized scalar evaluation of a complete row outside
+// the evalAll worker pool — a mapping being installed on the incumbent before
+// the first step — with a cost-model panic converted into +Inf invalid
+// scalars plus a *anytime.PanicError.
+func (sc *search) containedRows(row []int) (edp, energyPJ, cycles float64, valid bool, err error) {
 	defer func() {
-		if e := anytime.PanicErrorFrom(recover(), "evaluate mapping", func() string { return reproMapping(m) }); e != nil {
+		if e := anytime.PanicErrorFrom(recover(), "evaluate mapping", func() string { return reproMapping(sc.materialize(row)) }); e != nil {
 			edp, energyPJ, cycles, valid = math.Inf(1), math.Inf(1), math.Inf(1), false
 			err = e
 		}
 	}()
-	edp, energyPJ, cycles, valid = ev.EvaluateEDP(m)
+	ws, p := sc.ws[0], sc.comp.shape.view(row)
+	edp, energyPJ, cycles, valid = ws.ev.EvaluateRows(p.t, p.s, sc.orders.resolve(ws.oidx, &p))
 	return edp, energyPJ, cycles, valid, nil
 }
 

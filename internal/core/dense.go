@@ -77,30 +77,19 @@ func (p *partial) extent(i, lo, hi int) int {
 }
 
 // orderTable resolves the loop-order indices rows carry to dimension-index
-// lists. [0, len(plans)) are the compiled orderings' completed orders —
-// shared, read-only, the only ones the enumeration writes and therefore the
-// only ones the expansion memo ever sees. Indices beyond are the orders of
-// mappings that came from outside the enumeration (the analytic seed, a warm
-// start), registered per search by rowOf on the driver goroutine, between
-// fan-outs.
-type orderTable struct {
-	plans []orderingPlan
-	extra [][]int32
-}
-
-func (ot *orderTable) at(k int) []int32 {
-	if k < len(ot.plans) {
-		return ot.plans[k].complete
-	}
-	return ot.extra[k-len(ot.plans)]
-}
+// lists. A search starts from the compiled table (dimTable.orders) — shared,
+// read-only, the compiled orderings' completed orders first, which are the
+// only ones the enumeration writes and therefore the only ones the expansion
+// memo ever sees — and appends, to its own copy, the orders of a mapping that
+// reaches it from outside (a warm start; see rowOf).
+type orderTable [][]int32
 
 // resolve fills dst with the loop order of each level of p, nil where unset.
-func (ot *orderTable) resolve(dst [][]int32, p *partial) [][]int32 {
+func (ot orderTable) resolve(dst [][]int32, p *partial) [][]int32 {
 	for l, k := range p.ord {
 		dst[l] = nil
 		if k != noOrder {
-			dst[l] = ot.at(k)
+			dst[l] = ot[k]
 		}
 	}
 	return dst
@@ -146,7 +135,7 @@ func newWorkspace(comp *Compiled, orders *orderTable, ev *cost.Evaluator) *works
 		orders: orders,
 		ev:     ev,
 		p:      sh.view(sh.empty()),
-		fc:     fitChecker{skel: &comp.fit},
+		fc:     fitChecker{sess: comp.sess},
 		ladder: comp.ladders.ladder,
 		quota:  make([]int, sh.nd),
 		saved:  make([]int, sh.nd),
@@ -187,12 +176,13 @@ func (sc *search) materialize(row []int) *mapping.Mapping {
 }
 
 // rowOf converts a mapping that came from outside the enumeration into row
-// form, registering its loop orders in the search's order table (names the
-// workload does not declare, which nothing reads, are dropped). Driver
-// goroutine only, between fan-outs.
-func (sc *search) rowOf(m *mapping.Mapping) []int {
-	dt := &sc.comp.dims
-	p := sc.comp.shape.view(sc.comp.shape.empty())
+// form, appending its loop orders to ot (names the workload does not declare,
+// which nothing reads, are dropped): the compiled table for the analytic
+// seed, a search's own for a warm start — on the driver goroutine, before the
+// first fan-out.
+func (c *Compiled) rowOf(ot *orderTable, m *mapping.Mapping) []int {
+	dt := &c.dims
+	p := c.shape.view(c.shape.empty())
 	for l := range m.Levels {
 		lm := &m.Levels[l]
 		t, s := p.trow(l), p.srow(l)
@@ -200,8 +190,8 @@ func (sc *search) rowOf(m *mapping.Mapping) []int {
 			t[i], s[i] = lm.T(d), lm.S(d)
 		}
 		if len(lm.Order) > 0 {
-			p.ord[l] = len(sc.orders.plans) + len(sc.orders.extra)
-			sc.orders.extra = append(sc.orders.extra, dt.indices(lm.Order))
+			p.ord[l] = len(*ot)
+			*ot = append(*ot, dt.indices(lm.Order))
 		}
 	}
 	return p.row
@@ -227,7 +217,7 @@ func (sc *search) renderRow(b []byte, row []int, seen []bool) []byte {
 		// order, then the declared order reversed (first mention wins).
 		var declared []int32
 		if k := p.ord[l]; k != noOrder {
-			declared = sc.orders.at(k)
+			declared = (*sc.orders)[k]
 		}
 		for _, i := range declared {
 			seen[i] = true

@@ -50,7 +50,7 @@ func randomRow(sc *search, rng *rand.Rand) []int {
 	}
 	for l := range p.ord {
 		if rng.Intn(3) > 0 {
-			p.ord[l] = rng.Intn(len(sc.orders.plans))
+			p.ord[l] = rng.Intn(len(sc.comp.dims.orderings))
 		}
 	}
 	return p.row
@@ -80,7 +80,7 @@ func TestRenderRowMatchesString(t *testing.T) {
 				m.Levels[l].Order = append(m.Levels[l].Order, names[rng.Intn(len(names))])
 			}
 		}
-		row := sc.rowOf(m)
+		row := sc.comp.rowOf(sc.orders, m)
 		if got, want := string(sc.renderRow(nil, row, seen)), m.String(); got != want {
 			t.Fatalf("mapping renders\n%q\nits row\n%q", want, got)
 		}
@@ -198,7 +198,7 @@ func TestRowOfRoundTrip(t *testing.T) {
 	m.Levels[1].Spatial["PQ"] = 8
 	m.Levels[1].Order = []tensor.Dim{"P", "K1", "P"}
 	m.Levels[2].Temporal["K"] = 100
-	back := sc.materialize(sc.rowOf(m))
+	back := sc.materialize(sc.comp.rowOf(sc.orders, m))
 	if fmt.Sprint(back.Levels) != fmt.Sprint(m.Levels) {
 		t.Fatalf("round trip changed the mapping:\n%v\n%v", m.Levels, back.Levels)
 	}

@@ -56,6 +56,16 @@ func flowPresets() []*tensor.Workload {
 	}
 }
 
+// flowArchs is the table's machine axis: the three paper machines, plus one
+// with a fanout at both level 0 and level 1 — no preset has that — so that
+// step 0's two nested unrolling enumerations are pinned too.
+func flowArchs() []*arch.Arch {
+	dual := arch.TinySpatial(64, 4096, 8)
+	dual.Name = "dual-spatial"
+	dual.Levels[0].Fanout = 4
+	return []*arch.Arch{arch.Conventional(), arch.Simba(), arch.DianNao(), dual}
+}
+
 // TestFlowGolden pins the absolute candidate flow of the search — not just
 // the partition identity TestCounterIdentity checks — across workload kinds,
 // four machines, both directions and all three intra-level strategies. The golden file was captured on the tree before the dense
@@ -65,16 +75,9 @@ func TestFlowGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flow table skipped in -short mode")
 	}
-	// The three paper machines, plus one with a fanout at both level 0 and
-	// level 1 — no preset has that — so that step 0's two nested unrolling
-	// enumerations are pinned too.
-	dual := arch.TinySpatial(64, 4096, 8)
-	dual.Name = "dual-spatial"
-	dual.Levels[0].Fanout = 4
-	archs := []*arch.Arch{arch.Conventional(), arch.Simba(), arch.DianNao(), dual}
 	var rows []flowRow
 	for _, w := range flowPresets() {
-		for _, a := range archs {
+		for _, a := range flowArchs() {
 			for _, dir := range []Direction{BottomUp, TopDown} {
 				for _, st := range []Strategy{OrderTileUnroll, TileUnrollOrder, UnrollTileOrder} {
 					row := flowRow{Case: fmt.Sprintf("%s/%s/%s/%s", w.Name, a.Name, dir, st)}

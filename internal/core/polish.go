@@ -101,7 +101,7 @@ func (sc *search) polishMoves(cur []int, arena []int) []int {
 
 	// Ordering moves: re-pick any level's loop order from the trie.
 	for l := 1; l < nl; l++ {
-		for oi := range sc.orders.plans {
+		for oi := range sc.comp.dims.orderings {
 			move().ord[l] = oi
 		}
 	}

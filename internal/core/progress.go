@@ -98,20 +98,11 @@ func (p *progressEmitter) phasef(kind obs.ProgressKind, level int, format string
 	p.phase(kind, fmt.Sprintf(format, args...), level)
 }
 
-// incumbent reports a (possibly) improved best-so-far. m is the improved
-// mapping itself; it rides on the event so listeners (e.g. the server's
-// checkpoint capture) can serialize the best-so-far without a side channel.
-func (p *progressEmitter) incumbent(phase string, level int, m *mapping.Mapping, score, energyPJ, cycles float64) {
-	if p.admit(score, energyPJ, cycles) {
-		p.report(phase, level, m)
-	}
-}
-
 // admit records a (possibly) improved best-so-far and reports whether an
 // event goes out for it: only genuine improvements emit, at a bounded rate —
-// except the first incumbent, which always fires. Split from report so a
-// caller holding the improvement as a row builds its Mapping only for an event
-// that is delivered.
+// except the first incumbent, which always fires. Split from report because
+// the caller holds the improvement as a row and builds its Mapping only for
+// an event that is delivered.
 func (p *progressEmitter) admit(score, energyPJ, cycles float64) bool {
 	if p == nil || p.disabled || score >= p.score {
 		return false
@@ -121,7 +112,10 @@ func (p *progressEmitter) admit(score, energyPJ, cycles float64) bool {
 	return first || p.lim.Allow(time.Now())
 }
 
-// report emits the incumbent-improved event admit just allowed.
+// report emits the incumbent-improved event admit just allowed. m is the
+// improved mapping itself; it rides on the event so listeners (e.g. the
+// server's checkpoint capture) can serialize the best-so-far without a side
+// channel.
 func (p *progressEmitter) report(phase string, level int, m *mapping.Mapping) {
 	ev := p.event(obs.IncumbentImproved, phase, level)
 	ev.Incumbent = m

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"sunstone/internal/analytic"
 	"sunstone/internal/anytime"
 	"sunstone/internal/arch"
 	"sunstone/internal/baselines"
@@ -116,26 +115,14 @@ func (sc *search) sequencer() sequencer {
 }
 
 // incumbent is the anytime best-so-far: the best *completed* (evaluable)
-// mapping observed at any point of the search, maintained so an early stop
+// mapping observed at any point of the search, held as a row so an early stop
 // can return real work instead of nothing. Only the fast path's scalars are
-// tracked; the full Report is materialized once, at finish.
+// tracked; the Mapping and its full Report are built once, by leave.
 type incumbent struct {
-	m        *mapping.Mapping
+	row      []int // its own storage; nil until a valid mapping has been scored
 	score    float64
 	energyPJ float64
 	cycles   float64
-}
-
-// beats reports whether a scored complete mapping would improve the
-// best-so-far. Asked before set so that a candidate held as a row becomes a
-// Mapping only when it does.
-func (inc *incumbent) beats(score float64, valid bool) bool {
-	return valid && (inc.m == nil || score < inc.score)
-}
-
-// set installs m as the best-so-far.
-func (inc *incumbent) set(m *mapping.Mapping, score, energyPJ, cycles float64) {
-	inc.m, inc.score, inc.energyPJ, inc.cycles = m, score, energyPJ, cycles
 }
 
 // finish stamps res with the incumbent and the stop reason. When the search
@@ -143,35 +130,60 @@ func (inc *incumbent) set(m *mapping.Mapping, score, energyPJ, cycles float64) {
 // only case where an anytime return has nothing to give.
 func (inc *incumbent) finish(sc *search, res Result, reason StopReason) (Result, error) {
 	res.Stopped = reason
-	if inc.m == nil {
+	if inc.row == nil {
 		if c := reason.Err(); c != nil {
 			return res, fmt.Errorf("search stopped (%s) before any valid mapping was completed: %w", reason, c)
 		}
 		return res, fmt.Errorf("search stopped (%s) before any valid mapping was completed", reason)
 	}
-	res.Mapping = inc.m
-	res.Report = baselines.FinalReport(sc.evs[0], inc.m, inc.energyPJ*inc.cycles, inc.energyPJ, inc.cycles, true)
+	sc.leave(&res, inc.row, inc.energyPJ, inc.cycles)
 	return res, nil
 }
 
-// seedIncumbent scores the trivial completion (everything at the top level)
-// so even an immediate cancel returns a valid mapping. It is the first
-// incumbent of every search, so it is built as a Mapping up front.
-func seedIncumbent(sc *search, inc *incumbent, res *Result, seed []int) {
-	sc.completeUp(sc.ws[0], seed)
-	trivial := sc.materialize(sc.ws[0].p.row)
-	sc.ctr.Generated.Inc()
-	sc.ctr.Evaluated.Inc()
-	edp, energyPJ, cycles, valid, err := containedEDP(sc.evs[0], trivial)
-	if err != nil {
-		res.CandidateErrors = appendCapped(res.CandidateErrors, err)
+// leave stamps res with the mapping in row and its full Report: where a
+// search's answer, held as a row until now, becomes a Mapping.
+func (sc *search) leave(res *Result, row []int, energyPJ, cycles float64) {
+	res.Mapping = sc.materialize(row)
+	res.Report = baselines.FinalReport(sc.evs[0], res.Mapping, energyPJ*cycles, energyPJ, cycles, true)
+}
+
+// improve makes the valid scored complete mapping in row the best-so-far when
+// it is better: copied (callers pass workspace scratch, completion-arena
+// slots and the shared compiled seed), published as the alpha-beta bound, and
+// reported — built as a Mapping only for a progress event that is delivered.
+func (sc *search) improve(inc *incumbent, phase string, lvl int, row []int, score, energyPJ, cycles float64) {
+	if inc.row != nil && score >= inc.score {
 		return
 	}
-	if score := sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid); inc.beats(score, valid) {
-		inc.set(trivial, score, energyPJ, cycles)
-		sc.best.publish(inc.score)
-		sc.prog.incumbent("seed", -1, inc.m, inc.score, inc.energyPJ, inc.cycles)
+	inc.row = append(inc.row[:0], row...)
+	inc.score, inc.energyPJ, inc.cycles = score, energyPJ, cycles
+	sc.best.publish(score)
+	if sc.prog.admit(score, energyPJ, cycles) {
+		sc.prog.report(phase, lvl, sc.materialize(row))
 	}
+}
+
+// install puts a complete mapping that did not come out of the enumeration on
+// the incumbent — the trivial completion (everything at the top level, so
+// even an immediate cancel returns a valid mapping), the compiled analytic
+// seed, Options.WarmStart — before the first step. It is counted and
+// evaluated like any candidate, on the driver goroutine before any worker
+// exists, so the bound it publishes is part of the search's deterministic
+// prologue at every thread count. It returns the mapping's EDP, or 0 for one
+// that evaluates invalid or panics the model (recorded as a candidate error,
+// never raised): the search degrades to running without it.
+func (sc *search) install(inc *incumbent, res *Result, phase string, row []int) float64 {
+	sc.ctr.Generated.Inc()
+	sc.ctr.Evaluated.Inc()
+	edp, energyPJ, cycles, valid, err := sc.containedRows(row)
+	if err != nil {
+		res.CandidateErrors = appendCapped(res.CandidateErrors, err)
+	}
+	if !valid {
+		return 0
+	}
+	sc.improve(inc, phase, -1, row, sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, true), energyPJ, cycles)
+	return edp
 }
 
 // analytical resolves the run's analytical-layer knobs nil-safely: internal
@@ -184,74 +196,12 @@ func (sc *search) analytical() AnalyticalOptions {
 	return *sc.opt.Analytical
 }
 
-// seedAnalytic computes the closed-form analytic seed mapping (GOMA-style:
-// reuse-maximizing ordering, greedy spatial fill, capacity-balanced temporal
-// split — see internal/analytic), evaluates it, and installs it as the
-// alpha-beta incumbent before enumeration starts. It runs on the driver
-// goroutine before any worker exists, so the published incumbent is part of
-// the search's deterministic prologue at every thread count. A seed that
-// fails to build or evaluates invalid degrades to the unseeded search — the
-// failure is recorded as a candidate error, never raised.
-func (sc *search) seedAnalytic(inc *incumbent, res *Result) {
-	seed, err := analytic.Seed(sc.comp.w, sc.comp.a, sc.comp.orderings)
-	if err != nil {
-		res.CandidateErrors = appendCapped(res.CandidateErrors, err)
-		return
-	}
-	sc.ctr.Generated.Inc()
-	sc.ctr.Evaluated.Inc()
-	edp, energyPJ, cycles, valid, err := containedEDP(sc.evs[0], seed)
-	if err != nil {
-		res.CandidateErrors = appendCapped(res.CandidateErrors, err)
-		return
-	}
-	if valid {
-		res.SeedEDP = edp
-	}
-	if score := sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid); inc.beats(score, valid) {
-		inc.set(seed, score, energyPJ, cycles)
-		sc.best.publish(inc.score)
-		sc.prog.incumbent("analytic seed", -1, inc.m, inc.score, inc.energyPJ, inc.cycles)
-	}
-}
-
-// seedWarmStart installs Options.WarmStart — a previously found complete
-// mapping, typically a crash-recovery checkpoint — as the alpha-beta
-// incumbent, exactly like the analytic seed: evaluated on the driver
-// goroutine before any worker exists, so the published bound is part of the
-// deterministic prologue. Because the caller's mapping may bind different
-// (but equivalent) workload/arch instances than this search compiled, the
-// factors are rebound onto the compiled pair first. A warm start that fails
-// to rebind, validate, or evaluate degrades to a cold search — recorded as
-// a candidate error, never raised.
-func (sc *search) seedWarmStart(inc *incumbent, res *Result) {
-	warm, err := rebind(sc.opt.WarmStart, sc.comp.w, sc.comp.a)
-	if err != nil {
-		res.CandidateErrors = appendCapped(res.CandidateErrors, fmt.Errorf("warm start rejected: %w", err))
-		return
-	}
-	sc.ctr.Generated.Inc()
-	sc.ctr.Evaluated.Inc()
-	edp, energyPJ, cycles, valid, err := containedEDP(sc.evs[0], warm)
-	if err != nil {
-		res.CandidateErrors = appendCapped(res.CandidateErrors, fmt.Errorf("warm start rejected: %w", err))
-		return
-	}
-	if valid {
-		res.WarmStartEDP = edp
-	}
-	if score := sc.opt.Objective.scoreScalars(edp, energyPJ, cycles, valid); inc.beats(score, valid) {
-		inc.set(warm, score, energyPJ, cycles)
-		sc.best.publish(inc.score)
-		sc.prog.incumbent("warm start", -1, inc.m, inc.score, inc.energyPJ, inc.cycles)
-	}
-}
-
-// rebind copies m's per-level factors onto the compiled workload/arch pair,
-// checking that the shapes line up: same level count, and every dimension
-// the mapping touches is declared by the workload. It then runs the full
-// legality validator, so an accepted warm start is a real member of this
-// search's mapping space.
+// rebind copies m's per-level factors onto the compiled workload/arch pair —
+// the caller's warm start may bind different (but equivalent) instances than
+// this search compiled — checking that the shapes line up: same level count,
+// and every dimension the mapping touches is declared by the workload. It
+// then runs the full legality validator, so an accepted warm start is a real
+// member of this search's mapping space.
 func rebind(m *mapping.Mapping, w *tensor.Workload, a *arch.Arch) (*mapping.Mapping, error) {
 	if len(m.Levels) != len(a.Levels) {
 		return nil, fmt.Errorf("mapping has %d levels, architecture has %d", len(m.Levels), len(a.Levels))
@@ -319,12 +269,24 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 	states := []state{{row: sc.comp.shape.empty()}}
 
 	var inc incumbent
-	seedIncumbent(sc, &inc, &res, states[0].row)
+	sc.completeUp(sc.ws[0], states[0].row)
+	sc.install(&inc, &res, "seed", sc.ws[0].p.row)
 	if sc.analytical().Seed {
-		sc.seedAnalytic(&inc, &res)
+		// GOMA-style closed form (internal/analytic), built once by Compile.
+		if sc.comp.seedErr != nil {
+			res.CandidateErrors = appendCapped(res.CandidateErrors, sc.comp.seedErr)
+		} else {
+			res.SeedEDP = sc.install(&inc, &res, "analytic seed", sc.comp.seed)
+		}
 	}
 	if sc.opt.WarmStart != nil {
-		sc.seedWarmStart(&inc, &res)
+		// Typically a crash-recovery checkpoint. One that does not rebind
+		// degrades to a cold search.
+		if warm, err := rebind(sc.opt.WarmStart, sc.comp.w, sc.comp.a); err != nil {
+			res.CandidateErrors = appendCapped(res.CandidateErrors, fmt.Errorf("warm start rejected: %w", err))
+		} else {
+			res.WarmStartEDP = sc.install(&inc, &res, "warm start", sc.comp.rowOf(sc.orders, warm))
+		}
 	}
 
 	budgetHit := false
@@ -343,9 +305,8 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 		// the incumbent.
 		return inc.finish(sc, res, anytime.FromContext(ctx))
 	}
-	// The winner as a row, and as a Mapping once something has built one.
-	winner, final := best.completed, (*mapping.Mapping)(nil)
-	if an := sc.analytical(); (an.Seed || an.Bounds) && inc.m != nil && inc.score < best.score {
+	row, score, energyPJ, cycles := best.completed, best.score, best.energyPJ, best.cycles
+	if an := sc.analytical(); (an.Seed || an.Bounds) && inc.row != nil && inc.score < score {
 		// The analytic layer can legitimately leave the final beam behind
 		// the incumbent: the seed may beat everything enumeration found, and
 		// a bound cut keeps subtrees out of the last step's beam. Promote
@@ -353,19 +314,14 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 		// enabling the layer can speed the search up but never degrade its
 		// answer. Gated on the layer so the disabled path stays bit-identical
 		// to the historical search.
-		best = state{score: inc.score, energyPJ: inc.energyPJ, cycles: inc.cycles, valid: true}
-		winner, final = nil, inc.m
+		row, score, energyPJ, cycles = inc.row, inc.score, inc.energyPJ, inc.cycles
 	}
-	energyPJ, cycles := best.energyPJ, best.cycles
 	if seq.polish && !sc.opt.NoPolish {
 		_, psp := obs.StartSpan(ctx, "polish")
 		sc.prog.phase(obs.PhaseStarted, "polish", -1)
-		if winner == nil {
-			winner = sc.rowOf(final)
-		}
-		polished, pe, pc, evals, perrs, reason := polish(ctx, sc, winner, best.score, energyPJ, cycles)
+		polished, pe, pc, evals, perrs, reason := polish(ctx, sc, row, score, energyPJ, cycles)
 		if polished != nil {
-			winner, final, energyPJ, cycles = polished, nil, pe, pc
+			row, energyPJ, cycles = polished, pe, pc
 		}
 		for _, e := range perrs {
 			res.CandidateErrors = appendCapped(res.CandidateErrors, e)
@@ -375,11 +331,7 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 		sc.prog.phase(obs.PhaseFinished, "polish", -1)
 		psp.Arg("evals", evals).End()
 	}
-	if final == nil {
-		final = sc.materialize(winner)
-	}
-	res.Mapping = final
-	res.Report = baselines.FinalReport(sc.evs[0], final, energyPJ*cycles, energyPJ, cycles, true)
+	sc.leave(&res, row, energyPJ, cycles)
 	if budgetHit {
 		res.Stopped = StopBudget
 	}
@@ -444,10 +396,8 @@ func (sc *search) runStep(ctx context.Context, seq *sequencer, lvl int, states [
 		}
 		return nil, budgetHit, true, *res, errors.Join(append([]error{fmt.Errorf("%s: all candidates at level %d are invalid", sc.opt.Direction, lvl)}, res.CandidateErrors...)...)
 	}
-	// The step's winner becomes a Mapping only if it improves the incumbent.
-	if w := &next[0]; w.completed != nil && inc.beats(w.score, w.valid) {
-		inc.set(sc.materialize(w.completed), w.score, w.energyPJ, w.cycles)
-		sc.prog.incumbent(fmt.Sprintf("level %d (%s)", lvl, a.Levels[lvl].Name), lvl, inc.m, inc.score, inc.energyPJ, inc.cycles)
+	if w := &next[0]; w.completed != nil && w.valid {
+		sc.improve(inc, fmt.Sprintf("level %d (%s)", lvl, a.Levels[lvl].Name), lvl, w.completed, w.score, w.energyPJ, w.cycles)
 	}
 	if r := anytime.FromContext(ctx); r != StopComplete {
 		out, err = inc.finish(sc, *res, r)

@@ -123,11 +123,11 @@ func (tw *topWalk) rec(i int, out *unitOut) {
 	if tw.visited >= tw.budget || tw.poll.Stop() != StopComplete {
 		return
 	}
-	fit := &tw.ws.comp.fit
+	sess := tw.ws.comp.sess
 	if i == len(tw.cur) {
 		tw.visited++
 		// Full capacity check before paying for a candidate.
-		if !fit.levelFits(tw.m-1, tw.ext) {
+		if !sess.LevelFits(tw.m-1, tw.ext) {
 			return
 		}
 		trow := tw.ws.p.trow(tw.m)
@@ -148,7 +148,7 @@ func (tw *topWalk) rec(i int, out *unitOut) {
 		// Sound subtree pruning: with unassigned dims at their largest
 		// factors (smallest remainders), if the partial remainder already
 		// overflows level m-1, no completion can fit.
-		if !fit.levelFits(tw.m-1, tw.ext) {
+		if !sess.LevelFits(tw.m-1, tw.ext) {
 			tw.visited++
 			continue
 		}

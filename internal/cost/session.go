@@ -94,11 +94,23 @@ type slotPlan struct {
 	readBW, writeBW float64
 }
 
-// capPlan is one bounded buffer's capacity check at one level.
-type capPlan struct {
-	lvl     int
+// capBuffer is one bounded buffer's row of the capacity table (see
+// LevelFits): its size and, for every tensor it holds, the word width and the
+// tensor's axis structure flattened to one term list.
+type capBuffer struct {
 	capBits int64
-	tensors []int // tensor indices held by this buffer
+	tensors []capTensor
+}
+
+type capTensor struct {
+	bits  int64
+	terms []capTerm // every axis's terms, axis after axis
+}
+
+type capTerm struct {
+	stride  int
+	dim     int  // Session dimension index
+	axisEnd bool // last term of its axis
 }
 
 // Session holds the per-(workload, arch) precomputation shared by all
@@ -115,9 +127,9 @@ type Session struct {
 	nLevels int
 
 	tensors []tensorPlan
-	caps    []capPlan
-	redDims []int  // reduction dimension indices
-	noSR    []bool // per level: !AllowSpatialReduction
+	caps    [][]capBuffer // per level below the top, its bounded buffers
+	redDims []int         // reduction dimension indices
+	noSR    []bool        // per level: !AllowSpatialReduction
 	fanout  []int
 
 	macPJ     float64
@@ -201,23 +213,31 @@ func (mo Model) NewSession(w *tensor.Workload, a *arch.Arch) *Session {
 	s.compNoC = comp("NoC")
 	s.compSR = comp("SpatialReduce")
 
-	// Capacity checks: every bounded buffer below the top level, with the
+	// The capacity table: every bounded buffer below the top level, with the
 	// tensors it holds (Holds implies Keeps at that level, so
 	// mapping.Validate's heldHere conjunction reduces to Holds).
-	for lvl := 0; lvl < s.nLevels-1; lvl++ {
+	s.caps = make([][]capBuffer, max(s.nLevels-1, 0))
+	for lvl := range s.caps {
 		al := &a.Levels[lvl]
 		for bi := range al.Buffers {
 			buf := &al.Buffers[bi]
 			if buf.Bytes == 0 {
 				continue
 			}
-			cp := capPlan{lvl: lvl, capBits: buf.Bytes * 8}
-			for ti, t := range w.Tensors {
-				if buf.Holds(t.Name) {
-					cp.tensors = append(cp.tensors, ti)
+			cb := capBuffer{capBits: buf.Bytes * 8}
+			for _, t := range w.Tensors {
+				if !buf.Holds(t.Name) {
+					continue
 				}
+				ct := capTensor{bits: int64(a.Bits(t.Name))}
+				for _, ax := range t.Axes {
+					for k, term := range ax {
+						ct.terms = append(ct.terms, capTerm{stride: term.Stride, dim: s.dimIdx[term.D], axisEnd: k == len(ax)-1})
+					}
+				}
+				cb.tensors = append(cb.tensors, ct)
 			}
-			s.caps = append(s.caps, cp)
+			s.caps[lvl] = append(s.caps[lvl], cb)
 		}
 	}
 
@@ -465,6 +485,41 @@ func (s *Session) LowerBound(maxSpatial float64) (energyPJ, cycles float64) {
 		cycles = s.lbXferCycles
 	}
 	return s.lbEnergyPJ, cycles
+}
+
+// LevelFits reports whether tiles with per-dimension extents ext (indexed like
+// the workload's canonical dimension order) fit every bounded buffer of level
+// lvl, which must be below the top: per buffer, the footprints of the tensors
+// it holds (Π over axes of 1 + Σ stride·(extent − 1)), in bits, against its
+// capacity. This is the one dense form of the paper's capacity rule: the
+// evaluator's legality check and every probe of the search reduce to it
+// (mapping.Validate is the independent map-based statement of the same rule).
+func (s *Session) LevelFits(lvl int, ext []int) bool {
+	bufs := s.caps[lvl]
+	for bi := range bufs {
+		cb := &bufs[bi]
+		var usedBits int64
+		for ti := range cb.tensors {
+			ct := &cb.tensors[ti]
+			fp, e := 1, 1
+			for _, term := range ct.terms {
+				n := ext[term.dim]
+				if n <= 0 {
+					n = 1
+				}
+				e += term.stride * (n - 1)
+				if term.axisEnd {
+					fp *= e
+					e = 1
+				}
+			}
+			usedBits += int64(fp) * ct.bits
+		}
+		if usedBits > cb.capBits {
+			return false
+		}
+	}
+	return true
 }
 
 // CacheStats returns the memoization cache's hit and miss counts so far.
@@ -881,13 +936,8 @@ func (e *Evaluator) legal() bool {
 			return false
 		}
 	}
-	for ci := range s.caps {
-		cp := &s.caps[ci]
-		var usedBits int64
-		for _, ti := range cp.tensors {
-			usedBits += int64(footprint(&s.tensors[ti], e.cum[cp.lvl*nd:])) * int64(s.a.Bits(s.w.Tensors[ti].Name))
-		}
-		if usedBits > cp.capBits {
+	for lvl := range s.caps {
+		if !s.LevelFits(lvl, e.cum[lvl*nd:]) {
 			return false
 		}
 	}

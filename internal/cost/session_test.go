@@ -521,3 +521,56 @@ func TestEvaluateRowsShowsProbeTheMapping(t *testing.T) {
 		}
 	}
 }
+
+// TestLegalCapacityMatchesValidate isolates the capacity rule: mappings whose
+// every prime sits in some temporal slot cover the problem and use no fanout,
+// so only a buffer overflow can make them illegal. On the machines with
+// per-datatype and bypassing buffers the evaluator's verdict — Session's
+// dense capacity table — equals mapping.Validate's map-based one, and the
+// per-level answers of LevelFits say which level overflowed.
+func TestLegalCapacityMatchesValidate(t *testing.T) {
+	for _, tc := range equivalenceCases()[2:4] { // conv2d on Simba and DianNao
+		s := Default.NewSession(tc.w, tc.a)
+		ev := s.NewEvaluator()
+		rng := rand.New(rand.NewSource(41))
+		top := len(tc.a.Levels) - 1
+		legal, illegal := 0, 0
+		for i := 0; i < 2000; i++ {
+			m := mapping.New(tc.w, tc.a)
+			down := rng.Intn(6) // this sample's pull toward the small buffers
+			for _, d := range tc.w.Order {
+				for _, p := range factor.Primes(tc.w.Dims[d]) {
+					l := top
+					if rng.Intn(6) < down {
+						l = rng.Intn(top + 1)
+					}
+					m.Levels[l].Temporal[d] = m.Levels[l].T(d) * p
+				}
+			}
+			want := m.Validate() == nil
+			if !ev.snapshot(m) {
+				t.Fatalf("%s: snapshot rejected\n%s", tc.name, m)
+			}
+			ev.extents()
+			if got := ev.legal(); got != want {
+				t.Fatalf("%s: legal %v, Validate %v\n%s", tc.name, got, m.Validate(), m)
+			}
+			fits := true
+			for l := 0; l < top; l++ {
+				fits = fits && s.LevelFits(l, ev.cum[l*len(s.dims):])
+			}
+			if fits != want {
+				t.Fatalf("%s: LevelFits over all levels %v, Validate %v\n%s", tc.name, fits, m.Validate(), m)
+			}
+			if want {
+				legal++
+			} else {
+				illegal++
+			}
+		}
+		t.Logf("%s: %d legal, %d overflowing", tc.name, legal, illegal)
+		if legal < 20 || illegal < 20 {
+			t.Errorf("%s: %d legal and %d overflowing samples — the generator does not straddle capacity", tc.name, legal, illegal)
+		}
+	}
+}

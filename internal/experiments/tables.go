@@ -118,7 +118,7 @@ func DataflowSpread(cfg Config) []SpreadRow {
 			EnergyPJ: res.Report.EnergyPJ, Valid: res.Report.Valid})
 	}
 	for _, s := range []fixed.Style{fixed.WeightStationary, fixed.OutputStationary, fixed.InputStationary} {
-		r := fixed.New(s).Map(w, a)
+		r := fixed.New(s).MapContext(cfg.ctx(), w, a)
 		rows = append(rows, SpreadRow{Dataflow: s.String(), EDP: r.Report.EDP,
 			EnergyPJ: r.Report.EnergyPJ, Valid: r.Valid})
 	}

@@ -206,22 +206,50 @@ type SearchCounters struct {
 	BoundPruned     *Counter
 	PrunedBound     *Counter
 	PrunedBeam      *Counter
+	EvalCacheHits   *Counter // the search's Evaluators charge memo lookups here
+	EvalCacheMisses *Counter
+}
+
+// searchFields is the search-counter list, stated once: each SearchStats
+// field, the SearchCounters handle behind it, and the canonical name both go
+// by in a Registry. NewSearchCounters, SnapshotSearch and SearchCounters.Add
+// are loops over it, so a counter added here is registered, snapshotted and
+// summed everywhere (TestSearchFieldsCoverSearchStats holds the table to the
+// struct).
+var searchFields = []struct {
+	name string
+	ctr  func(*SearchCounters) **Counter
+	stat func(*SearchStats) *uint64
+}{
+	{CtrGenerated, func(c *SearchCounters) **Counter { return &c.Generated }, func(s *SearchStats) *uint64 { return &s.Generated }},
+	{CtrEvaluated, func(c *SearchCounters) **Counter { return &c.Evaluated }, func(s *SearchStats) *uint64 { return &s.Evaluated }},
+	{CtrDeduped, func(c *SearchCounters) **Counter { return &c.Deduped }, func(s *SearchStats) *uint64 { return &s.Deduped }},
+	{CtrSkipped, func(c *SearchCounters) **Counter { return &c.Skipped }, func(s *SearchStats) *uint64 { return &s.Skipped }},
+	{CtrPrunedOrdering, func(c *SearchCounters) **Counter { return &c.PrunedOrdering }, func(s *SearchStats) *uint64 { return &s.PrunedOrdering }},
+	{CtrPrunedTiling, func(c *SearchCounters) **Counter { return &c.PrunedTiling }, func(s *SearchStats) *uint64 { return &s.PrunedTiling }},
+	{CtrPrunedUnrolling, func(c *SearchCounters) **Counter { return &c.PrunedUnrolling }, func(s *SearchStats) *uint64 { return &s.PrunedUnrolling }},
+	{CtrBoundPruned, func(c *SearchCounters) **Counter { return &c.BoundPruned }, func(s *SearchStats) *uint64 { return &s.BoundPruned }},
+	{CtrPrunedBound, func(c *SearchCounters) **Counter { return &c.PrunedBound }, func(s *SearchStats) *uint64 { return &s.PrunedBound }},
+	{CtrPrunedBeam, func(c *SearchCounters) **Counter { return &c.PrunedBeam }, func(s *SearchStats) *uint64 { return &s.PrunedBeam }},
+	{CtrCacheHits, func(c *SearchCounters) **Counter { return &c.EvalCacheHits }, func(s *SearchStats) *uint64 { return &s.EvalCacheHits }},
+	{CtrCacheMisses, func(c *SearchCounters) **Counter { return &c.EvalCacheMisses }, func(s *SearchStats) *uint64 { return &s.EvalCacheMisses }},
 }
 
 // NewSearchCounters registers the canonical search counters in r and
 // returns the typed handles.
 func NewSearchCounters(r *Registry) *SearchCounters {
-	return &SearchCounters{
-		Generated:       r.Counter(CtrGenerated),
-		Evaluated:       r.Counter(CtrEvaluated),
-		Deduped:         r.Counter(CtrDeduped),
-		Skipped:         r.Counter(CtrSkipped),
-		PrunedOrdering:  r.Counter(CtrPrunedOrdering),
-		PrunedTiling:    r.Counter(CtrPrunedTiling),
-		PrunedUnrolling: r.Counter(CtrPrunedUnrolling),
-		BoundPruned:     r.Counter(CtrBoundPruned),
-		PrunedBound:     r.Counter(CtrPrunedBound),
-		PrunedBeam:      r.Counter(CtrPrunedBeam),
+	c := &SearchCounters{}
+	for _, f := range searchFields {
+		*f.ctr(c) = r.Counter(f.name)
+	}
+	return c
+}
+
+// Add accumulates one finished search's snapshot into the counters: how a
+// long-lived holder (the job service) keeps lifetime totals.
+func (c *SearchCounters) Add(s SearchStats) {
+	for _, f := range searchFields {
+		(*f.ctr(c)).Add(*f.stat(&s))
 	}
 }
 
@@ -275,27 +303,13 @@ func (s SearchStats) Pruned() uint64 {
 // SnapshotSearch reads the canonical counters out of r into a SearchStats.
 // Counters a registry never registered read as zero.
 func SnapshotSearch(r *Registry) SearchStats {
-	get := func(name string) uint64 {
-		r.mu.Lock()
-		c := r.byName[name]
-		r.mu.Unlock()
-		if c == nil {
-			return 0
+	var s SearchStats
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range searchFields {
+		if c := r.byName[f.name]; c != nil {
+			*f.stat(&s) = c.Load()
 		}
-		return c.Load()
 	}
-	return SearchStats{
-		Generated:       get(CtrGenerated),
-		Evaluated:       get(CtrEvaluated),
-		Deduped:         get(CtrDeduped),
-		Skipped:         get(CtrSkipped),
-		PrunedOrdering:  get(CtrPrunedOrdering),
-		PrunedTiling:    get(CtrPrunedTiling),
-		PrunedUnrolling: get(CtrPrunedUnrolling),
-		BoundPruned:     get(CtrBoundPruned),
-		PrunedBound:     get(CtrPrunedBound),
-		PrunedBeam:      get(CtrPrunedBeam),
-		EvalCacheHits:   get(CtrCacheHits),
-		EvalCacheMisses: get(CtrCacheMisses),
-	}
+	return s
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -67,6 +68,43 @@ func TestSearchCountersIdentitySnapshot(t *testing.T) {
 	}
 	if st.Generated != st.Pruned()+st.Deduped+st.Evaluated+st.Skipped {
 		t.Errorf("identity violated: %+v", st)
+	}
+}
+
+// TestSearchFieldsCoverSearchStats: every SearchStats field — found by
+// reflection, so one added later is covered without touching this test —
+// round-trips through SearchCounters.Add and SnapshotSearch, twice to show
+// Add accumulates, and every SearchCounters handle is registered.
+func TestSearchFieldsCoverSearchStats(t *testing.T) {
+	var in SearchStats
+	v := reflect.ValueOf(&in).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(100 + i))
+	}
+	r := NewRegistry()
+	sc := NewSearchCounters(r)
+	h := reflect.ValueOf(sc).Elem()
+	for i := 0; i < h.NumField(); i++ {
+		if h.Field(i).IsNil() {
+			t.Errorf("SearchCounters.%s is not registered", h.Type().Field(i).Name)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	sc.Add(in)
+	if got := SnapshotSearch(r); got != in {
+		t.Errorf("round trip lost a field:\n got %+v\nwant %+v", got, in)
+	}
+	sc.Add(in)
+	got := reflect.ValueOf(SnapshotSearch(r))
+	for i := 0; i < got.NumField(); i++ {
+		if want := 2 * uint64(100+i); got.Field(i).Uint() != want {
+			t.Errorf("%s = %d after two Adds, want %d", got.Type().Field(i).Name, got.Field(i).Uint(), want)
+		}
+	}
+	if len(r.Snapshot()) != v.NumField() {
+		t.Errorf("%d counters registered for %d SearchStats fields", len(r.Snapshot()), v.NumField())
 	}
 }
 

@@ -799,8 +799,15 @@ func (s *Server) runJob(j *job) {
 				j.mu.Lock()
 				j.nres = &nr
 				j.mu.Unlock()
+				// One search can fill several chain positions (a repeated
+				// layer); every search returns a Mapping of its own, which
+				// tells them apart.
+				counted := map[*mapping.Mapping]bool{}
 				for i := range nr.Layers {
-					s.metrics.addSearch(nr.Layers[i].Result.Stats)
+					if r := &nr.Layers[i].Result; !counted[r.Mapping] {
+						counted[r.Mapping] = true
+						s.metrics.search.Add(r.Stats)
+					}
 				}
 			}
 			return
@@ -897,7 +904,7 @@ func (s *Server) finalize(j *job, res core.Result, err error) {
 		s.metrics.done.Inc()
 	}
 	j.mu.Unlock()
-	s.metrics.addSearch(res.Stats)
+	s.metrics.search.Add(res.Stats)
 	// The terminal record reaches stable storage before waiters are
 	// released: once a client observes completion, a restart replays the
 	// same terminal status instead of re-running the job (no double
@@ -930,8 +937,7 @@ type metrics struct {
 	// search accumulates every finished job's Result.Stats into
 	// service-lifetime flow totals, under the canonical cand.*/pruned.*
 	// names so /statz, expvar, and tests key on the same strings.
-	search                 *obs.SearchCounters
-	cacheHits, cacheMisses *obs.Counter
+	search *obs.SearchCounters
 }
 
 func newMetrics() *metrics {
@@ -951,23 +957,7 @@ func newMetrics() *metrics {
 		idemHits:    reg.Counter(obs.CtrSrvIdemHit),
 		checkpoints: reg.Counter(obs.CtrSrvCheckpoint),
 		search:      obs.NewSearchCounters(reg),
-		cacheHits:   reg.Counter(obs.CtrCacheHits),
-		cacheMisses: reg.Counter(obs.CtrCacheMisses),
 	}
-}
-
-func (m *metrics) addSearch(st obs.SearchStats) {
-	m.search.Generated.Add(st.Generated)
-	m.search.Evaluated.Add(st.Evaluated)
-	m.search.Deduped.Add(st.Deduped)
-	m.search.Skipped.Add(st.Skipped)
-	m.search.PrunedOrdering.Add(st.PrunedOrdering)
-	m.search.PrunedTiling.Add(st.PrunedTiling)
-	m.search.PrunedUnrolling.Add(st.PrunedUnrolling)
-	m.search.PrunedBound.Add(st.PrunedBound)
-	m.search.PrunedBeam.Add(st.PrunedBeam)
-	m.cacheHits.Add(st.EvalCacheHits)
-	m.cacheMisses.Add(st.EvalCacheMisses)
 }
 
 // ---- wire helpers ----

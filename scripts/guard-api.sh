@@ -10,7 +10,9 @@
 # (core.NetworkResult; JobStatus is its wire form). This guard fails the build
 # if a deleted wrapper, a second retry carrier, a second network scheduler, a
 # second schedule shape or the schedule file format reappears in any non-test
-# Go file outside bench/.
+# Go file outside bench/. PR 20 added three of the same kind: the capacity rule
+# has one dense table (cost.Session.LevelFits), the analytic seed one builder
+# (core.Compile), a baseline mapper one entry point (MapContext).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,6 +47,26 @@ fi
 # shellcheck disable=SC2086
 if grep -nE '^[[:space:]]+Resilience[[:space:]]+[*A-Za-z]' $files; then
 	echo "guard-api: no second retry carrier; set Options.Retry" >&2
+	status=1
+fi
+
+# A second dense capacity table next to cost.Session's.
+# shellcheck disable=SC2086
+if grep -nE '^(type|func)[[:space:]]+(\([^)]*\)[[:space:]]+)?(fitSkeleton|buildFitSkeleton|capPlan)\b' $files; then
+	echo "guard-api: the capacity rule has one dense form, cost.Session.LevelFits" >&2
+	status=1
+fi
+
+# The analytic seed is built once per problem, by core.Compile.
+# shellcheck disable=SC2086
+if grep -n 'analytic\.Seed(' $files | grep -v '^\./internal/core/compile\.go:'; then
+	echo "guard-api: searches install Compiled's seed row; only core.Compile calls analytic.Seed" >&2
+	status=1
+fi
+
+# The uninterruptible baseline entry point.
+if grep -rnE --include='*.go' --exclude='*_test.go' '^func \([^)]*\*Mapper\) Map\(' internal/baselines; then
+	echo "guard-api: a baseline mapper has one entry point, MapContext" >&2
 	status=1
 fi
 

@@ -60,12 +60,12 @@ func TestPublicAPIBaselines(t *testing.T) {
 	for _, bl := range []sunstone.BaselineMapper{
 		sunstone.DMazeFast(), sunstone.DMazeSlow(), sunstone.Interstellar(),
 	} {
-		r := bl.Map(w, sunstone.Conventional())
+		r := bl.MapContext(context.Background(), w, sunstone.Conventional())
 		if r.Mapping == nil && r.InvalidReason == "" {
 			t.Errorf("%s: no mapping and no reason", bl.Name())
 		}
 	}
-	r := sunstone.CoSA().Map(w, sunstone.Simba())
+	r := sunstone.CoSA().MapContext(context.Background(), w, sunstone.Simba())
 	if r.Evaluated > 20 {
 		t.Error("CoSA must be one-shot (constant permutation variants only)")
 	}
@@ -147,7 +147,7 @@ func TestExtraBaselines(t *testing.T) {
 		sunstone.Marvel(), sunstone.WeightStationary(),
 		sunstone.OutputStationary(), sunstone.InputStationary(),
 	} {
-		r := bl.Map(w, a)
+		r := bl.MapContext(context.Background(), w, a)
 		if r.Mapping == nil && r.InvalidReason == "" {
 			t.Errorf("%s: no mapping and no reason", bl.Name())
 		}
