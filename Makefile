@@ -31,8 +31,10 @@ fmt-check:
 # (Encode/DecodeNetworkSchedule), a second group struct
 # (GroupSchedule/NetworkGroupJSON) next to core.GroupResult, a second dense
 # capacity table (fitSkeleton/capPlan) next to cost.Session.LevelFits or a
-# baseline's uninterruptible Map, and none but internal/core/compile.go may
-# call analytic.Seed.
+# baseline's uninterruptible Map, a fallback chain or fallback-name resolver
+# next to innermost-fit, a per-tool baseline constructor or second catalog in
+# the root package, or the deleted Marvel mapper, and none but
+# internal/core/compile.go may call analytic.Seed.
 guard:
 	./scripts/guard-stepper.sh
 	./scripts/guard-api.sh

@@ -120,14 +120,13 @@ func TestChaosGuarantee(t *testing.T) {
 // TestChaosDeterministic: the same injector seed must reproduce the same
 // attempt shape for a single-layer schedule run serially — the property that
 // makes chaos failures debuggable by seed. Everything in this configuration
-// is single-threaded (Threads:1 search, innermost-fit fallback); the default
-// timeloop-random-lite fallback samples on two internal threads, whose fault
-// ordinals interleave nondeterministically, so it is excluded here.
+// is single-threaded (Threads:1 search, the innermost-fit fallback), so no
+// fault ordinals interleave.
 func TestChaosDeterministic(t *testing.T) {
 	shapes := chaosNet()[:1]
 	a := sunstone.Tiny(256)
 	opt := sunstone.Options{BeamWidth: 4, TilesPerStep: 4, UnrollsPerStep: 3, Threads: 1,
-		Retry: &sunstone.RetryPolicy{Fallbacks: []string{"innermost-fit"}}}
+		Retry: &sunstone.RetryPolicy{}}
 	shape := func(seed int64) string {
 		restore := faults.Activate(faults.NewUniform(seed, 0.3))
 		defer restore()

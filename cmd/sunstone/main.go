@@ -63,33 +63,17 @@ var (
 	traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev) of the search's phases to this file")
 	progress  = flag.Bool("progress", false, "stream live search progress (phases, incumbent improvements) to stderr")
 	baseList  = flag.String("baselines", "timeloop-fast,dmaze-fast,interstellar,cosa", "with -compare: comma-separated baseline registry names, or 'all'")
-	retries   = flag.Int("retries", 0, "set Options.Retry with this many primary retries at backed-off budgets (0 = plain single-attempt search unless -fallback is set)")
-	fallback  = flag.String("fallback", "", "with the resilient path: comma-separated fallback mapper chain tried after the primary retries (empty = default chain, 'none' = retries only); enables resilience when set")
+	retries   = flag.Int("retries", 0, "set Options.Retry with this many primary retries at backed-off budgets, then the innermost-fit fallback (0 = plain single-attempt search)")
 	faultSpec = flag.String("fault-spec", "", "arm deterministic fault injection, e.g. 'evaluate:panic:0.3', 'compile:error:0.1,seed=42', or 'all:mixed:0.3' (chaos testing; pair with -retries)")
 )
 
-// retryPolicy translates -retries/-fallback into Options.Retry; nil means the
-// flags were not used and every search is a single attempt.
+// retryPolicy translates -retries into Options.Retry; nil means the flag was
+// not used and every search is a single attempt.
 func retryPolicy() *sunstone.RetryPolicy {
-	if *retries <= 0 && *fallback == "" {
+	if *retries <= 0 {
 		return nil
 	}
-	pol := sunstone.RetryPolicy{}
-	if *retries > 0 {
-		pol.Retries = *retries
-	}
-	switch *fallback {
-	case "":
-	case "none":
-		pol.Fallbacks = []string{} // non-nil and empty: no fallback chain
-	default:
-		for _, name := range strings.Split(*fallback, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				pol.Fallbacks = append(pol.Fallbacks, name)
-			}
-		}
-	}
-	return &pol
+	return &sunstone.RetryPolicy{Retries: *retries}
 }
 
 // armFaults activates the -fault-spec injector for the whole invocation.

@@ -55,7 +55,7 @@ func TestSearchOptions(t *testing.T) {
 	}
 	for name, value := range map[string]string{
 		"beam": "7", "objective": "Energy", "top-down": "true", "threads": "3", "timeout": "2s",
-		"seed": "false", "retries": "4", "fallback": "innermost-fit, cosa",
+		"seed": "false", "retries": "4",
 	} {
 		old := flag.Lookup(name).Value.String()
 		if err := flag.Set(name, value); err != nil {
@@ -71,8 +71,8 @@ func TestSearchOptions(t *testing.T) {
 		opt.Threads != 3 || opt.Timeout != 2*time.Second || opt.Analytical.Seed || !opt.Analytical.Bounds {
 		t.Errorf("flags lost on the way to Options: %+v", opt)
 	}
-	if r := opt.Retry; r == nil || r.Retries != 4 || len(r.Fallbacks) != 2 || r.Fallbacks[1] != "cosa" {
-		t.Errorf("Retry = %+v, want 4 retries then innermost-fit, cosa", opt.Retry)
+	if r := opt.Retry; r == nil || *r != (sunstone.RetryPolicy{Retries: 4}) {
+		t.Errorf("Retry = %+v, want 4 retries and the default fallback", opt.Retry)
 	}
 	flag.Set("objective", "speed")
 	if _, err := searchOptions(); err == nil {

@@ -3,7 +3,6 @@ package sunstone
 import (
 	"context"
 
-	"sunstone/internal/baselines"
 	"sunstone/internal/baselines/registry"
 	"sunstone/internal/core"
 )
@@ -49,32 +48,21 @@ func (e *Engine) Stats() EngineStats { return e.core.Stats() }
 // comment). The cache key is derived from the Problem's content (workload,
 // arch, cost model), never from pointer identity. With Options.Retry set it
 // is hardened for environments where searches can fail: bounded retries at
-// backed-off budgets, then the policy's fallback-mapper chain (ending, by
-// default, in the guaranteed-feasible innermost-fit construction), with
-// every accepted result passing a final mapping audit. Attempts are recorded
-// in Result.Attempts; Result.FallbackUsed names the fallback that produced
-// the mapping ("" means the primary search), and the error is non-nil only
-// when every attempt failed.
+// backed-off budgets, then the guaranteed-feasible innermost-fit
+// construction, with every accepted result passing a final mapping audit.
+// Attempts are recorded in Result.Attempts; Result.FallbackUsed is
+// "innermost-fit" when the fallback produced the mapping ("" means the
+// primary search), and the error is non-nil only when every attempt failed.
 func (e *Engine) Solve(ctx context.Context, p Problem, opt Options) (Result, error) {
 	return e.core.Solve(ctx, p, opt)
 }
 
-// Baselines returns the same ordered prior-art registry as the package-level
-// Baselines, with every mapper that supports it wired to share the Engine's
-// cached cost sessions (see BaselineMapper implementations' UseSessions), so
-// a head-to-head comparison against an Engine-driven Sunstone run reuses one
-// set of per-problem tables instead of rebuilding them per tool.
-func (e *Engine) Baselines() []NamedBaseline {
-	all := registry.All()
-	out := make([]NamedBaseline, len(all))
-	for i, ent := range all {
-		m := ent.New()
-		if s, ok := m.(interface {
-			UseSessions(baselines.SessionSource)
-		}); ok {
-			s.UseSessions(e.core)
-		}
-		out[i] = NamedBaseline{Name: ent.Name, Mapper: m}
-	}
-	return out
-}
+// Baselines returns the prior-art mappers of the paper's comparison, in the
+// catalog's order: the search-based tools first (Timeloop and dMazeRunner,
+// Table V fast/slow pairs), then the one-shot analytic tools (Interstellar,
+// CoSA), then the fixed-dataflow reference points. Each call builds fresh
+// mappers in their paper-default configurations, and every one that scores
+// candidates shares the Engine's cached cost sessions, so a head-to-head
+// comparison against an Engine-driven Sunstone run reuses one set of
+// per-problem tables instead of rebuilding them per tool.
+func (e *Engine) Baselines() []NamedBaseline { return registry.All(e.core) }

@@ -43,9 +43,6 @@ type Mapper struct {
 // New returns a mapper with the default model.
 func New() *Mapper { return &Mapper{Model: cost.Default} }
 
-// UseSessions injects a shared session source (see baselines.SessionFor).
-func (m *Mapper) UseSessions(src baselines.SessionSource) { m.Sessions = src }
-
 // Name implements baselines.Mapper.
 func (m *Mapper) Name() string { return "CoSA" }
 

@@ -66,9 +66,6 @@ type Mapper struct {
 // New returns a mapper with the given configuration and the default model.
 func New(cfg Config) *Mapper { return &Mapper{Cfg: cfg, Model: cost.Default} }
 
-// UseSessions injects a shared session source (see baselines.SessionFor).
-func (m *Mapper) UseSessions(src baselines.SessionSource) { m.Sessions = src }
-
 // Name implements baselines.Mapper.
 func (m *Mapper) Name() string { return m.Cfg.Name }
 

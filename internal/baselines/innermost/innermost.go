@@ -1,5 +1,5 @@
-// Package innermost implements the guaranteed-feasible fallback mapper at
-// the end of the resilient scheduling chain (registry name "innermost-fit").
+// Package innermost implements innermost-fit, the guaranteed-feasible mapper
+// that is the resilient scheduling path's one fallback.
 //
 // It is not a competitor from the paper's comparison and it does not search:
 // it starts from the trivially legal completion — every loop factor at the
@@ -11,9 +11,9 @@
 // mapping at all, this mapper returns a legal mapping; the greedy growth only
 // ever replaces it with another validated mapping.
 //
-// That guarantee is what the retry/degradation path (core.OptimizeResilient)
-// leans on: when the primary search and the random fallback both keep
-// failing — injected chaos faults, poisoned cost models, expired deadlines —
+// That guarantee is what the retry/degradation path (core.Engine.Solve with
+// Options.Retry set) leans on: when the primary search keeps failing —
+// injected chaos faults, poisoned cost models, expired deadlines —
 // innermost-fit still produces an audit-passing mapping. It therefore
 // deliberately ignores context cancellation (construction is pure arithmetic
 // and takes microseconds) and contains every cost-model panic: scoring may
@@ -48,9 +48,6 @@ type Mapper struct {
 
 // New returns the mapper with the default cost model.
 func New() *Mapper { return &Mapper{Model: cost.Default} }
-
-// UseSessions injects a shared session source (see baselines.SessionFor).
-func (m *Mapper) UseSessions(src baselines.SessionSource) { m.Sessions = src }
 
 // Name implements baselines.Mapper.
 func (m *Mapper) Name() string { return "innermost-fit" }

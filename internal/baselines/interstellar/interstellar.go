@@ -42,9 +42,6 @@ type Mapper struct {
 // New returns a mapper with the default model and the paper's methodology.
 func New() *Mapper { return &Mapper{Model: cost.Default, MinPEUtil: 0.5} }
 
-// UseSessions injects a shared session source (see baselines.SessionFor).
-func (m *Mapper) UseSessions(src baselines.SessionSource) { m.Sessions = src }
-
 // Name implements baselines.Mapper.
 func (m *Mapper) Name() string { return "INTER" }
 

@@ -1,8 +1,7 @@
-// Package registry is the ordered catalog of the prior-art mappers this
-// repository rebuilds for the paper's comparison (Section V). It exists so
-// the CLIs and the experiment drivers iterate one list instead of each
-// hand-maintaining constructor calls; the per-mapper constructors in the
-// root package remain as thin wrappers over the same implementations.
+// Package registry is the one catalog of the prior-art mappers this
+// repository rebuilds for the paper's comparison (Section V). The CLIs, the
+// root package and the experiment drivers all take their mappers from it,
+// by name, instead of calling the per-tool constructors themselves.
 //
 // It lives below internal/baselines (not inside it) because the mapper
 // implementations import their parent package for the Result/Mapper types —
@@ -14,9 +13,7 @@ import (
 	"sunstone/internal/baselines/cosa"
 	"sunstone/internal/baselines/dmaze"
 	"sunstone/internal/baselines/fixed"
-	"sunstone/internal/baselines/innermost"
 	"sunstone/internal/baselines/interstellar"
-	"sunstone/internal/baselines/marvel"
 	"sunstone/internal/baselines/timeloop"
 )
 
@@ -25,63 +22,42 @@ type Entry struct {
 	// Name is the stable registry key: lowercase, flag-friendly (what
 	// cmd/sunstone -baselines accepts).
 	Name string
-	// New constructs a fresh mapper in its paper-default configuration.
-	// Mappers are cheap to build; callers wanting a non-default budget
-	// (e.g. the experiment drivers' scaled Timeloop wall-clocks) construct
-	// one and adjust its exported configuration.
-	New func() baselines.Mapper
+	// Mapper is a fresh mapper in its paper-default configuration. Callers
+	// wanting a non-default budget (e.g. the experiment drivers' scaled
+	// Timeloop wall-clocks) adjust its exported configuration.
+	Mapper baselines.Mapper
 }
 
 // All returns the catalog in canonical comparison order: the search-based
 // tools first (Table V fast/slow pairs), then the one-shot analytic tools,
-// then the fixed-dataflow reference points. The returned slice is fresh on
-// every call; callers may reorder or filter it freely.
-func All() []Entry {
+// then the fixed-dataflow reference points. Every call builds fresh mappers;
+// those that score candidates draw their cost sessions from src (nil: each
+// builds its own, see baselines.SessionFor).
+func All(src baselines.SessionSource) []Entry {
+	tlFast, tlSlow := timeloop.New(timeloop.Fast()), timeloop.New(timeloop.Slow())
+	dmFast, dmSlow := dmaze.New(dmaze.Fast()), dmaze.New(dmaze.Slow())
+	inter, co := interstellar.New(), cosa.New()
+	tlFast.Sessions, tlSlow.Sessions, dmFast.Sessions, dmSlow.Sessions = src, src, src, src
+	inter.Sessions, co.Sessions = src, src
 	return []Entry{
-		{"timeloop-fast", func() baselines.Mapper { return timeloop.New(timeloop.Fast()) }},
-		{"timeloop-slow", func() baselines.Mapper { return timeloop.New(timeloop.Slow()) }},
-		{"dmaze-fast", func() baselines.Mapper { return dmaze.New(dmaze.Fast()) }},
-		{"dmaze-slow", func() baselines.Mapper { return dmaze.New(dmaze.Slow()) }},
-		{"interstellar", func() baselines.Mapper { return interstellar.New() }},
-		{"cosa", func() baselines.Mapper { return cosa.New() }},
-		{"marvel", func() baselines.Mapper { return marvel.New() }},
-		{"weight-stationary", func() baselines.Mapper { return fixed.New(fixed.WeightStationary) }},
-		{"output-stationary", func() baselines.Mapper { return fixed.New(fixed.OutputStationary) }},
-		{"input-stationary", func() baselines.Mapper { return fixed.New(fixed.InputStationary) }},
+		{"timeloop-fast", tlFast},
+		{"timeloop-slow", tlSlow},
+		{"dmaze-fast", dmFast},
+		{"dmaze-slow", dmSlow},
+		{"interstellar", inter},
+		{"cosa", co},
+		{"weight-stationary", fixed.New(fixed.WeightStationary)},
+		{"output-stationary", fixed.New(fixed.OutputStationary)},
+		{"input-stationary", fixed.New(fixed.InputStationary)},
 	}
 }
 
-// Fallbacks returns the degraded-mode mappers the resilient scheduling path
-// (core.OptimizeResilient) falls back to when the primary search keeps
-// failing: a deliberately short Timeloop-style random sweep, then the
-// guaranteed-feasible innermost-fit construction. They are not part of the
-// paper's comparison set, so All() excludes them — experiment drivers and
-// the -baselines CLI iterate the comparison unchanged — but Lookup resolves
-// both catalogs.
-func Fallbacks() []Entry {
-	return []Entry{
-		{"timeloop-random-lite", func() baselines.Mapper { return timeloop.New(timeloop.Lite()) }},
-		{"innermost-fit", func() baselines.Mapper { return innermost.New() }},
-	}
-}
-
-// Lookup finds an entry by registry name in the comparison catalog (All) or
-// the degraded-mode fallback catalog (Fallbacks).
-func Lookup(name string) (Entry, bool) {
-	for _, e := range append(All(), Fallbacks()...) {
+// Lookup returns a fresh mapper by registry name, wired to src like All's.
+func Lookup(src baselines.SessionSource, name string) (baselines.Mapper, bool) {
+	for _, e := range All(src) {
 		if e.Name == name {
-			return e, true
+			return e.Mapper, true
 		}
 	}
-	return Entry{}, false
-}
-
-// Names returns every registry name in catalog order.
-func Names() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = e.Name
-	}
-	return out
+	return nil, false
 }

@@ -57,14 +57,6 @@ func Slow() Config {
 	return Config{Name: "TL-slow", TO: 80000, VC: 1500, Threads: 8, MaxTime: 60 * time.Second, Seed: 1}
 }
 
-// Lite returns a deliberately small configuration for use as a degraded-mode
-// fallback (registry name "timeloop-random-lite"): a short undirected random
-// sweep that finds *some* decent valid mapping in a couple of seconds when the
-// primary Sunstone search keeps failing. Not part of the paper's comparison.
-func Lite() Config {
-	return Config{Name: "TL-lite", TO: 2000, VC: 10, Threads: 2, MaxTime: 2 * time.Second, Seed: 1}
-}
-
 // Mapper is the Timeloop-style random-search mapper.
 type Mapper struct {
 	Cfg   Config
@@ -76,9 +68,6 @@ type Mapper struct {
 
 // New returns a mapper with the given configuration and the default model.
 func New(cfg Config) *Mapper { return &Mapper{Cfg: cfg, Model: cost.Default} }
-
-// UseSessions injects a shared session source (see baselines.SessionFor).
-func (m *Mapper) UseSessions(src baselines.SessionSource) { m.Sessions = src }
 
 // Name implements baselines.Mapper.
 func (m *Mapper) Name() string { return m.Cfg.Name }

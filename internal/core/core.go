@@ -247,7 +247,7 @@ type Options struct {
 	Timeout time.Duration
 	// Retry, when non-nil, hardens Solve for environments where searches
 	// can fail: bounded retries of the search at backed-off budgets, then
-	// the policy's fallback-mapper chain, with every accepted mapping
+	// the innermost-fit fallback construction, with every accepted mapping
 	// passing a final audit (see RetryPolicy). Attempts are recorded in
 	// Result.Attempts. Nil (the default) is a single attempt.
 	Retry *RetryPolicy
@@ -451,8 +451,10 @@ type Result struct {
 	// result was accepted, in order — the accepted attempt last with a nil
 	// Err. Nil when Options.Retry is nil.
 	Attempts []Attempt
-	// FallbackUsed names the fallback mapper that produced Mapping when the
-	// resilient path degraded ("" = the primary Sunstone search).
+	// FallbackUsed names the fallback that produced Mapping when the
+	// resilient path degraded: "innermost-fit", or "journal-checkpoint" for
+	// a service job recovered from its checkpoint ("" = the primary
+	// Sunstone search).
 	FallbackUsed string
 	// SeedEDP is the EDP of the analytical seed mapping installed as the
 	// initial alpha-beta incumbent (0 when seeding was disabled or the seed

@@ -4,22 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"sunstone/internal/anytime"
-	"sunstone/internal/baselines"
 	"sunstone/internal/baselines/innermost"
-	"sunstone/internal/baselines/timeloop"
 	"sunstone/internal/cost"
 	"sunstone/internal/mapping"
 	"sunstone/internal/obs"
 )
 
 // This file implements the graceful-degradation path: bounded retries of the
-// primary search with shrinking budgets, a configurable fallback-mapper
-// chain ending in a guaranteed-feasible construction, and a final mapping
-// audit that no result — primary or fallback — escapes without passing.
+// primary search with shrinking budgets, then the guaranteed-feasible
+// innermost-fit construction, and a final mapping audit that no result —
+// primary or fallback — escapes without passing.
 
 // RetryPolicy is Options.Retry: how Solve degrades when a search fails. The
 // zero value selects the defaults (DefaultRetryPolicy); negative Retries
@@ -34,31 +31,17 @@ type RetryPolicy struct {
 	// that failed by deadline or injected fault re-runs cheaper and faster
 	// (0 = default 0.5).
 	Backoff float64
-	// Fallbacks is the ordered chain of degraded-mode mappers (registry
-	// names, see internal/baselines/registry.Fallbacks) tried after the
-	// primary attempts are exhausted. The last entry is cycled until
-	// MaxAttempts, so it should be a mapper that cannot fail — the default
-	// chain is {"timeloop-random-lite", "innermost-fit"}. Nil selects the
-	// default; an empty non-nil slice disables fallbacks.
-	Fallbacks []string
-	// FallbackTries is how many attempts each fallback gets before the chain
-	// advances (0 = default 2).
-	FallbackTries int
 	// MaxAttempts caps the total attempts — primaries, retries and fallbacks
-	// together — as the hard stop of the whole resilient run (0 = default 32).
+	// together — as the hard stop of the whole resilient run (0 = default
+	// 32). Every attempt the primaries leave goes to innermost-fit, the one
+	// fallback; MaxAttempts = 1+Retries leaves it none.
 	MaxAttempts int
 }
 
 // DefaultRetryPolicy returns the default graceful-degradation policy, spelled
 // out. The zero RetryPolicy is equivalent.
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Retries:       2,
-		Backoff:       0.5,
-		Fallbacks:     []string{"timeloop-random-lite", "innermost-fit"},
-		FallbackTries: 2,
-		MaxAttempts:   32,
-	}
+	return RetryPolicy{Retries: 2, Backoff: 0.5, MaxAttempts: 32}
 }
 
 // withDefaults fills every zero field from DefaultRetryPolicy.
@@ -72,12 +55,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Backoff <= 0 || p.Backoff >= 1 {
 		p.Backoff = def.Backoff
 	}
-	if p.Fallbacks == nil {
-		p.Fallbacks = def.Fallbacks
-	}
-	if p.FallbackTries <= 0 {
-		p.FallbackTries = def.FallbackTries
-	}
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = def.MaxAttempts
 	}
@@ -86,8 +63,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 
 // Attempt is one recorded try of the resilient path.
 type Attempt struct {
-	// Mapper is "sunstone" for primary attempts, otherwise the fallback
-	// registry name.
+	// Mapper is "sunstone" for primary attempts, "innermost-fit" for the
+	// fallback.
 	Mapper string
 	// Stopped is the attempt's anytime stop reason.
 	Stopped StopReason
@@ -108,18 +85,19 @@ const primaryName = "sunstone"
 //
 //  1. the primary Sunstone search runs, then up to Retries retries with
 //     Backoff-shrunk budgets;
-//  2. the Fallbacks chain runs in order, the last entry cycling until
-//     MaxAttempts (the default chain ends in innermost-fit, which cannot
-//     fail on any workload/arch pair that admits a legal mapping);
+//  2. innermost-fit runs until MaxAttempts; it cannot fail on any
+//     workload/arch pair that admits a legal mapping, so what it repeats
+//     against is a transient failure — an injected fault, a corrupted memo
+//     read — in its scoring or in the audit;
 //  3. every candidate result passes the final mapping audit — structural
 //     validation, an uncached cost-model evaluation, and a bit-exact
 //     cross-check of the memoized one against it — before it is returned;
 //     an audit failure is a failed attempt like any other.
 //
 // Every attempt is recorded in Result.Attempts (accepted attempt last, nil
-// Err); Result.FallbackUsed names the fallback that produced the mapping
-// ("" = primary). A panic anywhere in an attempt is contained to that
-// attempt. The error return is non-nil only when every attempt failed.
+// Err); Result.FallbackUsed is "innermost-fit" when the fallback produced
+// the mapping ("" = primary). A panic anywhere in an attempt is contained to
+// that attempt. The error return is non-nil only when every attempt failed.
 func (e *Engine) solveResilient(ctx context.Context, p Problem, opt Options) (Result, error) {
 	pol := opt.Retry.withDefaults()
 	opt.Retry = nil // each attempt is one plain search
@@ -157,15 +135,17 @@ func (e *Engine) solveResilient(ctx context.Context, p Problem, opt Options) (Re
 			return res, nil
 		}
 		if ctx.Err() != nil {
-			break // canceled callers get the fallback chain, not more full searches
+			break // canceled callers get the fallback, not more full searches
 		}
 		curOpt = shrinkOptions(curOpt, pol.Backoff)
 	}
 
-	// Phase 2: the fallback chain; the last entry cycles until MaxAttempts.
-	for fi := 0; len(pol.Fallbacks) > 0 && len(attempts) < pol.MaxAttempts; fi++ {
-		name := pol.Fallbacks[min(fi/pol.FallbackTries, len(pol.Fallbacks)-1)]
-		if res, ok := try(name, func() (Result, error) { return e.attemptFallback(ctx, p, name) }); ok {
+	// Phase 2: innermost-fit until MaxAttempts, scoring on the problem's own
+	// compiled session — the one the audit reads.
+	fb := innermost.New()
+	fb.Model, fb.Sessions = p.Model, e
+	for len(attempts) < pol.MaxAttempts {
+		if res, ok := try(fb.Name(), func() (Result, error) { return e.attemptFallback(ctx, p, fb) }); ok {
 			return res, nil
 		}
 	}
@@ -191,67 +171,18 @@ func (e *Engine) attemptPrimary(ctx context.Context, p Problem, opt Options) (re
 	return res, err
 }
 
-// FallbackResolver turns a fallback registry name into a fresh mapper.
-type FallbackResolver func(name string) (baselines.Mapper, bool)
-
-// extraFallbacks is an optional installed resolver consulted before the
-// built-in chain, so the root package can open the whole baseline registry
-// as fallback candidates without this package importing it (the registry's
-// mapper packages have tests that import core — a test import cycle).
-var extraFallbacks atomic.Pointer[FallbackResolver]
-
-// RegisterFallbackResolver installs fn as the first-consulted fallback-name
-// resolver (the built-in chain remains as the fallback's fallback). Call it
-// from an init function; the last registration wins.
-func RegisterFallbackResolver(fn FallbackResolver) { extraFallbacks.Store(&fn) }
-
-// fallbackMapper resolves a fallback name: the installed resolver first,
-// then the built-in degraded-mode chain.
-func fallbackMapper(name string) (baselines.Mapper, bool) {
-	if fn := extraFallbacks.Load(); fn != nil {
-		if m, ok := (*fn)(name); ok {
-			return m, true
-		}
-	}
-	switch name {
-	case "timeloop-random-lite":
-		return timeloop.New(timeloop.Lite()), true
-	case "innermost-fit":
-		return innermost.New(), true
-	}
-	return nil, false
-}
-
-// attemptFallback runs one degraded-mode mapper from the registry, sharing
-// the Engine's compiled cost sessions, with panic containment.
-func (e *Engine) attemptFallback(ctx context.Context, p Problem, name string) (res Result, err error) {
-	m, ok := fallbackMapper(name)
-	if !ok {
-		return Result{}, fmt.Errorf("unknown fallback mapper %q", name)
-	}
-	if s, ok := m.(interface {
-		UseSessions(baselines.SessionSource)
-	}); ok {
-		s.UseSessions(e)
-	}
+// attemptFallback runs innermost-fit once, with panic containment. Its
+// mapping is offered to the audit even when flagged invalid: the flag may be
+// a contained scoring panic, and the audit's own evaluation is the authority
+// on acceptance.
+func (e *Engine) attemptFallback(ctx context.Context, p Problem, fb *innermost.Mapper) (res Result, err error) {
 	defer func() {
-		if pe := anytime.PanicErrorFrom(recover(), "fallback mapper "+name, nil); pe != nil {
+		if pe := anytime.PanicErrorFrom(recover(), "fallback mapper "+fb.Name(), nil); pe != nil {
 			res, err = Result{Stopped: anytime.FromContext(ctx)}, pe
 		}
 	}()
-	bres := m.MapContext(ctx, p.Workload, p.Arch)
-	res = Result{Mapping: bres.Mapping, Report: bres.Report, Stopped: bres.Stopped, SpaceSize: bres.Evaluated}
-	if bres.Mapping == nil {
-		reason := bres.InvalidReason
-		if reason == "" {
-			reason = "no mapping produced"
-		}
-		return res, fmt.Errorf("fallback %s: %s", name, reason)
-	}
-	// An invalid-flagged fallback mapping is still offered to the audit: the
-	// flag may be a contained scoring panic, and the audit's own evaluation
-	// is the authority on acceptance.
-	return res, nil
+	bres := fb.MapContext(ctx, p.Workload, p.Arch)
+	return Result{Mapping: bres.Mapping, Report: bres.Report, Stopped: bres.Stopped, SpaceSize: bres.Evaluated}, nil
 }
 
 // shrinkOptions applies one backoff step to the search budgets (floor 1), so

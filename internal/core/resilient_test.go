@@ -94,9 +94,9 @@ func TestSolveValidatesBeforeRetrying(t *testing.T) {
 }
 
 // TestResilientFallsBackOnCompileFaults forces every compile to fail: all
-// primary attempts reject with the injected error and the first fallback
-// (timeloop-random-lite, which builds its session without the compile path)
-// produces the accepted, audited mapping.
+// primary attempts reject with the injected error and the fallback
+// (innermost-fit, which builds its own session when the Engine's compile
+// fails) produces the accepted, audited mapping.
 func TestResilientFallsBackOnCompileFaults(t *testing.T) {
 	restore := faults.Activate(mustInjector(t, 1,
 		faults.Rule{Site: faults.SiteCompile, Kind: faults.Error, Rate: 1}))
@@ -108,8 +108,8 @@ func TestResilientFallsBackOnCompileFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resilient run must survive compile faults: %v", err)
 	}
-	if res.FallbackUsed != "timeloop-random-lite" {
-		t.Errorf("FallbackUsed = %q, want timeloop-random-lite", res.FallbackUsed)
+	if res.FallbackUsed != "innermost-fit" {
+		t.Errorf("FallbackUsed = %q, want innermost-fit", res.FallbackUsed)
 	}
 	if len(res.Attempts) != 4 { // 3 failed primaries + 1 accepted fallback
 		t.Errorf("Attempts = %d, want 4: %+v", len(res.Attempts), res.Attempts)
@@ -142,7 +142,7 @@ func TestResilientExhaustsWhenEvaluationIsDead(t *testing.T) {
 
 	w := conv1D(t, 4, 4, 8, 3)
 	a := arch.Tiny(256)
-	pol := RetryPolicy{Retries: -1, FallbackTries: 1, MaxAttempts: 4}
+	pol := RetryPolicy{Retries: -1, MaxAttempts: 4}
 	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{Retry: &pol})
 	if err == nil {
 		t.Fatal("a dead cost model cannot yield an audited mapping")
@@ -172,7 +172,7 @@ func TestResilientAuditCatchesMemoCorruption(t *testing.T) {
 
 	w := conv1D(t, 4, 4, 8, 3)
 	a := arch.Tiny(256)
-	pol := RetryPolicy{Retries: -1, FallbackTries: 1, MaxAttempts: 3}
+	pol := RetryPolicy{Retries: -1, MaxAttempts: 3}
 	res, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{Retry: &pol})
 	if err == nil {
 		t.Fatal("permanently corrupted memo reads must fail the audit")
@@ -187,7 +187,7 @@ func TestResilientAuditCatchesMemoCorruption(t *testing.T) {
 
 // TestResilientSurvivesExpansionPanics arms a 100% expansion fault: the
 // primary search dies by panic on every attempt (contained to the attempt),
-// and the fallback chain still delivers an audited mapping.
+// and the fallback still delivers an audited mapping.
 func TestResilientSurvivesExpansionPanics(t *testing.T) {
 	restore := faults.Activate(mustInjector(t, 1,
 		faults.Rule{Site: faults.SiteExpand, Kind: faults.Panic, Rate: 1}))
@@ -216,19 +216,35 @@ func TestResilientSurvivesExpansionPanics(t *testing.T) {
 	}
 }
 
-// TestResilientUnknownFallback: a policy naming a nonexistent mapper burns
-// its fallback attempts with clear errors instead of panicking.
-func TestResilientUnknownFallback(t *testing.T) {
+// TestResilientFallbackIsInnermostFit: innermost-fit is the one fallback and
+// takes every attempt the primaries leave, so a policy whose MaxAttempts ends
+// with the primaries has none — and either way an exhausted run reports each
+// attempt instead of panicking.
+func TestResilientFallbackIsInnermostFit(t *testing.T) {
 	restore := faults.Activate(mustInjector(t, 1,
-		faults.Rule{Site: faults.SiteCompile, Kind: faults.Error, Rate: 1}))
+		faults.Rule{Site: faults.SiteEvaluate, Kind: faults.Panic, Rate: 1}))
 	defer restore()
 
-	w := conv1D(t, 4, 4, 8, 3)
-	a := arch.Tiny(256)
-	pol := RetryPolicy{Retries: -1, Fallbacks: []string{"no-such-mapper"}, FallbackTries: 1, MaxAttempts: 2}
-	_, err := NewEngine(0).Solve(context.Background(), Problem{Workload: w, Arch: a}, Options{Retry: &pol})
-	if err == nil || !strings.Contains(err.Error(), `unknown fallback mapper "no-such-mapper"`) {
-		t.Fatalf("want unknown-fallback error, got %v", err)
+	p := Problem{Workload: conv1D(t, 4, 4, 8, 3), Arch: arch.Tiny(256)}
+	for _, tc := range []struct {
+		pol  RetryPolicy
+		want []string
+	}{
+		{RetryPolicy{Retries: 1, MaxAttempts: 4}, []string{"sunstone", "sunstone", "innermost-fit", "innermost-fit"}},
+		{RetryPolicy{Retries: 1, MaxAttempts: 2}, []string{"sunstone", "sunstone"}},
+	} {
+		pol := tc.pol
+		res, err := NewEngine(0).Solve(context.Background(), p, Options{Retry: &pol})
+		if err == nil || !strings.Contains(err.Error(), "exhausted") {
+			t.Fatalf("%+v: want an exhausted run, got %v", tc.pol, err)
+		}
+		var got []string
+		for _, at := range res.Attempts {
+			got = append(got, at.Mapper)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%+v: attempts by mapper = %v, want %v", tc.pol, got, tc.want)
+		}
 	}
 }
 

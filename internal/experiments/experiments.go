@@ -80,17 +80,19 @@ func (c Config) ctx() context.Context {
 }
 
 // tools resolves baseline registry names (internal/baselines/registry) to
-// fresh mappers, overriding the Timeloop entries with this Config's
-// wall-clock-scaled budgets. Names are compile-time constants in the Fig
-// drivers below, so an unknown one is a programming error.
-func (c Config) tools(names ...string) []baselines.Mapper {
+// fresh mappers scoring on eng's cached cost sessions, so the
+// per-(workload, arch) tables behind the fast-path evaluator are built once
+// per figure rather than once per (tool, workload) cell. The Timeloop
+// entries get this Config's wall-clock-scaled budgets. Names are
+// compile-time constants in the Fig drivers below, so an unknown one is a
+// programming error.
+func (c Config) tools(eng *core.Engine, names ...string) []baselines.Mapper {
 	out := make([]baselines.Mapper, 0, len(names))
 	for _, name := range names {
-		e, ok := registry.Lookup(name)
+		m, ok := registry.Lookup(eng, name)
 		if !ok {
 			panic("experiments: unknown baseline registry name " + name)
 		}
-		m := e.New()
 		if tl, isTL := m.(*timeloop.Mapper); isTL {
 			switch name {
 			case "timeloop-fast":
@@ -177,7 +179,7 @@ func stoppedLabel(r anytime.StopReason) string {
 // runSunstone wraps the optimizer as a ToolRun producer; cfg.LayerTimeout
 // bounds the search via Options.Timeout. The search runs through eng, the
 // figure-wide Engine, so a workload appearing in several cells (or shared
-// with a baseline via UseSessions) compiles its problem artifacts once.
+// with a baseline, see tools) compiles its problem artifacts once.
 func runSunstone(cfg Config, eng *core.Engine, w *tensor.Workload, a *arch.Arch) ToolRun {
 	opt := cfg.options(core.Options{Timeout: cfg.LayerTimeout})
 	res, err := eng.Solve(cfg.ctx(), core.Problem{Workload: w, Arch: a}, opt)
@@ -202,15 +204,7 @@ func runSunstone(cfg Config, eng *core.Engine, w *tensor.Workload, a *arch.Arch)
 
 // runBaseline runs one prior-art mapper under cfg.LayerTimeout (via the
 // MapContext anytime contract) so head-to-head wall-clock budgets are fair.
-// Mappers that support session injection share eng's cached cost sessions,
-// so the per-(workload, arch) tables behind the fast-path evaluator are
-// built once per figure rather than once per (tool, workload) cell.
-func runBaseline(cfg Config, eng *core.Engine, m baselines.Mapper, w *tensor.Workload, a *arch.Arch) ToolRun {
-	if s, ok := m.(interface {
-		UseSessions(baselines.SessionSource)
-	}); ok {
-		s.UseSessions(eng)
-	}
+func runBaseline(cfg Config, m baselines.Mapper, w *tensor.Workload, a *arch.Arch) ToolRun {
 	ctx := cfg.ctx()
 	if cfg.LayerTimeout > 0 {
 		var cancel context.CancelFunc
@@ -397,8 +391,8 @@ func Fig6(cfg Config) []ToolRun {
 	var runs []ToolRun
 	for _, w := range ws {
 		runs = append(runs, runSunstone(cfg, eng, w, a))
-		for _, m := range cfg.tools("timeloop-fast", "timeloop-slow") {
-			runs = append(runs, runBaseline(cfg, eng, m, w, a))
+		for _, m := range cfg.tools(eng, "timeloop-fast", "timeloop-slow") {
+			runs = append(runs, runBaseline(cfg, m, w, a))
 		}
 	}
 	return runs
@@ -413,8 +407,8 @@ func Fig7(cfg Config) []ToolRun {
 	var runs []ToolRun
 	for _, w := range inceptionWULayers(cfg.Quick) {
 		runs = append(runs, runSunstone(cfg, eng, w, a))
-		for _, m := range cfg.tools("timeloop-fast", "timeloop-slow", "dmaze-fast", "dmaze-slow", "interstellar") {
-			runs = append(runs, runBaseline(cfg, eng, m, w, a))
+		for _, m := range cfg.tools(eng, "timeloop-fast", "timeloop-slow", "dmaze-fast", "dmaze-slow", "interstellar") {
+			runs = append(runs, runBaseline(cfg, m, w, a))
 		}
 	}
 	return runs
@@ -434,8 +428,8 @@ func Fig8(cfg Config) []ToolRun {
 			names = append(names, "timeloop-slow")
 		}
 		names = append(names, "cosa")
-		for _, m := range cfg.tools(names...) {
-			runs = append(runs, runBaseline(cfg, eng, m, w, a))
+		for _, m := range cfg.tools(eng, names...) {
+			runs = append(runs, runBaseline(cfg, m, w, a))
 		}
 	}
 	return runs

@@ -74,7 +74,7 @@ func TestNetworkJobUnfusedBaseline(t *testing.T) {
 
 // TestNetworkJobReportsMemberAttempts: a network job's attempts and
 // fallback_used are its members' — with every compile failing, each of the
-// two layers burns its primary attempts and lands on the first fallback.
+// two layers burns its primary attempts and lands on innermost-fit.
 // (They used to read the single-job result, which a network job never
 // fills: attempts 0 and no fallback whatever the members did.)
 func TestNetworkJobReportsMemberAttempts(t *testing.T) {
@@ -88,8 +88,8 @@ func TestNetworkJobReportsMemberAttempts(t *testing.T) {
 	if fin.State != JobDone {
 		t.Fatalf("state = %q (error %q)", fin.State, fin.Error)
 	}
-	if fin.FallbackUsed != "timeloop-random-lite" {
-		t.Errorf("fallback_used = %q, want the members' timeloop-random-lite", fin.FallbackUsed)
+	if fin.FallbackUsed != "innermost-fit" {
+		t.Errorf("fallback_used = %q, want the members' innermost-fit", fin.FallbackUsed)
 	}
 	if fin.Attempts < 4 {
 		t.Errorf("attempts = %d, want both layers' failed primaries plus their fallbacks", fin.Attempts)

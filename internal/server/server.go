@@ -19,7 +19,7 @@
 //   - Watchdog — a per-job goroutine watches the search's progress events; a
 //     search silent for longer than the stall budget is canceled through the
 //     resilient path, which still produces an audit-passing mapping
-//     (fallback chain ends at innermost-fit, which needs no search).
+//     (the fallback, innermost-fit, needs no search).
 //
 //   - Panic containment — worker and handler panics are recovered into
 //     structured *anytime.PanicError failures; one poisoned job cannot crash

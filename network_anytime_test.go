@@ -211,7 +211,7 @@ func TestBaselineMapContextDeadline(t *testing.T) {
 	start := time.Now()
 	// The slow configuration runs for tens of seconds unbounded, so the
 	// 20ms context deadline is what stops it.
-	r := sunstone.TimeloopSlow().MapContext(ctx, w, sunstone.Conventional())
+	r := baseline(t, "timeloop-slow").MapContext(ctx, w, sunstone.Conventional())
 	if el := time.Since(start); el > time.Second {
 		t.Errorf("deadline-bounded Timeloop ran %v", el)
 	}

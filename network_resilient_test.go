@@ -57,8 +57,8 @@ func TestScheduleNetworkClassifiesPanicFailures(t *testing.T) {
 
 // TestScheduleNetworkResilientSurvivesInjectedFailures is the degraded-mode
 // counterpart: the same 100% compile fault, but with Options.Retry set the
-// schedule succeeds — every layer degrades to the first fallback (which
-// builds its cost session without the engine's compile path) and records its
+// schedule succeeds — every layer degrades to innermost-fit (which builds its
+// own cost session when the engine's compile path fails) and records its
 // failed primary attempts.
 func TestScheduleNetworkResilientSurvivesInjectedFailures(t *testing.T) {
 	inj, err := faults.NewInjector(7,
@@ -79,8 +79,8 @@ func TestScheduleNetworkResilientSurvivesInjectedFailures(t *testing.T) {
 	}
 	for _, l := range sched.Layers {
 		res := l.Result
-		if res.FallbackUsed != "timeloop-random-lite" {
-			t.Errorf("layer %s: FallbackUsed = %q, want timeloop-random-lite", l.Layer, res.FallbackUsed)
+		if res.FallbackUsed != "innermost-fit" {
+			t.Errorf("layer %s: FallbackUsed = %q, want innermost-fit", l.Layer, res.FallbackUsed)
 		}
 		if res.Mapping == nil || res.Mapping.Validate() != nil || !res.Report.Valid {
 			t.Errorf("layer %s: fallback did not deliver an audited valid mapping", l.Layer)

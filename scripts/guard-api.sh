@@ -12,7 +12,10 @@
 # second schedule shape or the schedule file format reappears in any non-test
 # Go file outside bench/. PR 20 added three of the same kind: the capacity rule
 # has one dense table (cost.Session.LevelFits), the analytic seed one builder
-# (core.Compile), a baseline mapper one entry point (MapContext).
+# (core.Compile), a baseline mapper one entry point (MapContext). The resilient
+# path has one fallback (innermost-fit, called directly) and the baselines one
+# catalog (registry.All, exposed as Engine.Baselines): no fallback-name
+# resolver or chain, no per-tool constructor, no Marvel mapper.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -67,6 +70,29 @@ fi
 # The uninterruptible baseline entry point.
 if grep -rnE --include='*.go' --exclude='*_test.go' '^func \([^)]*\*Mapper\) Map\(' internal/baselines; then
 	echo "guard-api: a baseline mapper has one entry point, MapContext" >&2
+	status=1
+fi
+
+# A fallback chain or name resolver, or a second way to wire a mapper's
+# sessions: innermost-fit is the one fallback, and registry.All sets Sessions.
+# shellcheck disable=SC2086
+if grep -nE '^func (\([^)]*\) )?(RegisterFallbackResolver|UseSessions|Lite)\(|^type FallbackResolver\b|^[[:space:]]+(Fallbacks|FallbackTries)[[:space:]]+[][A-Za-z]' $files; then
+	echo "guard-api: innermost-fit is the only fallback; registry.All wires a mapper's sessions" >&2
+	status=1
+fi
+
+# A per-tool baseline constructor, or a second catalog, in the root package.
+root=$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go')
+# shellcheck disable=SC2086
+if grep -nE '^func (Baselines|TimeloopFast|TimeloopSlow|DMazeFast|DMazeSlow|Interstellar|CoSA|Marvel|WeightStationary|OutputStationary|InputStationary)\(' $root; then
+	echo "guard-api: the root package has one baseline catalog, Engine.Baselines" >&2
+	status=1
+fi
+
+# The Marvel mapper: no figure ran it, and Table I's row is internal/spacesize's.
+# shellcheck disable=SC2086
+if [ -e internal/baselines/marvel ] || grep -n '"sunstone/internal/baselines/marvel"' $files; then
+	echo "guard-api: the Marvel mapper is deleted; Table I's Marvel row comes from internal/spacesize" >&2
 	status=1
 fi
 

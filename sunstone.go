@@ -35,7 +35,8 @@
 //	                                              fusion-aware cuts (MaxGroup 1: none)
 //
 // Retrying is an option, not another function: Options.Retry hardens any of
-// the three with bounded retries, a fallback-mapper chain and a final audit.
+// the three with bounded retries, the innermost-fit fallback and a final
+// audit.
 //
 // # Anytime optimization: cancellation, deadlines, graceful degradation
 //
@@ -68,7 +69,8 @@
 // the same contract across layers: fail-fast sibling cancellation by
 // default, or FusionOptions.ContinueOnError to run every layer to its own
 // conclusion; either way the per-layer errors come back joined
-// (errors.Join) together with the layers that succeeded. The baseline mappers implement the same deadline contract via
+// (errors.Join) together with the layers that succeeded. The baseline
+// mappers (Engine.Baselines) implement the same deadline contract via
 // BaselineMapper.MapContext, so head-to-head time-bounded comparisons are
 // fair. See DESIGN.md ("Anytime search") for the full taxonomy.
 package sunstone
@@ -79,13 +81,7 @@ import (
 	"sunstone/internal/anytime"
 	"sunstone/internal/arch"
 	"sunstone/internal/baselines"
-	"sunstone/internal/baselines/cosa"
-	"sunstone/internal/baselines/dmaze"
-	"sunstone/internal/baselines/fixed"
-	"sunstone/internal/baselines/interstellar"
-	"sunstone/internal/baselines/marvel"
 	"sunstone/internal/baselines/registry"
-	"sunstone/internal/baselines/timeloop"
 	"sunstone/internal/core"
 	"sunstone/internal/cost"
 	"sunstone/internal/exec"
@@ -134,6 +130,10 @@ type (
 	BaselineResult = baselines.Result
 	// BaselineMapper is a prior-art mapper under comparison.
 	BaselineMapper = baselines.Mapper
+	// NamedBaseline pairs a baseline's catalog name (lowercase,
+	// flag-friendly — what cmd/sunstone -baselines accepts) with a fresh
+	// mapper; Engine.Baselines returns the catalog.
+	NamedBaseline = registry.Entry
 	// ConvShape describes one convolution layer's geometry.
 	ConvShape = workloads.ConvShape
 )
@@ -318,60 +318,6 @@ func EvaluateEDP(m *Mapping) (edp, energyPJ, cycles float64, valid bool) {
 
 // NewMapping returns an empty mapping of w onto a, for hand construction.
 func NewMapping(w *Workload, a *Arch) *Mapping { return mapping.New(w, a) }
-
-// NamedBaseline pairs a baseline registry name (lowercase, flag-friendly —
-// what cmd/sunstone -baselines accepts) with a freshly constructed mapper.
-type NamedBaseline struct {
-	Name   string
-	Mapper BaselineMapper
-}
-
-// Baselines returns every prior-art mapper of the paper's comparison as an
-// ordered registry: the search-based tools first (Timeloop and dMazeRunner,
-// Table V fast/slow pairs), then the one-shot analytic tools (Interstellar,
-// CoSA, Marvel), then the fixed-dataflow reference points. Each call
-// constructs fresh mappers in their paper-default configurations; the
-// per-mapper constructors below remain as thin wrappers for callers that
-// want exactly one tool.
-func Baselines() []NamedBaseline {
-	all := registry.All()
-	out := make([]NamedBaseline, len(all))
-	for i, e := range all {
-		out[i] = NamedBaseline{Name: e.Name, Mapper: e.New()}
-	}
-	return out
-}
-
-// Baseline mappers from the paper's comparison (Section V).
-func TimeloopFast() BaselineMapper { return timeloop.New(timeloop.Fast()) }
-
-// TimeloopSlow returns the Table V slow/conservative Timeloop configuration.
-func TimeloopSlow() BaselineMapper { return timeloop.New(timeloop.Slow()) }
-
-// DMazeFast returns the Table V fast/aggressive dMazeRunner configuration.
-func DMazeFast() BaselineMapper { return dmaze.New(dmaze.Fast()) }
-
-// DMazeSlow returns the Table V slow/conservative dMazeRunner configuration.
-func DMazeSlow() BaselineMapper { return dmaze.New(dmaze.Slow()) }
-
-// Interstellar returns the CK-preset Interstellar mapper.
-func Interstellar() BaselineMapper { return interstellar.New() }
-
-// CoSA returns the one-shot linear-relaxation CoSA mapper.
-func CoSA() BaselineMapper { return cosa.New() }
-
-// Marvel returns the decoupled off-chip/on-chip Marvel-style mapper
-// (rebuilt from its described strategy; the original is not open source).
-func Marvel() BaselineMapper { return marvel.New() }
-
-// Fixed dataflow reference points: hard-wired stationary schedules.
-func WeightStationary() BaselineMapper { return fixed.New(fixed.WeightStationary) }
-
-// OutputStationary returns the partial-sum-resident fixed dataflow.
-func OutputStationary() BaselineMapper { return fixed.New(fixed.OutputStationary) }
-
-// InputStationary returns the activation-resident fixed dataflow.
-func InputStationary() BaselineMapper { return fixed.New(fixed.InputStationary) }
 
 // ExplainOrderings returns the pruned ordering-trie candidates for w with
 // their reuse annotations (the paper's Fig. 4 view) — why the search

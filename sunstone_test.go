@@ -3,6 +3,7 @@ package sunstone_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sunstone"
@@ -55,17 +56,47 @@ func TestPublicAPIHandMappingEvaluate(t *testing.T) {
 	}
 }
 
+// baseline returns the catalog's mapper registered under name.
+func baseline(t *testing.T, name string) sunstone.BaselineMapper {
+	t.Helper()
+	for _, nb := range sunstone.NewEngine().Baselines() {
+		if nb.Name == name {
+			return nb.Mapper
+		}
+	}
+	t.Fatalf("no baseline %q in the catalog", name)
+	return nil
+}
+
+// TestBaselineCatalog: Engine.Baselines is the one catalog of the paper's
+// comparison tools — a fixed order of unique names, fresh mappers per call.
+func TestBaselineCatalog(t *testing.T) {
+	eng := sunstone.NewEngine()
+	first, second := eng.Baselines(), eng.Baselines()
+	var names []string
+	for i, nb := range first {
+		names = append(names, nb.Name)
+		if nb.Mapper == second[i].Mapper {
+			t.Errorf("%s: one mapper shared between two calls", nb.Name)
+		}
+	}
+	want := []string{"timeloop-fast", "timeloop-slow", "dmaze-fast", "dmaze-slow", "interstellar",
+		"cosa", "weight-stationary", "output-stationary", "input-stationary"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("catalog = %v, want %v", names, want)
+	}
+}
+
 func TestPublicAPIBaselines(t *testing.T) {
 	w := sunstone.Conv2D("layer", 1, 16, 16, 14, 14, 3, 3, 1, 1)
-	for _, bl := range []sunstone.BaselineMapper{
-		sunstone.DMazeFast(), sunstone.DMazeSlow(), sunstone.Interstellar(),
-	} {
+	for _, name := range []string{"dmaze-fast", "dmaze-slow", "interstellar"} {
+		bl := baseline(t, name)
 		r := bl.MapContext(context.Background(), w, sunstone.Conventional())
 		if r.Mapping == nil && r.InvalidReason == "" {
 			t.Errorf("%s: no mapping and no reason", bl.Name())
 		}
 	}
-	r := sunstone.CoSA().MapContext(context.Background(), w, sunstone.Simba())
+	r := baseline(t, "cosa").MapContext(context.Background(), w, sunstone.Simba())
 	if r.Evaluated > 20 {
 		t.Error("CoSA must be one-shot (constant permutation variants only)")
 	}
@@ -93,10 +124,10 @@ func ExampleSolve() {
 }
 
 func TestFacadeNamesAndObjectives(t *testing.T) {
-	if sunstone.TimeloopFast().Name() != "TL-fast" || sunstone.TimeloopSlow().Name() != "TL-slow" {
+	if baseline(t, "timeloop-fast").Name() != "TL-fast" || baseline(t, "timeloop-slow").Name() != "TL-slow" {
 		t.Error("timeloop facade names")
 	}
-	if sunstone.DMazeFast().Name() != "dMaze-fast" || sunstone.Interstellar().Name() != "INTER" {
+	if baseline(t, "dmaze-fast").Name() != "dMaze-fast" || baseline(t, "interstellar").Name() != "INTER" {
 		t.Error("baseline facade names")
 	}
 	for _, o := range []sunstone.Objective{
@@ -143,10 +174,8 @@ func TestFacadeObjectiveOptimize(t *testing.T) {
 func TestExtraBaselines(t *testing.T) {
 	w := sunstone.Conv2D("c", 1, 16, 16, 8, 8, 3, 3, 1, 1)
 	a := sunstone.Conventional()
-	for _, bl := range []sunstone.BaselineMapper{
-		sunstone.Marvel(), sunstone.WeightStationary(),
-		sunstone.OutputStationary(), sunstone.InputStationary(),
-	} {
+	for _, name := range []string{"weight-stationary", "output-stationary", "input-stationary"} {
+		bl := baseline(t, name)
 		r := bl.MapContext(context.Background(), w, a)
 		if r.Mapping == nil && r.InvalidReason == "" {
 			t.Errorf("%s: no mapping and no reason", bl.Name())
