@@ -34,7 +34,11 @@ fmt-check:
 # baseline's uninterruptible Map, a fallback chain or fallback-name resolver
 # next to innermost-fit, a per-tool baseline constructor or second catalog in
 # the root package, or the deleted Marvel mapper, and none but
-# internal/core/compile.go may call analytic.Seed.
+# internal/core/compile.go may call analytic.Seed. Study switches stay out of
+# the product surface: no ParseDirection, AnalyticalOptions,
+# TopDownVisitBudget, Backoff or DoubleBuffered, no root NewServer or
+# DefaultRetryPolicy, and core.Study named only in internal/core,
+# internal/experiments and cmd/experiments.
 guard:
 	./scripts/guard-stepper.sh
 	./scripts/guard-api.sh
@@ -60,6 +64,7 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/cost/ ./internal/faults/ ./internal/server/ ./internal/journal/ ./internal/tile/ ./internal/unroll/ ./internal/baselines/timeloop/ ./internal/baselines/innermost/
 	$(GO) test -race -short .
 	$(GO) test -race -count=50 -run 'TestLayerCauseClassificationEndToEnd|TestScheduleNetworkIRFailFast' .
+	$(GO) test -race -count=50 -run 'TestFusedTopDownFailFast' ./internal/core/
 
 # parallel-smoke pins the determinism contract of intra-search parallelism
 # on the tiny preset: the search result must be bit-identical at 1 and 8

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"sunstone"
+	"sunstone/internal/core"
 	"sunstone/internal/experiments"
 	"sunstone/internal/factor"
 	"sunstone/internal/tensor"
@@ -198,18 +199,17 @@ func BenchmarkAnalyticalLayer(b *testing.B) {
 	w := sunstone.Conv2D("conv", 4, 64, 64, 28, 28, 3, 3, 1, 1)
 	a := sunstone.Simba()
 	for _, arm := range []struct {
-		name string
-		an   sunstone.AnalyticalOptions
+		name  string
+		study *core.Study
 	}{
-		{"on", sunstone.AnalyticalOptions{Seed: true, Bounds: true}},
-		{"off", sunstone.AnalyticalOptions{}},
+		{"on", nil},
+		{"off", &core.Study{NoAnalytical: true}},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			var evaluated uint64
 			var edp float64
 			for i := 0; i < b.N; i++ {
-				an := arm.an
-				res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{Analytical: &an})
+				res, err := sunstone.Solve(context.Background(), sunstone.Problem{Workload: w, Arch: a}, sunstone.Options{Study: arm.study})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -452,8 +452,11 @@ func ablate(b *testing.B, opt sunstone.Options) {
 // BenchmarkAblationDefault is the reference configuration.
 func BenchmarkAblationDefault(b *testing.B) { ablate(b, sunstone.Options{}) }
 
-// BenchmarkAblationNoPolish disables the greedy local refinement.
-func BenchmarkAblationNoPolish(b *testing.B) { ablate(b, sunstone.Options{NoPolish: true}) }
+// BenchmarkAblationNoPolish disables the greedy local refinement (a study
+// switch, core.Study, that the public Options cannot name).
+func BenchmarkAblationNoPolish(b *testing.B) {
+	ablate(b, sunstone.Options{Study: &core.Study{NoPolish: true}})
+}
 
 // BenchmarkAblationBeam4 narrows the inter-level beam to 4.
 func BenchmarkAblationBeam4(b *testing.B) { ablate(b, sunstone.Options{BeamWidth: 4}) }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"sunstone/internal/core"
 	"sunstone/internal/experiments"
 	"sunstone/internal/obs"
 	"sunstone/internal/profiling"
@@ -28,8 +27,6 @@ var (
 	csv      = flag.Bool("csv", false, "emit fig6/fig7/fig8 rows as CSV instead of text")
 	layerTO  = flag.Duration("layer-timeout", 0, "per-workload wall-clock budget for every tool (0 = each tool's natural budget); early-stopped runs report best-so-far with a stopped annotation")
 	threads  = flag.Int("threads", 0, "worker goroutines per search (0 = all cores); results are identical at any value")
-	anSeed   = flag.Bool("analytical-seed", true, "install the closed-form analytical seed incumbent in every Sunstone cell (-seed is the RNG seed)")
-	anBounds = flag.Bool("analytical-bounds", true, "prune candidates by the admissible analytical lower bound in every Sunstone cell")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of every search's phases to this file")
@@ -47,10 +44,7 @@ func main() {
 		os.Exit(2)
 	}
 	defer stopProf()
-	cfg := experiments.Config{
-		Quick: *quick, Seed: *seed, LayerTimeout: *layerTO, Threads: *threads,
-		Analytical: &core.AnalyticalOptions{Seed: *anSeed, Bounds: *anBounds},
-	}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, LayerTimeout: *layerTO, Threads: *threads}
 	var tr *obs.Trace
 	if *traceOut != "" {
 		tr = obs.NewTrace()

@@ -45,11 +45,8 @@ var (
 	describe  = flag.String("describe", "", "load the workload from a paper-style textual description file")
 	afile     = flag.String("arch-file", "", "load the architecture from a JSON description")
 	saveMap   = flag.String("save-mapping", "", "write the best mapping to this JSON file")
-	topDown   = flag.Bool("top-down", false, "optimize top-down instead of bottom-up (Table VI)")
 	objective = flag.String("objective", "edp", "figure of merit: edp | energy | delay | ed2p")
 	beam      = flag.Int("beam", 0, "beam width (0 = default)")
-	seedOn    = flag.Bool("seed", true, "install the closed-form analytical seed mapping as the initial incumbent")
-	boundsOn  = flag.Bool("bounds", true, "prune candidates whose admissible lower bound already exceeds the incumbent")
 	threads   = flag.Int("threads", 0, "worker goroutines per search — expansion, evaluation and polish fan-outs (0 = all cores); results are identical at any value")
 	compare   = flag.Bool("compare", false, "also run the baseline mappers on the same problem")
 	showBreak = flag.Bool("breakdown", false, "print the per-component energy breakdown")
@@ -158,16 +155,11 @@ func searchOptions() (sunstone.Options, error) {
 	if err != nil {
 		return sunstone.Options{}, err
 	}
-	opt := sunstone.Options{
+	return sunstone.Options{
 		Objective: obj, BeamWidth: *beam, Threads: *threads, Timeout: *timeout,
-		Progress:   progressTicker(),
-		Analytical: &sunstone.AnalyticalOptions{Seed: *seedOn, Bounds: *boundsOn},
-		Retry:      retryPolicy(),
-	}
-	if *topDown {
-		opt.Direction = sunstone.TopDown
-	}
-	return opt, nil
+		Progress: progressTicker(),
+		Retry:    retryPolicy(),
+	}, nil
 }
 
 // pickBaselines resolves the -baselines list against the registry; the

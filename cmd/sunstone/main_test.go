@@ -48,14 +48,20 @@ func TestPickArch(t *testing.T) {
 }
 
 // TestSearchOptions: every search flag reaches the one Options value that
-// both the single-workload search and -all-layers run under.
+// both the single-workload search and -all-layers run under, and that value
+// is always the product search — the Table VI study and the ablations have
+// no flag.
 func TestSearchOptions(t *testing.T) {
+	for _, gone := range []string{"top-down", "seed", "bounds"} {
+		if flag.Lookup(gone) != nil {
+			t.Errorf("-%s is a study switch, not a product flag", gone)
+		}
+	}
 	if opt, err := searchOptions(); err != nil || opt.Retry != nil || opt.Objective != sunstone.MinEDP {
 		t.Fatalf("default flags: %+v, %v; want EDP and no Retry", opt, err)
 	}
 	for name, value := range map[string]string{
-		"beam": "7", "objective": "Energy", "top-down": "true", "threads": "3", "timeout": "2s",
-		"seed": "false", "retries": "4",
+		"beam": "7", "objective": "Energy", "threads": "3", "timeout": "2s", "retries": "4",
 	} {
 		old := flag.Lookup(name).Value.String()
 		if err := flag.Set(name, value); err != nil {
@@ -67,8 +73,8 @@ func TestSearchOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.BeamWidth != 7 || opt.Objective != sunstone.MinEnergy || opt.Direction != sunstone.TopDown ||
-		opt.Threads != 3 || opt.Timeout != 2*time.Second || opt.Analytical.Seed || !opt.Analytical.Bounds {
+	if opt.BeamWidth != 7 || opt.Objective != sunstone.MinEnergy || opt.Threads != 3 ||
+		opt.Timeout != 2*time.Second || opt.Study != nil {
 		t.Errorf("flags lost on the way to Options: %+v", opt)
 	}
 	if r := opt.Retry; r == nil || *r != (sunstone.RetryPolicy{Retries: 4}) {

@@ -75,10 +75,10 @@ func TestEngineSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestEngineScheduleNetwork routes a small network through one Engine and
-// checks that repeated layer shapes hit the compilation cache rather than
-// recompiling per layer.
-func TestEngineScheduleNetwork(t *testing.T) {
+// TestEngineScheduleNetworkFused routes a small network through one Engine's
+// ScheduleNetworkFused and checks that repeated layer shapes hit the
+// compilation cache rather than recompiling per layer.
+func TestEngineScheduleNetworkFused(t *testing.T) {
 	eng := sunstone.NewEngine()
 	net, err := sunstone.FromConvShapes("head", sunstone.ResNet18Layers[:2], 1, []int{1, 2})
 	if err != nil {

@@ -13,14 +13,12 @@ func ExampleDefaultOptions() {
 	opt := sunstone.DefaultOptions()
 	opt.BeamWidth = 48 // search twice as wide as the default
 
-	fmt.Println("direction:", opt.Direction)
 	fmt.Println("objective:", opt.Objective)
 	fmt.Println("beam width:", opt.BeamWidth)
 	// A zero Options value is filled from the same defaults before any
 	// search runs, so Options{} and DefaultOptions() behave identically.
 	fmt.Println("zero-value beam width resolves to:", sunstone.DefaultOptions().BeamWidth)
 	// Output:
-	// direction: bottom-up
 	// objective: EDP
 	// beam width: 48
 	// zero-value beam width resolves to: 24

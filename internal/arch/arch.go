@@ -63,9 +63,6 @@ type Level struct {
 	// word (Eyeriss-style multicast destination-tag check);
 	// SpatialReducePJ is paid per word combined across children.
 	NoCPerWordPJ, NoCTagCheckPJ, SpatialReducePJ float64
-	// DoubleBuffered levels overlap refill with compute (the Timeloop
-	// latency assumption); all levels in this repository are.
-	DoubleBuffered bool
 }
 
 // Keeps reports whether tensor name is stored at this level.

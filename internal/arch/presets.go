@@ -40,7 +40,6 @@ func Conventional() *Arch {
 					ReadPJ: energy.SRAMRead(l1Bytes, bits), WritePJ: energy.SRAMWrite(l1Bytes, bits),
 					ReadBW: 2, WriteBW: 2,
 				}},
-				DoubleBuffered: true,
 			},
 			{
 				Name:                  "L2",
@@ -54,7 +53,6 @@ func Conventional() *Arch {
 					ReadPJ: energy.SRAMRead(l2Bytes, bits), WritePJ: energy.SRAMWrite(l2Bytes, bits),
 					ReadBW: 64, WriteBW: 64,
 				}},
-				DoubleBuffered: true,
 			},
 			{
 				Name:   "DRAM",
@@ -64,7 +62,6 @@ func Conventional() *Arch {
 					ReadPJ: energy.DRAM(bits), WritePJ: energy.DRAM(bits),
 					ReadBW: 8, WriteBW: 8,
 				}},
-				DoubleBuffered: true,
 			},
 		},
 	}
@@ -105,7 +102,6 @@ func Simba() *Arch {
 					Name: "WReg", Bytes: 2, Tensors: []string{Weight},
 					ReadPJ: energy.Register(wBits), WritePJ: energy.Register(wBits),
 				}},
-				DoubleBuffered: true,
 			},
 			{
 				// PE-level distributed/broadcast buffers feeding 64 MAC
@@ -134,7 +130,6 @@ func Simba() *Arch {
 						ReadBW: 64, WriteBW: 8,
 					},
 				},
-				DoubleBuffered: true,
 			},
 			{
 				// Global buffer: ifmap and ofmap only; weights bypass.
@@ -149,7 +144,6 @@ func Simba() *Arch {
 					ReadPJ: energy.SRAMRead(l2Bytes, 16), WritePJ: energy.SRAMWrite(l2Bytes, 16),
 					ReadBW: 32, WriteBW: 32,
 				}},
-				DoubleBuffered: true,
 			},
 			{
 				Name:   "DRAM",
@@ -159,7 +153,6 @@ func Simba() *Arch {
 					ReadPJ: energy.DRAM(16), WritePJ: energy.DRAM(16),
 					ReadBW: 8, WriteBW: 8,
 				}},
-				DoubleBuffered: true,
 			},
 		},
 	}
@@ -208,7 +201,6 @@ func DianNao() *Arch {
 						ReadBW: 32, WriteBW: 32,
 					},
 				},
-				DoubleBuffered: true,
 			},
 			{
 				Name:   "DRAM",
@@ -218,7 +210,6 @@ func DianNao() *Arch {
 					ReadPJ: energy.DRAM(bits), WritePJ: energy.DRAM(bits),
 					ReadBW: 16, WriteBW: 16,
 				}},
-				DoubleBuffered: true,
 			},
 		},
 	}
@@ -245,7 +236,6 @@ func Tiny(l1Words int) *Arch {
 					Name: "L1", Bytes: l1Bytes,
 					ReadPJ: energy.SRAMRead(l1Bytes, bits), WritePJ: energy.SRAMWrite(l1Bytes, bits),
 				}},
-				DoubleBuffered: true,
 			},
 			{
 				Name:   "DRAM",
@@ -255,7 +245,6 @@ func Tiny(l1Words int) *Arch {
 					ReadPJ: energy.DRAM(bits), WritePJ: energy.DRAM(bits),
 					ReadBW: 8, WriteBW: 8,
 				}},
-				DoubleBuffered: true,
 			},
 		},
 	}
@@ -282,7 +271,6 @@ func TinySpatial(l1Words, l2Words, pes int) *Arch {
 					Name: "L1", Bytes: l1Bytes,
 					ReadPJ: energy.SRAMRead(l1Bytes, bits), WritePJ: energy.SRAMWrite(l1Bytes, bits),
 				}},
-				DoubleBuffered: true,
 			},
 			{
 				Name:                  "L2",
@@ -295,7 +283,6 @@ func TinySpatial(l1Words, l2Words, pes int) *Arch {
 					Name: "L2", Bytes: l2Bytes,
 					ReadPJ: energy.SRAMRead(l2Bytes, bits), WritePJ: energy.SRAMWrite(l2Bytes, bits),
 				}},
-				DoubleBuffered: true,
 			},
 			{
 				Name:   "DRAM",
@@ -305,7 +292,6 @@ func TinySpatial(l1Words, l2Words, pes int) *Arch {
 					ReadPJ: energy.DRAM(bits), WritePJ: energy.DRAM(bits),
 					ReadBW: 8, WriteBW: 8,
 				}},
-				DoubleBuffered: true,
 			},
 		},
 	}

@@ -8,11 +8,11 @@ import (
 )
 
 // TestAnalyticalOffDeterministic: with the analytical layer explicitly off,
-// repeated runs are bit-identical — the zero AnalyticalOptions restores the
+// repeated runs are bit-identical — Study.NoAnalytical restores the
 // pre-analytic search exactly.
 func TestAnalyticalOffDeterministic(t *testing.T) {
 	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
-	opt := Options{Analytical: &AnalyticalOptions{}}
+	opt := Options{Study: &Study{NoAnalytical: true}}
 	first, err := solve(w, arch.Simba(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestAnalyticalOffDeterministic(t *testing.T) {
 // fewer candidates — the PR's acceptance bar.
 func TestAnalyticalOnEqualOrBetter(t *testing.T) {
 	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
-	off, err := solve(w, arch.Simba(), Options{Analytical: &AnalyticalOptions{}})
+	off, err := solve(w, arch.Simba(), Options{Study: &Study{NoAnalytical: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestAnalyticalOnEqualOrBetter(t *testing.T) {
 }
 
 // TestAnalyticalDefaultsOn: the zero Options and DefaultOptions agree — both
-// run the analytical layer — and the defaults report a seed EDP.
+// are the product search, which runs the analytical layer — and the defaults
+// report a seed EDP.
 func TestAnalyticalDefaultsOn(t *testing.T) {
-	def := DefaultOptions()
-	if def.Analytical == nil || !def.Analytical.Seed || !def.Analytical.Bounds {
-		t.Fatalf("DefaultOptions.Analytical = %+v, want both toggles on", def.Analytical)
+	if def := DefaultOptions(); def.Study != nil {
+		t.Fatalf("DefaultOptions.Study = %+v, want nil (the product search)", def.Study)
 	}
 	w := conv1D(t, 16, 16, 28, 3)
 	res, err := solve(w, arch.Tiny(256), Options{})
@@ -90,7 +90,7 @@ func TestAnalyticalSeedEDPParity(t *testing.T) {
 		{"diannao", arch.DianNao},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			off, err := solve(w, tc.a(), Options{Analytical: &AnalyticalOptions{}})
+			off, err := solve(w, tc.a(), Options{Study: &Study{NoAnalytical: true}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,10 +33,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"absurd Threads", Options{Threads: 1 << 20}},
 		{"negative TilesPerStep", Options{TilesPerStep: -1}},
 		{"absurd UnrollsPerStep", Options{UnrollsPerStep: 1 << 30}},
-		{"negative visit budget", Options{TopDownVisitBudget: -1}},
+		{"negative visit budget", Options{Study: &Study{VisitBudget: -1}}},
 		{"negative Timeout", Options{Timeout: -time.Second}},
-		{"unknown Direction", Options{Direction: Direction(99)}},
-		{"unknown Strategy", Options{Strategy: Strategy(99)}},
+		{"unknown Strategy", Options{Study: &Study{Strategy: Strategy(99)}}},
 		{"unknown Objective", Options{Objective: Objective(99)}},
 	}
 	for _, tc := range bad {
@@ -47,7 +46,7 @@ func TestOptionsValidate(t *testing.T) {
 	good := []Options{
 		{},
 		{BeamWidth: 8, AlphaSlack: 4, MinUtilization: 0.9, Threads: 2},
-		{Direction: TopDown, Strategy: UnrollTileOrder, Objective: MinED2P, Timeout: time.Second},
+		{Study: &Study{TopDown: true, Strategy: UnrollTileOrder}, Objective: MinED2P, Timeout: time.Second},
 	}
 	for _, opt := range good {
 		if err := opt.Validate(); err != nil {
@@ -142,10 +141,10 @@ func TestOptimizeTopDownStops(t *testing.T) {
 	w := conv2D(t, 4, 64, 64, 28, 28, 3, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Solve(ctx, Problem{Workload: w, Arch: arch.Tiny(256)}, Options{Direction: TopDown})
+	res, err := Solve(ctx, Problem{Workload: w, Arch: arch.Tiny(256)}, Options{Study: &Study{TopDown: true}})
 	verifyAnytime(t, res, err, StopCanceled, false)
 
-	res, err = solve(w, arch.Tiny(256), Options{Direction: TopDown, Timeout: 10 * time.Millisecond})
+	res, err = solve(w, arch.Tiny(256), Options{Study: &Study{TopDown: true}, Timeout: 10 * time.Millisecond})
 	if res.Stopped != StopDeadline && res.Stopped != StopBudget && res.Stopped != StopComplete {
 		t.Fatalf("unexpected stop reason %v", res.Stopped)
 	}
@@ -156,7 +155,7 @@ func TestOptimizeTopDownStops(t *testing.T) {
 
 func TestOptimizeTopDownVisitBudget(t *testing.T) {
 	w := conv2D(t, 4, 16, 16, 14, 14, 3, 3)
-	res, err := solve(w, arch.Tiny(4096), Options{Direction: TopDown, TopDownVisitBudget: 50})
+	res, err := solve(w, arch.Tiny(4096), Options{Study: &Study{TopDown: true, VisitBudget: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}

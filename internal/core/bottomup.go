@@ -102,7 +102,7 @@ func (sc *search) expandBottomUnit(ctx context.Context, ws *workspace, base []in
 // for the same final set. The cost is independent of any single ordering, so
 // the driver charges it once per state (folded into the state's first unit).
 func (sc *search) strategyEffort(ctx context.Context, ws *workspace, base []int, l int) int {
-	switch sc.opt.Strategy {
+	switch sc.study.Strategy {
 	case TileUnrollOrder:
 		return sc.unguidedTileEffort(ctx, ws, base, l)
 	case UnrollTileOrder:
@@ -126,17 +126,21 @@ func (sc *search) replayExpansion(e *expandEntry) {
 }
 
 // expandKey appends the expansion-memo key for extending base at level lvl:
-// the direction, the option knobs that shape enumeration, the step budget
-// where it can bind (top-down; bottom-up passes 0), and the base row itself,
-// every field a varint. The row is finer than the canonical render the key
+// the Study's direction (1 = top-down) and strategy — a study search and a
+// product search may share one Engine's memo — the option knobs that shape
+// enumeration, the step budget where it can bind (top-down; bottom-up passes
+// 0), and the base row itself, every field a varint. The row is finer than the canonical render the key
 // used to embed — it also tells apart bases that differ in the order of a
 // level whose loops all still have bound 1, which the expansion copies into
 // its candidates. Knobs that only affect scoring or selection — objective,
 // beam, alpha slack, threads — are deliberately absent: they do not change
 // what an expansion produces.
 func (sc *search) expandKey(b []byte, lvl, budget int, base []int) []byte {
-	o := sc.opt
-	for _, v := range [...]int{int(o.Direction), int(o.Strategy), lvl, budget, o.TilesPerStep, o.UnrollsPerStep} {
+	o, dir := sc.opt, 0
+	if sc.study.TopDown {
+		dir = 1
+	}
+	for _, v := range [...]int{dir, int(sc.study.Strategy), lvl, budget, o.TilesPerStep, o.UnrollsPerStep} {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
 	b = binary.AppendUvarint(b, math.Float64bits(o.MinUtilization))

@@ -20,7 +20,8 @@
 // paper). A beam of the best partial mappings is carried between levels.
 //
 // The package also implements the top-down variant and the three intra-level
-// optimization orders studied in Table VI.
+// optimization orders studied in Table VI; they are reachable only through
+// Options.Study (see Study).
 package core
 
 import (
@@ -56,33 +57,6 @@ const (
 	StopCanceled = anytime.Canceled
 	StopBudget   = anytime.Budget
 )
-
-// Direction selects the inter-level optimization order (Table VI).
-type Direction int
-
-const (
-	BottomUp Direction = iota
-	TopDown
-)
-
-func (d Direction) String() string {
-	if d == TopDown {
-		return "top-down"
-	}
-	return "bottom-up"
-}
-
-// ParseDirection resolves a direction by the name job submissions use,
-// case-insensitively; "" is the default.
-func ParseDirection(name string) (Direction, error) {
-	switch strings.ToLower(name) {
-	case "", "bottom-up":
-		return BottomUp, nil
-	case "top-down":
-		return TopDown, nil
-	}
-	return 0, fmt.Errorf("unknown direction %q (bottom-up|top-down)", name)
-}
 
 // Strategy selects the intra-level optimization order (Table VI). All three
 // converge on the same candidate set — the paper finds intra-level order
@@ -203,8 +177,6 @@ func (o Objective) scoreFloor(energyPJ, cycles float64) float64 {
 
 // Options configures the optimizer.
 type Options struct {
-	Direction Direction
-	Strategy  Strategy
 	// Objective is the figure of merit minimized (default MinEDP).
 	Objective Objective
 	// BeamWidth bounds the partial mappings carried between levels
@@ -223,9 +195,6 @@ type Options struct {
 	// ordering) at each spatial level, preferring the highest utilization
 	// (default 6).
 	UnrollsPerStep int
-	// NoPolish disables the greedy local-move refinement applied to the
-	// bottom-up search's best mapping.
-	NoPolish bool
 	// Threads bounds the worker goroutines used inside one search — the
 	// candidate-expansion, evaluation, and polish fan-outs all share one
 	// pool of this size (default GOMAXPROCS). Results are bit-identical at
@@ -233,11 +202,6 @@ type Options struct {
 	Threads int
 	// Model is the cost model (the zero Model is cost.Default).
 	Model cost.Model
-	// TopDownVisitBudget caps the candidates a top-down search may
-	// enumerate before it settles for the best found (default 4,000,000).
-	// The cap exists because the top-down space is orders of magnitude
-	// larger (Table VI) — exactly the pathology the paper reports.
-	TopDownVisitBudget int
 	// Timeout bounds one search's wall-clock (0 = unbounded). When it
 	// expires the search stops at the next cancellation poll and returns
 	// the best mapping completed so far with Result.Stopped = StopDeadline.
@@ -261,11 +225,6 @@ type Options struct {
 	// panic is recorded in Result.CandidateErrors, and the search itself
 	// continues unharmed.
 	Progress obs.ProgressFunc
-	// Analytical configures the closed-form seeding and bound-tightening
-	// layer. Nil means "use the defaults" (both on, like every other zero
-	// field); pass an explicit &AnalyticalOptions{} to turn both off and
-	// recover the pre-seeding search behavior exactly.
-	Analytical *AnalyticalOptions
 	// WarmStart, when non-nil, is a previously found complete mapping for
 	// this same (workload, arch) problem — typically a crash-recovery
 	// checkpoint — installed as the initial alpha-beta incumbent after the
@@ -275,28 +234,58 @@ type Options struct {
 	// never fails the run. The resumed search therefore finishes equal or
 	// better than the checkpoint, never worse.
 	WarmStart *mapping.Mapping
+	// Study, when non-nil, runs one of the design studies instead of the
+	// product search: the Table VI optimization orders, or an ablation of
+	// the analytical layer or of polish. Nil is the product search. Only
+	// internal/experiments, tests and benchmarks set it.
+	Study *Study
 }
 
-// AnalyticalOptions groups the knobs of the analytical layer: the one-shot
-// GOMA-style seed mapping installed as the alpha-beta incumbent before
-// enumeration starts, and the admissible per-candidate lower bound that cuts
-// subtrees whose cost floor already exceeds the incumbent. Both default to
-// on (see DefaultOptions); both are sound — the seed only tightens the
-// incumbent the search already maintains, and the bound only discards
-// candidates that provably cannot beat it — so disabling them changes how
-// much work the search does, never which mapping it returns.
-type AnalyticalOptions struct {
-	// Seed computes, validates, and fully evaluates a closed-form seed
-	// mapping before enumeration starts, installing it as the initial
-	// alpha-beta incumbent. A seed that fails to build or validate degrades
-	// to the pre-seeding behavior (recorded in Result.CandidateErrors),
-	// never a hard failure.
-	Seed bool
-	// Bounds consults the compile-time admissible lower bound
-	// (cost.Session.LowerBound) on every materialized candidate before
-	// evaluation, discarding those whose floor already exceeds the
-	// incumbent. Cuts are counted in SearchStats.BoundPruned.
-	Bounds bool
+// Study selects a search the paper or this repository ran to justify the
+// product design; each returns the product search's mapping or a worse one.
+// Top-down ties bottom-up at best, at many times the evaluations; the
+// intra-level orders change only the space size; and the analytical layer
+// and polish only ever replace the answer with a strictly better one. The
+// zero Study is the product search.
+type Study struct {
+	// TopDown optimizes from the outermost level inward (Table VI's
+	// top-down inter-level order) instead of bottom-up.
+	TopDown bool
+	// Strategy is the intra-level optimization order (Table VI; bottom-up
+	// only).
+	Strategy Strategy
+	// VisitBudget caps the candidates a top-down search may enumerate
+	// before it settles for the best found (0 = 4,000,000). The cap exists
+	// because the top-down space is orders of magnitude larger (Table VI) —
+	// exactly the pathology the paper reports.
+	VisitBudget int
+	// NoAnalytical switches off the analytical layer: the closed-form seed
+	// incumbent and the admissible lower-bound cut (the search before
+	// seeding, bit for bit).
+	NoAnalytical bool
+	// NoPolish switches off the greedy local-move refinement of the
+	// bottom-up winner.
+	NoPolish bool
+}
+
+// defaultVisitBudget is Study.VisitBudget's zero value.
+const defaultVisitBudget = 4_000_000
+
+// study returns the run's study nil-safely: the zero Study is the product
+// search.
+func (o Options) study() Study {
+	if o.Study == nil {
+		return Study{}
+	}
+	return *o.Study
+}
+
+// direction names the inter-level order, for spans and error messages.
+func (s Study) direction() string {
+	if s.TopDown {
+		return "top-down"
+	}
+	return "bottom-up"
 }
 
 // Maximum sane values for Options.Validate: beyond these the caller almost
@@ -345,17 +334,15 @@ func (o Options) Validate() error {
 	badRange("Threads", o.Threads, MaxThreads)
 	badRange("TilesPerStep", o.TilesPerStep, maxPerStep)
 	badRange("UnrollsPerStep", o.UnrollsPerStep, maxPerStep)
-	if o.TopDownVisitBudget < 0 {
-		errs = append(errs, fmt.Errorf("Options.TopDownVisitBudget = %d: must be non-negative (0 = default)", o.TopDownVisitBudget))
+	st := o.study()
+	if st.VisitBudget < 0 {
+		errs = append(errs, fmt.Errorf("Options.Study.VisitBudget = %d: must be non-negative (0 = default)", st.VisitBudget))
+	}
+	if st.Strategy < OrderTileUnroll || st.Strategy > UnrollTileOrder {
+		errs = append(errs, fmt.Errorf("Options.Study.Strategy = %d: unknown strategy", int(st.Strategy)))
 	}
 	if o.Timeout < 0 {
 		errs = append(errs, fmt.Errorf("Options.Timeout = %v: must be non-negative (0 = unbounded)", o.Timeout))
-	}
-	if o.Direction != BottomUp && o.Direction != TopDown {
-		errs = append(errs, fmt.Errorf("Options.Direction = %d: unknown direction", int(o.Direction)))
-	}
-	if o.Strategy < OrderTileUnroll || o.Strategy > UnrollTileOrder {
-		errs = append(errs, fmt.Errorf("Options.Strategy = %d: unknown strategy", int(o.Strategy)))
 	}
 	if o.Objective < MinEDP || o.Objective > MinED2P {
 		errs = append(errs, fmt.Errorf("Options.Objective = %d: unknown objective", int(o.Objective)))
@@ -370,18 +357,14 @@ func (o Options) Validate() error {
 // when you want to start from the defaults and tweak one knob explicitly.
 func DefaultOptions() Options {
 	return Options{
-		Direction:          BottomUp,
-		Strategy:           OrderTileUnroll,
-		Objective:          MinEDP,
-		BeamWidth:          24,
-		AlphaSlack:         16,
-		MinUtilization:     0.5,
-		TilesPerStep:       8,
-		UnrollsPerStep:     6,
-		Threads:            runtime.GOMAXPROCS(0),
-		Model:              cost.Default,
-		TopDownVisitBudget: 4_000_000,
-		Analytical:         &AnalyticalOptions{Seed: true, Bounds: true},
+		Objective:      MinEDP,
+		BeamWidth:      24,
+		AlphaSlack:     16,
+		MinUtilization: 0.5,
+		TilesPerStep:   8,
+		UnrollsPerStep: 6,
+		Threads:        runtime.GOMAXPROCS(0),
+		Model:          cost.Default,
 	}
 }
 
@@ -407,12 +390,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Threads <= 0 {
 		o.Threads = def.Threads
-	}
-	if o.TopDownVisitBudget <= 0 {
-		o.TopDownVisitBudget = def.TopDownVisitBudget
-	}
-	if o.Analytical == nil {
-		o.Analytical = def.Analytical
 	}
 	return o
 }
@@ -482,7 +459,7 @@ func optimizeCompiled(ctx context.Context, comp *Compiled, opt Options) (Result,
 	}
 	start := time.Now()
 	sc := newSearch(comp, opt)
-	ctx, root := obs.StartSpanf(ctx, "optimize %s (%s)", comp.w.Name, opt.Direction)
+	ctx, root := obs.StartSpanf(ctx, "optimize %s (%s)", comp.w.Name, sc.study.direction())
 	sc.prog.phase(obs.PhaseStarted, "optimize", -1)
 	res, err := runLevelSearch(ctx, sc)
 	res.Stats = obs.SnapshotSearch(sc.reg)
@@ -511,6 +488,7 @@ func optimizeCompiled(ctx context.Context, comp *Compiled, opt Options) (Result,
 // concurrent searches; everything mutable here is per-run.
 type search struct {
 	opt    Options
+	study  Study // opt.study(), resolved once
 	comp   *Compiled
 	sess   *cost.Session
 	evs    []*cost.Evaluator
@@ -527,7 +505,7 @@ type search struct {
 }
 
 func newSearch(comp *Compiled, opt Options) *search {
-	sc := &search{opt: opt, comp: comp, sess: comp.sess, best: newBestScore()}
+	sc := &search{opt: opt, study: opt.study(), comp: comp, sess: comp.sess, best: newBestScore()}
 	// Clipped, so that registering a warm start's orders copies the table
 	// instead of writing into the compiled one's spare capacity.
 	orders := slices.Clip(comp.dims.orders)

@@ -46,6 +46,13 @@ func conv1D(t testing.TB, k, c, p, r int) *tensor.Workload {
 	return w
 }
 
+// directions are Table VI's two inter-level orders, by the names subtests
+// and golden cases use.
+var directions = []struct {
+	name    string
+	topDown bool
+}{{"bottom-up", false}, {"top-down", true}}
+
 // solve is the tests' positional shorthand for one Solve on a transient
 // Engine under a background context.
 func solve(w *tensor.Workload, a *arch.Arch, opt Options) (Result, error) {
@@ -151,11 +158,11 @@ func TestTopDownVsBottomUp(t *testing.T) {
 	// the same ballpark.
 	w := conv1D(t, 16, 16, 28, 3)
 	a := arch.TinySpatial(512, 1<<16, 16)
-	bu, err := solve(w, a, Options{Direction: BottomUp})
+	bu, err := solve(w, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	td, err := solve(w, a, Options{Direction: TopDown, TopDownVisitBudget: 30_000})
+	td, err := solve(w, a, Options{Study: &Study{TopDown: true, VisitBudget: 30_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +186,7 @@ func TestIntraLevelStrategies(t *testing.T) {
 	var edps []float64
 	var sizes []int
 	for _, s := range []Strategy{OrderTileUnroll, TileUnrollOrder, UnrollTileOrder} {
-		res, err := solve(w, a, Options{Strategy: s})
+		res, err := solve(w, a, Options{Study: &Study{Strategy: s}})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -248,7 +255,7 @@ func TestOptimizeImperfectDims(t *testing.T) {
 }
 
 func TestDirectionAndStrategyStrings(t *testing.T) {
-	if BottomUp.String() != "bottom-up" || TopDown.String() != "top-down" {
+	if (Study{}).direction() != "bottom-up" || (Study{TopDown: true}).direction() != "top-down" {
 		t.Error("direction strings")
 	}
 	if OrderTileUnroll.String() == "" || TileUnrollOrder.String() == "" || UnrollTileOrder.String() == "" {
@@ -316,7 +323,7 @@ func TestOptimizeInfeasibleArch(t *testing.T) {
 func TestOptimizeTopDownInfeasible(t *testing.T) {
 	w := conv1D(t, 8, 8, 28, 3)
 	a := arch.Tiny(2)
-	_, err := solve(w, a, Options{Direction: TopDown, TopDownVisitBudget: 10_000})
+	_, err := solve(w, a, Options{Study: &Study{TopDown: true, VisitBudget: 10_000}})
 	if err == nil {
 		t.Fatal("top-down must also report infeasibility")
 	}

@@ -103,8 +103,8 @@ func TestExpandKeyAtLeastAsFine(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rendered := func(lvl, budget int, base []int) string {
 		o := sc.opt
-		return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%g|%s",
-			o.Direction, o.Strategy, lvl, budget, o.TilesPerStep, o.UnrollsPerStep, o.MinUtilization, sc.materialize(base).String())
+		return fmt.Sprintf("%t|%d|%d|%d|%d|%d|%g|%s",
+			sc.study.TopDown, sc.study.Strategy, lvl, budget, o.TilesPerStep, o.UnrollsPerStep, o.MinUtilization, sc.materialize(base).String())
 	}
 	old := map[string]string{} // binary key -> the rendered key of the first base that produced it
 	distinct := map[string]bool{}
@@ -167,8 +167,8 @@ func TestWarmSolveFindsEveryExpansion(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := &comp.expansions
-			for _, dir := range []Direction{BottomUp, TopDown} {
-				opt := Options{Direction: dir, TopDownVisitBudget: 24_000}
+			for _, dir := range directions {
+				opt := Options{Study: &Study{TopDown: dir.topDown, VisitBudget: 24_000}}
 				if _, err := eng.Solve(context.Background(), p, opt); err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func TestWarmSolveFindsEveryExpansion(t *testing.T) {
 				}
 				if c.refused != 0 || len(c.m) != stored {
 					t.Errorf("%s on %s, %s: %d puts refused, %d entries after the first solve, %d after the second (%d candidates, %d bytes charged)",
-						w.Name, a.Name, dir, c.refused, stored, len(c.m), cands, c.bytes)
+						w.Name, a.Name, dir.name, c.refused, stored, len(c.m), cands, c.bytes)
 				}
 			}
 		}

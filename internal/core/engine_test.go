@@ -213,25 +213,23 @@ func TestDirectionParity(t *testing.T) {
 		{"tiny", arch.Tiny(64)},
 		{"tiny-spatial", arch.TinySpatial(48, 1<<12, 4)},
 	}
-	opt := func(d Direction) Options {
+	opt := func(topDown bool) Options {
 		return Options{
-			Direction:          d,
-			BeamWidth:          maxBeamWidth,
-			AlphaSlack:         maxAlphaSlack,
-			NoPolish:           true,
-			TilesPerStep:       64,
-			UnrollsPerStep:     64,
-			TopDownVisitBudget: 50_000_000,
+			Study:          &Study{TopDown: topDown, NoPolish: true, VisitBudget: 50_000_000},
+			BeamWidth:      maxBeamWidth,
+			AlphaSlack:     maxAlphaSlack,
+			TilesPerStep:   64,
+			UnrollsPerStep: 64,
 		}
 	}
 	for _, ac := range archs {
 		t.Run(ac.name, func(t *testing.T) {
 			w := conv1D(t, 4, 4, 8, 3)
-			up, err := solve(w, ac.a, opt(BottomUp))
+			up, err := solve(w, ac.a, opt(false))
 			if err != nil {
 				t.Fatal(err)
 			}
-			down, err := solve(w, ac.a, opt(TopDown))
+			down, err := solve(w, ac.a, opt(true))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -78,13 +78,13 @@ func TestFlowGolden(t *testing.T) {
 	var rows []flowRow
 	for _, w := range flowPresets() {
 		for _, a := range flowArchs() {
-			for _, dir := range []Direction{BottomUp, TopDown} {
+			for _, dir := range directions {
 				for _, st := range []Strategy{OrderTileUnroll, TileUnrollOrder, UnrollTileOrder} {
-					row := flowRow{Case: fmt.Sprintf("%s/%s/%s/%s", w.Name, a.Name, dir, st)}
+					row := flowRow{Case: fmt.Sprintf("%s/%s/%s/%s", w.Name, a.Name, dir.name, st)}
 					// The top-down budget is cut from its 4M default so the
 					// table stays a few seconds; the budget still binds on the
 					// larger presets, which pins the truncation path too.
-					res, err := solve(w, a, Options{Direction: dir, Strategy: st, TopDownVisitBudget: 24_000})
+					res, err := solve(w, a, Options{Study: &Study{TopDown: dir.topDown, Strategy: st, VisitBudget: 24_000}})
 					if err != nil {
 						row.Err = err.Error()
 					} else {

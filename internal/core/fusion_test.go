@@ -3,9 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"sunstone/internal/arch"
+	"sunstone/internal/cost"
+	"sunstone/internal/mapping"
 	"sunstone/internal/network"
 	"sunstone/internal/workloads"
 )
@@ -200,5 +205,104 @@ func TestFusedRejectsInvalidInput(t *testing.T) {
 	bad.Layers[0].Repeats = 0
 	if _, err := e.SolveNetworkFused(context.Background(), &bad, a, opt, FusionOptions{}); err == nil {
 		t.Error("invalid network accepted")
+	}
+}
+
+// topDownNetOpt is the root package's quick network options under Table VI's
+// top-down study: the network scheduler runs any member search the Options
+// select, the study's as much as the product's.
+func topDownNetOpt(budget int) Options {
+	return Options{
+		BeamWidth: 4, TilesPerStep: 8, UnrollsPerStep: 1, Threads: 2,
+		Study: &Study{TopDown: true, VisitBudget: budget},
+	}
+}
+
+// TestFusedTopDownRepeatsWeighting drives the repeats weighting through the
+// per-layer cut with top-down member searches: the schedule expands a layer's
+// repeats into positions sharing its one result, so its totals must equal the
+// repeats-weighted sums of the per-layer reports. The root package's test of
+// the same name covers the product search.
+func TestFusedTopDownRepeatsWeighting(t *testing.T) {
+	shapes := workloads.ResNet18[:3]
+	repeats := []int{1, 4, 1}
+	net, err := network.FromConvShapes("head", shapes, 1, repeats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewEngine(0).SolveNetworkFused(context.Background(), net, arch.Conventional(), topDownNetOpt(200), FusionOptions{MaxGroup: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Layers) != 6 {
+		t.Fatalf("%d positions, want 1+4+1", len(res.Layers))
+	}
+	var wantE, wantC float64
+	at := 0
+	for i, rep := range repeats {
+		l := res.Layers[at]
+		for _, occ := range res.Layers[at : at+rep] {
+			if occ.Layer != shapes[i].Name || occ.Result.Mapping != l.Result.Mapping {
+				t.Errorf("position of %s holds %s, or not its layer's one result", shapes[i].Name, occ.Layer)
+			}
+		}
+		wantE += l.Result.Report.EnergyPJ * float64(rep)
+		wantC += l.Result.Report.Cycles * float64(rep)
+		at += rep
+	}
+	// Equal up to the last bits of summing x four times against 4x.
+	if math.Abs(res.TotalEnergyPJ-wantE) > 1e-12*wantE || math.Abs(res.TotalCycles-wantC) > 1e-12*wantC {
+		t.Errorf("totals not repeats-weighted: (%v, %v), want (%v, %v)", res.TotalEnergyPJ, res.TotalCycles, wantE, wantC)
+	}
+}
+
+// failFastProbe makes the fail-fast policy observable without a race on
+// search speed: every evaluation of the bad layer panics, closing failed on
+// the first; every evaluation of the sibling waits for failed, then panics
+// too. The sibling can complete nothing valid, so what ends its (much
+// longer) search is the cancellation.
+type failFastProbe struct {
+	bad, sibling string
+	failed       chan struct{}
+	once         sync.Once
+}
+
+func (p *failFastProbe) BeforeEvaluate(m *mapping.Mapping) {
+	switch m.Workload.Name {
+	case p.bad:
+		p.once.Do(func() { close(p.failed) })
+		panic("injected fault in layer " + p.bad)
+	case p.sibling:
+		<-p.failed
+		panic("layer " + p.sibling + " evaluated after its sibling failed")
+	}
+}
+
+// TestFusedTopDownFailFast drives the fail-fast policy through top-down
+// member searches: a poisoned layer fails, and its failure cancels the
+// sibling search — held back until then, and unable to complete anything
+// valid — which classifies as sibling-cancel. The root package's
+// TestScheduleNetworkIRFailFast covers the product search.
+func TestFusedTopDownFailFast(t *testing.T) {
+	bad := workloads.ConvShape{Name: "bad", K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
+	big := workloads.ResNet18[1] // conv2_x, 56x56x64: a long search
+	net, err := network.FromConvShapes("pair", []workloads.ConvShape{bad, big}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Study: &Study{TopDown: true}, Model: cost.Default}
+	opt.Model.Probe = &failFastProbe{bad: "bad", sibling: big.Name, failed: make(chan struct{})}
+	res, err := NewEngine(0).SolveNetworkFused(context.Background(), net, arch.Conventional(), opt, FusionOptions{MaxGroup: 1})
+	if err == nil || !strings.Contains(err.Error(), "bad: ") {
+		t.Fatalf("expected the bad layer to fail the schedule, got %v", err)
+	}
+	if len(res.Layers) != 2 || CauseOf(res.Layers[0].Err) != CausePanic {
+		t.Fatalf("bad layer missing its error: %+v", res.Layers)
+	}
+	if res.Failed != 2 || res.Groups != nil {
+		t.Errorf("Failed = %d with %d groups, want both layers failed and no cut", res.Failed, len(res.Groups))
+	}
+	if cause := CauseOf(res.Layers[1].Err); cause != CauseSiblingCancel {
+		t.Errorf("sibling classified as %q, want %q (err: %v)", cause, CauseSiblingCancel, res.Layers[1].Err)
 	}
 }

@@ -33,13 +33,13 @@ func TestParallelParity(t *testing.T) {
 		{"diannao", conv2D(t, 1, 16, 16, 14, 14, 3, 3), arch.DianNao()},
 	}
 	for _, cb := range combos {
-		for _, dir := range []Direction{BottomUp, TopDown} {
-			t.Run(fmt.Sprintf("%s/%s", cb.name, dir), func(t *testing.T) {
-				serial, err := solve(cb.w, cb.a, Options{Direction: dir, Threads: 1})
+		for _, dir := range directions {
+			t.Run(fmt.Sprintf("%s/%s", cb.name, dir.name), func(t *testing.T) {
+				serial, err := solve(cb.w, cb.a, Options{Study: &Study{TopDown: dir.topDown}, Threads: 1})
 				if err != nil {
 					t.Fatalf("threads=1: %v", err)
 				}
-				parallel, err := solve(cb.w, cb.a, Options{Direction: dir, Threads: 8})
+				parallel, err := solve(cb.w, cb.a, Options{Study: &Study{TopDown: dir.topDown}, Threads: 8})
 				if err != nil {
 					t.Fatalf("threads=8: %v", err)
 				}

@@ -23,14 +23,9 @@ import (
 // disables primary retries.
 type RetryPolicy struct {
 	// Retries is how many times the primary Sunstone search is retried after
-	// its first failed attempt, each retry with Backoff-shrunk budgets
-	// (0 = default 2; negative = no retries).
+	// its first failed attempt, each retry with backoff-shrunk (halved)
+	// budgets (0 = default 2; negative = no retries).
 	Retries int
-	// Backoff multiplies BeamWidth, TilesPerStep, UnrollsPerStep and
-	// TopDownVisitBudget on every primary retry (floor 1 each), so a search
-	// that failed by deadline or injected fault re-runs cheaper and faster
-	// (0 = default 0.5).
-	Backoff float64
 	// MaxAttempts caps the total attempts — primaries, retries and fallbacks
 	// together — as the hard stop of the whole resilient run (0 = default
 	// 32). Every attempt the primaries leave goes to innermost-fit, the one
@@ -41,8 +36,13 @@ type RetryPolicy struct {
 // DefaultRetryPolicy returns the default graceful-degradation policy, spelled
 // out. The zero RetryPolicy is equivalent.
 func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Retries: 2, Backoff: 0.5, MaxAttempts: 32}
+	return RetryPolicy{Retries: 2, MaxAttempts: 32}
 }
+
+// backoff multiplies BeamWidth, TilesPerStep and UnrollsPerStep on every
+// primary retry (floor 1 each), so a search that failed by deadline or
+// injected fault re-runs cheaper and faster.
+const backoff = 0.5
 
 // withDefaults fills every zero field from DefaultRetryPolicy.
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -51,9 +51,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 		p.Retries = def.Retries
 	} else if p.Retries < 0 {
 		p.Retries = 0
-	}
-	if p.Backoff <= 0 || p.Backoff >= 1 {
-		p.Backoff = def.Backoff
 	}
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = def.MaxAttempts
@@ -84,7 +81,7 @@ const primaryName = "sunstone"
 // left:
 //
 //  1. the primary Sunstone search runs, then up to Retries retries with
-//     Backoff-shrunk budgets;
+//     backoff-shrunk budgets;
 //  2. innermost-fit runs until MaxAttempts; it cannot fail on any
 //     workload/arch pair that admits a legal mapping, so what it repeats
 //     against is a transient failure — an injected fault, a corrupted memo
@@ -137,7 +134,7 @@ func (e *Engine) solveResilient(ctx context.Context, p Problem, opt Options) (Re
 		if ctx.Err() != nil {
 			break // canceled callers get the fallback, not more full searches
 		}
-		curOpt = shrinkOptions(curOpt, pol.Backoff)
+		curOpt = shrinkOptions(curOpt, backoff)
 	}
 
 	// Phase 2: innermost-fit until MaxAttempts, scoring on the problem's own
@@ -198,7 +195,6 @@ func shrinkOptions(o Options, f float64) Options {
 	o.BeamWidth = scale(o.BeamWidth)
 	o.TilesPerStep = scale(o.TilesPerStep)
 	o.UnrollsPerStep = scale(o.UnrollsPerStep)
-	o.TopDownVisitBudget = scale(o.TopDownVisitBudget)
 	return o
 }
 

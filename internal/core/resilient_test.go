@@ -250,8 +250,8 @@ func TestResilientFallbackIsInnermostFit(t *testing.T) {
 
 // TestShrinkOptions pins the backoff arithmetic: halved budgets, floor 1.
 func TestShrinkOptions(t *testing.T) {
-	o := shrinkOptions(Options{BeamWidth: 24, TilesPerStep: 8, UnrollsPerStep: 1, TopDownVisitBudget: 9}, 0.5)
-	if o.BeamWidth != 12 || o.TilesPerStep != 4 || o.UnrollsPerStep != 1 || o.TopDownVisitBudget != 4 {
+	o := shrinkOptions(Options{BeamWidth: 24, TilesPerStep: 8, UnrollsPerStep: 1}, 0.5)
+	if o.BeamWidth != 12 || o.TilesPerStep != 4 || o.UnrollsPerStep != 1 {
 		t.Errorf("shrunk options = %+v", o)
 	}
 }

@@ -80,7 +80,7 @@ type unitOut struct {
 // sequencer builds the direction's parameterization from the run's options.
 func (sc *search) sequencer() sequencer {
 	top := len(sc.comp.a.Levels) - 1
-	if sc.opt.Direction == TopDown {
+	if sc.study.TopDown {
 		levels := make([]int, 0, top)
 		for m := top; m >= 1; m-- {
 			levels = append(levels, m)
@@ -88,7 +88,11 @@ func (sc *search) sequencer() sequencer {
 		// Every step gets its own share of the visit budget: the first
 		// (DRAM) step's enormous branching would otherwise starve the lower
 		// steps.
-		stepBudget := sc.opt.TopDownVisitBudget / top
+		budget := sc.study.VisitBudget
+		if budget <= 0 {
+			budget = defaultVisitBudget
+		}
+		stepBudget := budget / top
 		if stepBudget < 1 {
 			stepBudget = 1
 		}
@@ -186,16 +190,6 @@ func (sc *search) install(inc *incumbent, res *Result, phase string, row []int) 
 	return edp
 }
 
-// analytical resolves the run's analytical-layer knobs nil-safely: internal
-// callers that bypass withDefaults (unit tests driving the stepper directly)
-// read a disabled layer rather than dereferencing nil.
-func (sc *search) analytical() AnalyticalOptions {
-	if sc.opt.Analytical == nil {
-		return AnalyticalOptions{}
-	}
-	return *sc.opt.Analytical
-}
-
 // rebind copies m's per-level factors onto the compiled workload/arch pair —
 // the caller's warm start may bind different (but equivalent) instances than
 // this search compiled — checking that the shapes line up: same level count,
@@ -271,7 +265,7 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 	var inc incumbent
 	sc.completeUp(sc.ws[0], states[0].row)
 	sc.install(&inc, &res, "seed", sc.ws[0].p.row)
-	if sc.analytical().Seed {
+	if !sc.study.NoAnalytical {
 		// GOMA-style closed form (internal/analytic), built once by Compile.
 		if sc.comp.seedErr != nil {
 			res.CandidateErrors = appendCapped(res.CandidateErrors, sc.comp.seedErr)
@@ -306,7 +300,7 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 		return inc.finish(sc, res, anytime.FromContext(ctx))
 	}
 	row, score, energyPJ, cycles := best.completed, best.score, best.energyPJ, best.cycles
-	if an := sc.analytical(); (an.Seed || an.Bounds) && inc.row != nil && inc.score < score {
+	if !sc.study.NoAnalytical && inc.row != nil && inc.score < score {
 		// The analytic layer can legitimately leave the final beam behind
 		// the incumbent: the seed may beat everything enumeration found, and
 		// a bound cut keeps subtrees out of the last step's beam. Promote
@@ -316,7 +310,7 @@ func runLevelSearch(ctx context.Context, sc *search) (Result, error) {
 		// to the historical search.
 		row, score, energyPJ, cycles = inc.row, inc.score, inc.energyPJ, inc.cycles
 	}
-	if seq.polish && !sc.opt.NoPolish {
+	if seq.polish && !sc.study.NoPolish {
 		_, psp := obs.StartSpan(ctx, "polish")
 		sc.prog.phase(obs.PhaseStarted, "polish", -1)
 		polished, pe, pc, evals, perrs, reason := polish(ctx, sc, row, score, energyPJ, cycles)
@@ -378,7 +372,7 @@ func (sc *search) runStep(ctx context.Context, seq *sequencer, lvl int, states [
 			out, err = inc.finish(sc, *res, r)
 			return nil, budgetHit, true, out, err
 		}
-		return nil, budgetHit, true, *res, fmt.Errorf("%s: no feasible candidates at level %d (%s)", sc.opt.Direction, lvl, a.Levels[lvl].Name)
+		return nil, budgetHit, true, *res, fmt.Errorf("%s: no feasible candidates at level %d (%s)", sc.study.direction(), lvl, a.Levels[lvl].Name)
 	}
 	produced = sc.boundPrune(produced, lvl)
 	produced = sc.dedupe(produced)
@@ -394,7 +388,7 @@ func (sc *search) runStep(ctx context.Context, seq *sequencer, lvl int, states [
 			out, err = inc.finish(sc, *res, r)
 			return nil, budgetHit, true, out, err
 		}
-		return nil, budgetHit, true, *res, errors.Join(append([]error{fmt.Errorf("%s: all candidates at level %d are invalid", sc.opt.Direction, lvl)}, res.CandidateErrors...)...)
+		return nil, budgetHit, true, *res, errors.Join(append([]error{fmt.Errorf("%s: all candidates at level %d are invalid", sc.study.direction(), lvl)}, res.CandidateErrors...)...)
 	}
 	if w := &next[0]; w.completed != nil && w.valid {
 		sc.improve(inc, fmt.Sprintf("level %d (%s)", lvl, a.Levels[lvl].Name), lvl, w.completed, w.score, w.energyPJ, w.cycles)
@@ -424,7 +418,7 @@ func (sc *search) runStep(ctx context.Context, seq *sequencer, lvl int, states [
 // with the lowest bound is kept so the beam never empties on a prune that is
 // about effort, not feasibility.
 func (sc *search) boundPrune(ms []cand, lvl int) []cand {
-	if !sc.analytical().Bounds || len(ms) < 2 {
+	if sc.study.NoAnalytical || len(ms) < 2 {
 		return ms
 	}
 	best := sc.best.load()
@@ -468,7 +462,7 @@ func (sc *search) maxSpatialAt(row []int, lvl int) float64 {
 	ms := 1.0
 	for l := range a.Levels {
 		assigned := l <= lvl+1
-		if sc.opt.Direction == TopDown {
+		if sc.study.TopDown {
 			assigned = l >= lvl
 		}
 		if assigned {

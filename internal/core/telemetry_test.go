@@ -28,10 +28,10 @@ func TestCounterIdentity(t *testing.T) {
 		{"diannao", arch.DianNao()},
 	}
 	for _, tc := range archs {
-		for _, dir := range []Direction{BottomUp, TopDown} {
-			t.Run(fmt.Sprintf("%s/%s", tc.name, dir), func(t *testing.T) {
+		for _, dir := range directions {
+			t.Run(fmt.Sprintf("%s/%s", tc.name, dir.name), func(t *testing.T) {
 				w := conv2D(t, 1, 16, 16, 14, 14, 3, 3)
-				res, err := solve(w, tc.a, Options{Direction: dir})
+				res, err := solve(w, tc.a, Options{Study: &Study{TopDown: dir.topDown}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,7 +58,7 @@ func TestCounterIdentity(t *testing.T) {
 				}
 				// With the analytical layer off, the bound bucket must stay
 				// empty and the identity must still close.
-				off, err := solve(w, tc.a, Options{Direction: dir, Analytical: &AnalyticalOptions{}})
+				off, err := solve(w, tc.a, Options{Study: &Study{TopDown: dir.topDown, NoAnalytical: true}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -54,20 +54,12 @@ type Config struct {
 	// any value — only wall-clock changes — so the committed numbers do
 	// not depend on it.
 	Threads int
-	// Analytical, when non-nil, overrides the analytical-layer toggles
-	// (Options.Analytical) on every Sunstone cell: seed incumbent and
-	// admissible bound pruning. Nil keeps the library default (both on).
-	Analytical *core.AnalyticalOptions
 }
 
 // options applies the Config-wide search knobs to one experiment's Options.
 func (c Config) options(o core.Options) core.Options {
 	o.Threads = c.Threads
 	o.Retry = c.Retry
-	if c.Analytical != nil {
-		an := *c.Analytical
-		o.Analytical = &an
-	}
 	return o
 }
 

@@ -53,13 +53,13 @@ func Table6(cfg Config) []Table6Row {
 	}
 
 	configs := []struct {
-		name string
-		opt  core.Options
+		name  string
+		study core.Study
 	}{
-		{"bottom-up/unrolling->tiling->ordering", core.Options{Strategy: core.UnrollTileOrder}},
-		{"bottom-up/tiling->unrolling->ordering", core.Options{Strategy: core.TileUnrollOrder}},
-		{"bottom-up/ordering->tiling->unrolling", core.Options{Strategy: core.OrderTileUnroll}},
-		{"top-down/unrolling->tiling->ordering", core.Options{Direction: core.TopDown, TopDownVisitBudget: budget}},
+		{"bottom-up/unrolling->tiling->ordering", core.Study{Strategy: core.UnrollTileOrder}},
+		{"bottom-up/tiling->unrolling->ordering", core.Study{Strategy: core.TileUnrollOrder}},
+		{"bottom-up/ordering->tiling->unrolling", core.Study{Strategy: core.OrderTileUnroll}},
+		{"top-down/unrolling->tiling->ordering", core.Study{TopDown: true, VisitBudget: budget}},
 	}
 
 	var rows []Table6Row
@@ -67,7 +67,7 @@ func Table6(cfg Config) []Table6Row {
 		space := 0
 		var edps []float64
 		for _, w := range ws {
-			res, err := core.Solve(cfg.ctx(), core.Problem{Workload: w, Arch: a}, cfg.options(c.opt))
+			res, err := core.Solve(cfg.ctx(), core.Problem{Workload: w, Arch: a}, cfg.options(core.Options{Study: &c.study}))
 			if err != nil {
 				continue
 			}

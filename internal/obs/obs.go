@@ -190,11 +190,11 @@ const (
 //	          + Deduped + Evaluated + Skipped
 //
 // holds at every instant of a search (and Skipped is zero for a run that
-// was never canceled; BoundPruned is zero when Options.Analytical bounds are
-// off). PrunedBound and PrunedBeam classify the *post*-evaluation beam
-// selection — candidates cut by the alpha-beta bound or the beam-width
-// truncation; they are subsets of Evaluated and deliberately outside the
-// identity above.
+// was never canceled; BoundPruned is zero when a study search switches the
+// analytical layer off). PrunedBound and PrunedBeam classify the
+// *post*-evaluation beam selection — candidates cut by the alpha-beta bound
+// or the beam-width truncation; they are subsets of Evaluated and
+// deliberately outside the identity above.
 type SearchCounters struct {
 	Generated       *Counter
 	Evaluated       *Counter

@@ -161,7 +161,6 @@ func DecodeArch(data []byte) (*arch.Arch, error) {
 			NoCPerWordPJ:          lj.NoCPerWordPJ,
 			NoCTagCheckPJ:         lj.NoCTagCheckPJ,
 			SpatialReducePJ:       lj.SpatialReducePJ,
-			DoubleBuffered:        true,
 		}
 		for _, bj := range lj.Buffers {
 			l.Buffers = append(l.Buffers, arch.Buffer{

@@ -134,8 +134,7 @@ func TestArchRoundTripFidelity(t *testing.T) {
 			for i := range orig.Levels {
 				ol, bl := &orig.Levels[i], &back.Levels[i]
 				if bl.Name != ol.Name || bl.Fanout != ol.Fanout ||
-					bl.AllowSpatialReduction != ol.AllowSpatialReduction ||
-					bl.DoubleBuffered != ol.DoubleBuffered {
+					bl.AllowSpatialReduction != ol.AllowSpatialReduction {
 					t.Errorf("level %d structure changed: %+v vs %+v", i, bl, ol)
 				}
 				if len(bl.Buffers) != len(ol.Buffers) {

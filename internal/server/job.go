@@ -76,23 +76,13 @@ type NetworkSpec struct {
 type SubmitOptions struct {
 	// Objective: edp | energy | delay | ed2p (default edp).
 	Objective string `json:"objective,omitempty"`
-	// Direction: bottom-up | top-down (default bottom-up).
-	Direction string `json:"direction,omitempty"`
 	// BeamWidth bounds the beam (0 = default).
 	BeamWidth int `json:"beam_width,omitempty"`
-	// NoPolish disables the final greedy refinement.
-	NoPolish bool `json:"no_polish,omitempty"`
 	// Threads requests a search worker-pool size. 0 keeps the server's
 	// per-job fair share (GOMAXPROCS divided across Workers); a positive
 	// value is honored up to that share, so one tenant cannot
 	// oversubscribe the box. Results are identical at any value.
 	Threads int `json:"threads,omitempty"`
-	// AnalyticalSeed / AnalyticalBounds toggle the closed-form analytical
-	// layer: the one-shot seed incumbent and the admissible lower-bound
-	// pruning. Unset (null) keeps the library default (both on); explicit
-	// false opts that half out.
-	AnalyticalSeed   *bool `json:"analytical_seed,omitempty"`
-	AnalyticalBounds *bool `json:"analytical_bounds,omitempty"`
 }
 
 // SubmitRequest is the POST /v1/jobs body. Exactly one workload form —
@@ -191,14 +181,10 @@ func (r *SubmitRequest) build() (*tensor.Workload, *network.Network, *arch.Arch,
 		if opt.Objective, err = core.ParseObjective(o.Objective); err != nil {
 			return nil, nil, nil, opt, fopt, err
 		}
-		if opt.Direction, err = core.ParseDirection(o.Direction); err != nil {
-			return nil, nil, nil, opt, fopt, err
-		}
 		if o.BeamWidth < 0 {
 			return nil, nil, nil, opt, fopt, fmt.Errorf("beam_width %d must be non-negative", o.BeamWidth)
 		}
 		opt.BeamWidth = o.BeamWidth
-		opt.NoPolish = o.NoPolish
 		if o.Threads < 0 {
 			return nil, nil, nil, opt, fopt, fmt.Errorf("threads %d must be non-negative", o.Threads)
 		}
@@ -206,16 +192,6 @@ func (r *SubmitRequest) build() (*tensor.Workload, *network.Network, *arch.Arch,
 			return nil, nil, nil, opt, fopt, fmt.Errorf("threads %d exceeds the maximum %d", o.Threads, core.MaxThreads)
 		}
 		opt.Threads = o.Threads
-		if o.AnalyticalSeed != nil || o.AnalyticalBounds != nil {
-			an := core.AnalyticalOptions{Seed: true, Bounds: true}
-			if o.AnalyticalSeed != nil {
-				an.Seed = *o.AnalyticalSeed
-			}
-			if o.AnalyticalBounds != nil {
-				an.Bounds = *o.AnalyticalBounds
-			}
-			opt.Analytical = &an
-		}
 	}
 	if r.TimeoutMS < 0 {
 		return nil, nil, nil, opt, fopt, fmt.Errorf("timeout_ms %d must be non-negative", r.TimeoutMS)

@@ -165,6 +165,47 @@ func TestJournalReadmitsUnfinished(t *testing.T) {
 	}
 }
 
+// TestJournalRecoversDroppedStudyFields: a submit record journaled before the
+// study options left the wire — here a top-down, no-polish job — still
+// recovers. Recovery decodes leniently, so the dropped fields are ignored and
+// the job runs the product search to done, exactly as a fresh submission of
+// the same problem does.
+func TestJournalRecoversDroppedStudyFields(t *testing.T) {
+	dir := t.TempDir()
+	sub, err := json.Marshal(submitRecord{
+		Tenant: "t", SubmittedMS: time.Now().UnixMilli(),
+		DeadlineMS: time.Now().Add(time.Minute).UnixMilli(),
+		Request:    json.RawMessage(`{"tenant":"t","arch":"tiny","conv":{"K":2,"C":2,"P":4,"Q":4,"R":2,"S":2},"options":{"direction":"top-down","no_polish":true}}`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := openJournal(t, dir)
+	if err := jr.AppendDurable(journal.Record{Kind: journal.KindSubmit, Job: "j000004", Payload: sub}); err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+
+	jr2 := openJournal(t, dir)
+	s := newTestServer(t, Config{Journal: jr2, StallTimeout: -1})
+	t.Cleanup(func() { jr2.Close() })
+	fin := waitTerminal(t, s, "j000004")
+	if fin.State != JobDone || !fin.Recovered {
+		t.Fatalf("recovered job: state %q recovered %v (error %q)", fin.State, fin.Recovered, fin.Error)
+	}
+	mustValidMapping(t, s, fin)
+	s.mu.Lock()
+	study := s.jobs["j000004"].opt.Study
+	s.mu.Unlock()
+	if study != nil {
+		t.Fatalf("recovered job runs study %+v, want the product search", *study)
+	}
+	fresh := waitTerminal(t, s, submit(t, s, `{"tenant":"t","arch":"tiny","conv":{"K":2,"C":2,"P":4,"Q":4,"R":2,"S":2}}`).ID)
+	if fin.EDP != fresh.EDP || string(fin.Mapping) != string(fresh.Mapping) {
+		t.Errorf("recovered job diverges from a fresh product search: EDP %g vs %g", fin.EDP, fresh.EDP)
+	}
+}
+
 // TestJournalAbandonedNotResurrected: a submit record followed by an
 // abandon marker (a post-journal shed whose client was told to retry)
 // must not come back.

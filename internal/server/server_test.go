@@ -180,6 +180,27 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsStudyFields: the Table VI direction and the polish and
+// analytical-layer ablations are not job options. A submission that still
+// carries one is a client error naming the field, and nothing is admitted.
+func TestSubmitRejectsStudyFields(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	for _, field := range []string{
+		`"direction":"top-down"`, `"no_polish":true`, `"analytical_seed":false`, `"analytical_bounds":false`,
+	} {
+		name := strings.Split(field, `"`)[1]
+		t.Run(name, func(t *testing.T) {
+			rec, _ := do(t, s, "POST", "/v1/jobs", `{"arch":"tiny","conv":{"K":1,"C":1,"P":1,"Q":1,"R":1,"S":1},"options":{`+field+`}}`)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"`+name+`\"`) {
+				t.Fatalf("status %d, body %s; want 400 naming %q", rec.Code, rec.Body.String(), name)
+			}
+		})
+	}
+	if got := s.Stats().Counters["srv.jobs.admitted"]; got != 0 {
+		t.Errorf("study fields admitted %d jobs", got)
+	}
+}
+
 // TestSubmitThreads pins the per-job thread contract: a bounded threads
 // request is accepted and runs to done, and the effective pool size honors
 // a smaller request while capping larger (or zero) ones at the per-job fair

@@ -11,12 +11,12 @@ import (
 
 // quickNetOpt keeps the multi-search network tests fast without changing
 // what they exercise.
-func quickNetOpt(dir sunstone.Options) sunstone.Options {
-	dir.BeamWidth = 4
-	dir.TilesPerStep = 8
-	dir.UnrollsPerStep = 1
-	dir.Threads = 2
-	return dir
+func quickNetOpt(opt sunstone.Options) sunstone.Options {
+	opt.BeamWidth = 4
+	opt.TilesPerStep = 8
+	opt.UnrollsPerStep = 1
+	opt.Threads = 2
+	return opt
 }
 
 // TestFuseSmoke is the network scheduler's end-to-end guarantee on a tiny
@@ -77,82 +77,71 @@ func TestFuseSmoke(t *testing.T) {
 }
 
 // TestScheduleNetworkIRRepeatsWeighting drives the repeats weighting through
-// the per-layer cut in both optimization directions: the schedule expands a
-// layer's repeats into positions sharing its one result, so its totals must
-// equal the repeats-weighted sums of the per-layer reports.
+// the per-layer cut: the schedule expands a layer's repeats into positions
+// sharing its one result, so its totals must equal the repeats-weighted sums
+// of the per-layer reports. The root runs the bottom-up direction only;
+// internal/core's TestFusedTopDownRepeatsWeighting runs the same check under
+// the top-down study.
 func TestScheduleNetworkIRRepeatsWeighting(t *testing.T) {
+	t.Run("bottom-up", testRepeatsWeighting)
+}
+
+func testRepeatsWeighting(t *testing.T) {
 	shapes := sunstone.ResNet18Layers[:3]
 	repeats := []int{1, 4, 1}
-	a := sunstone.Conventional()
-	for _, dir := range []struct {
-		name string
-		opt  sunstone.Options
-	}{
-		{"bottom-up", sunstone.Options{Direction: sunstone.BottomUp}},
-		{"top-down", sunstone.Options{Direction: sunstone.TopDown, TopDownVisitBudget: 200}},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			ir, err := scheduleShapes(context.Background(), "head", shapes, repeats, a, quickNetOpt(dir.opt), perLayer)
-			if err != nil {
-				t.Fatal(err)
+	ir, err := scheduleShapes(context.Background(), "head", shapes, repeats, sunstone.Conventional(), quickNetOpt(sunstone.Options{}), perLayer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ir.Layers) != 6 {
+		t.Fatalf("%d positions, want 1+4+1", len(ir.Layers))
+	}
+	var wantE, wantC float64
+	at := 0
+	for i, rep := range repeats {
+		l := ir.Layers[at]
+		for _, occ := range ir.Layers[at : at+rep] {
+			if occ.Layer != shapes[i].Name || occ.Result.Mapping != l.Result.Mapping {
+				t.Errorf("position of %s holds %s, or not its layer's one result", shapes[i].Name, occ.Layer)
 			}
-			if len(ir.Layers) != 6 {
-				t.Fatalf("%d positions, want 1+4+1", len(ir.Layers))
-			}
-			var wantE, wantC float64
-			at := 0
-			for i, rep := range repeats {
-				l := ir.Layers[at]
-				for _, occ := range ir.Layers[at : at+rep] {
-					if occ.Layer != shapes[i].Name || occ.Result.Mapping != l.Result.Mapping {
-						t.Errorf("position of %s holds %s, or not its layer's one result", shapes[i].Name, occ.Layer)
-					}
-				}
-				wantE += l.Result.Report.EnergyPJ * float64(rep)
-				wantC += l.Result.Report.Cycles * float64(rep)
-				at += rep
-			}
-			// Equal up to the last bits of summing x four times against 4x.
-			if math.Abs(ir.TotalEnergyPJ-wantE) > 1e-12*wantE || math.Abs(ir.TotalCycles-wantC) > 1e-12*wantC {
-				t.Errorf("totals not repeats-weighted: (%v, %v), want (%v, %v)",
-					ir.TotalEnergyPJ, ir.TotalCycles, wantE, wantC)
-			}
-		})
+		}
+		wantE += l.Result.Report.EnergyPJ * float64(rep)
+		wantC += l.Result.Report.Cycles * float64(rep)
+		at += rep
+	}
+	// Equal up to the last bits of summing x four times against 4x.
+	if math.Abs(ir.TotalEnergyPJ-wantE) > 1e-12*wantE || math.Abs(ir.TotalCycles-wantC) > 1e-12*wantC {
+		t.Errorf("totals not repeats-weighted: (%v, %v), want (%v, %v)",
+			ir.TotalEnergyPJ, ir.TotalCycles, wantE, wantC)
 	}
 }
 
 // TestScheduleNetworkIRFailFast drives the fail-fast policy through the IR
-// path in both optimization directions: a poisoned layer fails, and its
-// failure cancels the sibling search — held back until then, and unable to
-// complete anything valid — which classifies as sibling-cancel.
+// path: a poisoned layer fails, and its failure cancels the sibling search —
+// held back until then, and unable to complete anything valid — which
+// classifies as sibling-cancel. The root runs the bottom-up direction only;
+// internal/core's TestFusedTopDownFailFast runs the same check under the
+// top-down study.
 func TestScheduleNetworkIRFailFast(t *testing.T) {
+	t.Run("bottom-up", testFailFast)
+}
+
+func testFailFast(t *testing.T) {
 	bad := sunstone.ConvShape{Name: "bad", K: 1, C: 1, P: 1, Q: 1, R: 1, S: 1, StrideH: 1, StrideW: 1}
 	big := sunstone.ResNet18Layers[1] // conv2_x, 56x56x64: a long search
-	for _, dir := range []struct {
-		name string
-		opt  sunstone.Options
-	}{
-		{"bottom-up", sunstone.Options{Direction: sunstone.BottomUp}},
-		{"top-down", sunstone.Options{Direction: sunstone.TopDown}},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			opt := dir.opt
-			opt.Model = failFastModel("bad", big.Name)
-			sched, err := scheduleShapes(context.Background(), "pair", []sunstone.ConvShape{bad, big}, nil,
-				sunstone.Conventional(), opt, perLayer)
-			if err == nil || !strings.Contains(err.Error(), "bad: ") {
-				t.Fatalf("expected the bad layer to fail the schedule, got %v", err)
-			}
-			if len(sched.Layers) != 2 || sunstone.CauseOf(sched.Layers[0].Err) != sunstone.CausePanic {
-				t.Fatalf("bad layer missing its error: %+v", sched.Layers)
-			}
-			if sched.Failed != 2 || sched.Groups != nil {
-				t.Errorf("Failed = %d with %d groups, want both layers failed and no cut", sched.Failed, len(sched.Groups))
-			}
-			if cause := sunstone.CauseOf(sched.Layers[1].Err); cause != sunstone.CauseSiblingCancel {
-				t.Errorf("sibling classified as %q, want %q (err: %v)", cause, sunstone.CauseSiblingCancel, sched.Layers[1].Err)
-			}
-		})
+	sched, err := scheduleShapes(context.Background(), "pair", []sunstone.ConvShape{bad, big}, nil,
+		sunstone.Conventional(), sunstone.Options{Model: failFastModel("bad", big.Name)}, perLayer)
+	if err == nil || !strings.Contains(err.Error(), "bad: ") {
+		t.Fatalf("expected the bad layer to fail the schedule, got %v", err)
+	}
+	if len(sched.Layers) != 2 || sunstone.CauseOf(sched.Layers[0].Err) != sunstone.CausePanic {
+		t.Fatalf("bad layer missing its error: %+v", sched.Layers)
+	}
+	if sched.Failed != 2 || sched.Groups != nil {
+		t.Errorf("Failed = %d with %d groups, want both layers failed and no cut", sched.Failed, len(sched.Groups))
+	}
+	if cause := sunstone.CauseOf(sched.Layers[1].Err); cause != sunstone.CauseSiblingCancel {
+		t.Errorf("sibling classified as %q, want %q (err: %v)", cause, sunstone.CauseSiblingCancel, sched.Layers[1].Err)
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 // degradation").
 
 type (
-	// RetryPolicy is Options.Retry: primary retries with budget backoff,
-	// then the innermost-fit fallback, under an attempt cap. The zero value
-	// selects DefaultRetryPolicy.
+	// RetryPolicy is Options.Retry: primary retries at halved budgets, then
+	// the innermost-fit fallback, under an attempt cap. The zero value is the
+	// default policy: two primary retries, then innermost-fit, at most 32
+	// attempts.
 	RetryPolicy = core.RetryPolicy
 	// Attempt is one recorded try of the resilient path (Result.Attempts).
 	Attempt = core.Attempt
@@ -21,8 +22,3 @@ type (
 	// CauseInjected.
 	InjectedFault = faults.InjectedError
 )
-
-// DefaultRetryPolicy returns the default graceful-degradation policy: two
-// primary retries at half budgets each, then the innermost-fit fallback, at
-// most 32 attempts.
-func DefaultRetryPolicy() RetryPolicy { return core.DefaultRetryPolicy() }

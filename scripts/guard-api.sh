@@ -15,7 +15,10 @@
 # (core.Compile), a baseline mapper one entry point (MapContext). The resilient
 # path has one fallback (innermost-fit, called directly) and the baselines one
 # catalog (registry.All, exposed as Engine.Baselines): no fallback-name
-# resolver or chain, no per-tool constructor, no Marvel mapper.
+# resolver or chain, no per-tool constructor, no Marvel mapper. Options holds
+# only what a user chooses: the Table VI study and the seed/bound/polish
+# ablations live in core.Study, which only core and internal/experiments
+# name, and the knobs and exports nothing set or called stay deleted.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -93,6 +96,31 @@ fi
 # shellcheck disable=SC2086
 if [ -e internal/baselines/marvel ] || grep -n '"sunstone/internal/baselines/marvel"' $files; then
 	echo "guard-api: the Marvel mapper is deleted; Table I's Marvel row comes from internal/spacesize" >&2
+	status=1
+fi
+
+# The study switches that used to reach Options, the CLI and the wire, and
+# the knobs nothing set: Backoff is a constant, DoubleBuffered was never read.
+# shellcheck disable=SC2086
+if grep -nwE 'ParseDirection|AnalyticalOptions|TopDownVisitBudget|Backoff|DoubleBuffered' $files; then
+	echo "guard-api: the Table VI direction and the ablations are core.Study fields, the" >&2
+	echo "retry backoff is a constant, and arch.Level has no DoubleBuffered field" >&2
+	status=1
+fi
+
+# A root export no caller used: (*Engine).NewServer builds a server, and the
+# zero RetryPolicy is the default one.
+# shellcheck disable=SC2086
+if grep -nE '^func (NewServer|DefaultRetryPolicy)\(' $root; then
+	echo "guard-api: build a server with (*Engine).NewServer; the zero RetryPolicy is the default" >&2
+	status=1
+fi
+
+# core.Study is reachable only from core itself and internal/experiments.
+# shellcheck disable=SC2086
+if grep -nw 'Study' $files | grep -vE '^\./(internal/core|internal/experiments|cmd/experiments)/'; then
+	echo "guard-api: core.Study (Table VI, the ablations) is not a product option;" >&2
+	echo "only internal/core, internal/experiments and cmd/experiments may name it" >&2
 	status=1
 fi
 

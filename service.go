@@ -15,13 +15,12 @@ import (
 type (
 	// Server is the scheduler service: an http.Handler exposing job
 	// submission, status polling, SSE progress streaming, cancellation,
-	// and health/readiness/stats endpoints. Create with NewServer or
-	// (*Engine).NewServer; call Drain (or Close) exactly once on the way
-	// out.
+	// and health/readiness/stats endpoints. Create with (*Engine).NewServer;
+	// call Drain (or Close) exactly once on the way out.
 	Server = server.Server
-	// ServerConfig parameterizes NewServer; the zero value of every field
-	// selects a production-sane default. Leave the Engine field nil and
-	// use (*Engine).NewServer to share a root Engine's compile cache.
+	// ServerConfig parameterizes (*Engine).NewServer; the zero value of
+	// every field selects a production-sane default. Leave the Engine field
+	// nil: NewServer sets it to the receiver's compile cache.
 	ServerConfig = server.Config
 	// ServerStats is the /statz document: engine-cache stats, the srv.*
 	// service counters, cumulative search-flow totals, and queue gauges.
@@ -66,7 +65,8 @@ const (
 // OpenJournal opens (or creates) the write-ahead journal directory in
 // o.Dir, replaying any existing segments: torn or corrupt tails are
 // truncated, mid-file corruption is quarantined and counted, and the
-// surviving records are held for the next NewServer to recover from.
+// surviving records are held for the next server built on it to recover
+// from.
 func OpenJournal(o JournalOptions) (*Journal, error) { return journal.Open(o) }
 
 // Job lifecycle states.
@@ -78,14 +78,10 @@ const (
 	JobCanceled = server.JobCanceled
 )
 
-// NewServer builds a scheduler service from cfg (zero fields defaulted),
-// backed by a fresh Engine unless cfg.Engine is set. The worker pool starts
-// immediately.
-func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// NewServer builds a scheduler service sharing this Engine's compilation
-// cache: identical problems submitted by any tenant compile once for the
-// whole service (and for any direct Optimize calls on the same Engine).
+// NewServer builds a scheduler service from cfg (zero fields defaulted)
+// sharing this Engine's compilation cache: identical problems submitted by
+// any tenant compile once for the whole service (and for any direct Solve
+// calls on the same Engine). The worker pool starts immediately.
 func (e *Engine) NewServer(cfg ServerConfig) *Server {
 	cfg.Engine = e.core
 	return server.New(cfg)

@@ -49,8 +49,7 @@
 //   - StopComplete — the search ran to its natural end;
 //   - StopDeadline — Options.Timeout or the context deadline expired;
 //   - StopCanceled — the caller canceled the context;
-//   - StopBudget — an internal enumeration budget was exhausted (e.g. the
-//     top-down visit cap of Options.TopDownVisitBudget).
+//   - StopBudget — an internal enumeration budget was exhausted.
 //
 // A stopped search returns a nil error as long as at least one valid
 // mapping was completed before the signal: the incumbent is seeded with the
@@ -115,11 +114,6 @@ type (
 	Report = cost.Report
 	// Options configures the optimizer.
 	Options = core.Options
-	// AnalyticalOptions configures the closed-form analytical layer
-	// (Options.Analytical): the one-shot seed incumbent and the admissible
-	// lower-bound pruning. Both default on; an explicit zero
-	// &AnalyticalOptions{} disables both.
-	AnalyticalOptions = core.AnalyticalOptions
 	// Problem bundles a workload, an architecture, and an optional
 	// non-default cost model into one value identifying a scheduling
 	// problem — the canonical input of Solve and Engine.Solve.
@@ -136,19 +130,6 @@ type (
 	NamedBaseline = registry.Entry
 	// ConvShape describes one convolution layer's geometry.
 	ConvShape = workloads.ConvShape
-)
-
-// Optimization order selectors (Table VI).
-const (
-	BottomUp = core.BottomUp
-	TopDown  = core.TopDown
-)
-
-// Intra-level optimization orders (Table VI).
-const (
-	OrderTileUnroll = core.OrderTileUnroll
-	TileUnrollOrder = core.TileUnrollOrder
-	UnrollTileOrder = core.UnrollTileOrder
 )
 
 // Objective is the figure of merit the search minimizes.

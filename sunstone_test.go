@@ -204,7 +204,10 @@ func TestParseWorkloadFacade(t *testing.T) {
 	}
 }
 
-func TestScheduleNetwork(t *testing.T) {
+// TestScheduleNetworkFusedPerLayer: the MaxGroup 1 cut of ScheduleNetworkFused
+// has one entry per executed position, repeats sharing their layer's result,
+// and its EDP is the unfused one.
+func TestScheduleNetworkFusedPerLayer(t *testing.T) {
 	shapes := sunstone.ResNet18Layers[:3]
 	repeats := []int{1, 4, 1}
 	sched, err := scheduleShapes(context.Background(), "resnet18-head", shapes, repeats,
